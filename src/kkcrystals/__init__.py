@@ -7,8 +7,7 @@ Kostant-Kumar submodule crystals with their decomposition tables.
 
 from .iso import partition_to_path, path_to_partition
 from .kk import (KKSpec, MultiplicityTable, decomposition,
-                 decomposition_via_crystal, dominant_set,
-                 full_tensor_decomposition, in_kk_crystal,
+                 decomposition_via_crystal, dominant_set, in_kk_crystal,
                  in_kk_crystal_by_weyl, kk_crystal_graph, kk_crystal_members,
                  kk_nesting_check, weight_of_dominant)
 from .partitions import (ChargedPartition, Signature, box_label,

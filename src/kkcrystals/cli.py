@@ -125,11 +125,15 @@ def _convert_path(data: dict):
     print(json.dumps(path_to_partition(path).to_json()))
 
 
-def _cmd_decompose(args) -> int:
+def _spec(args) -> KKSpec:
     try:
-        spec = KKSpec(args.lam, args.p)
+        return KKSpec(args.lam, args.p)
     except ValueError as exc:
         _fail(str(exc), 2)
+
+
+def _cmd_decompose(args) -> int:
+    spec = _spec(args)
     if args.cutoff < 0:
         _fail("cutoff must be nonnegative", 2)
     table = decomposition(spec, args.cutoff)
@@ -151,10 +155,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    try:
-        spec = KKSpec(args.lam, args.p)
-    except ValueError as exc:
-        _fail(str(exc), 2)
+    spec = _spec(args)
     if args.max_boxes < 0:
         _fail("max-boxes must be nonnegative", 2)
     graph = kk_crystal_graph(spec, args.max_boxes)

@@ -35,6 +35,8 @@ class KKSpec:
     p: int
 
     def __post_init__(self):
+        if type(self.lambda_type) is not int or type(self.p) is not int:
+            raise TypeError("lambda_type and p must be integers")
         if self.lambda_type not in (0, 1):
             raise ValueError("lambda_type must be 0 or 1")
         if self.p < 0:
@@ -150,38 +152,23 @@ def _truncated_product(factors, max_degree: int) -> list[int]:
     return coeffs
 
 
-def _table_from_coeffs(lambda_type: int, coeffs, cutoff: int) -> MultiplicityTable:
-    a = tuple(coeffs[2 * k] for k in range(cutoff + 1))
-    if lambda_type == 0:
-        b = tuple(coeffs[2 * k + 1] for k in range(cutoff + 1))
-        return MultiplicityTable(a, b, cutoff)
-    return MultiplicityTable(a, None, cutoff)
-
-
 def decomposition(spec: KKSpec, cutoff: int) -> MultiplicityTable:
     """Generating-function route: expand the product of (1 + x^j) over
-    odd (lambda_type 0) or even (lambda_type 1) j up to p."""
+    odd (lambda_type 0) or even (lambda_type 1) j up to p.
+
+    The table reads coefficients up to degree 2*cutoff + 1 only, and a
+    factor with j above that degree cannot reach one, so the product
+    stops at min(p, 2*cutoff + 1).  For p past that bound the table is
+    the one of the whole tensor product."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     max_degree = 2 * cutoff + 1
-    parity = 1 if spec.lambda_type == 0 else 0
-    factors = [j for j in range(1, spec.p + 1) if j % 2 == parity]
-    return _table_from_coeffs(spec.lambda_type,
-                              _truncated_product(factors, max_degree), cutoff)
-
-
-def full_tensor_decomposition(lambda_type: int, cutoff: int) -> MultiplicityTable:
-    """The untruncated products: multiplicities for the whole tensor
-    product, which the p-truncations reach once p is large enough."""
-    if lambda_type not in (0, 1):
-        raise ValueError("lambda_type must be 0 or 1")
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    max_degree = 2 * cutoff + 1
-    parity = 1 if lambda_type == 0 else 0
-    factors = [j for j in range(1, max_degree + 1) if j % 2 == parity]
-    return _table_from_coeffs(lambda_type,
-                              _truncated_product(factors, max_degree), cutoff)
+    first = 1 if spec.lambda_type == 0 else 2
+    factors = range(first, min(spec.p, max_degree) + 1, 2)
+    coeffs = _truncated_product(factors, max_degree)
+    return MultiplicityTable(coeffs[0::2],
+                             coeffs[1::2] if spec.lambda_type == 0 else None,
+                             cutoff)
 
 
 def decomposition_via_crystal(spec: KKSpec, cutoff: int) -> MultiplicityTable:
@@ -198,7 +185,8 @@ def decomposition_via_crystal(spec: KKSpec, cutoff: int) -> MultiplicityTable:
             continue
         k, rem = divmod(cp.size, 2)
         if rem:
-            assert b is not None, "odd sizes occur only for lambda_type 0"
+            if b is None:
+                raise AssertionError("odd sizes occur only for lambda_type 0")
             b[k] += 1
         else:
             a[k] += 1
@@ -233,6 +221,6 @@ def kk_nesting_check(lambda_type: int, p_small: int, p_large: int,
 def kk_crystal_graph(spec: KKSpec, max_boxes: int) -> CrystalGraph:
     members = kk_crystal_members(spec, max_boxes)
     graph = crystal_graph(members, max_boxes)
-    assert len(graph.vertices) == len(members), \
-        "lowering operators escaped the crystal"
+    if len(graph.vertices) != len(members):
+        raise AssertionError("lowering operators escaped the crystal")
     return graph

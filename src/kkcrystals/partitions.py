@@ -22,7 +22,10 @@ class ChargedPartition:
     charge: int
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "parts", tuple(self.parts))
+        if type(self.charge) is not int or any(type(p) is not int
+                                               for p in self.parts):
+            raise TypeError("parts and charge must be integers")
         if self.charge not in (0, 1):
             raise ValueError("charge must be 0 or 1")
         if any(p <= 0 for p in self.parts):
@@ -218,7 +221,8 @@ def closed_form_signature(cp: ChargedPartition, i: int) -> str:
         raise ValueError("closed form needs a nonempty diagram")
     m, n = cp.bounding_rect
     seq = (n,) + gap_conjugate(cp) + (0,)
-    assert len(seq) == m - n + 2
+    if len(seq) != m - n + 2:
+        raise AssertionError("gap data of %s has the wrong length" % cp)
     first_plus = (n % 2) == ((i + cp.charge) % 2)
     out = []
     for k in range(len(seq) - 1):

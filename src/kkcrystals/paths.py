@@ -48,11 +48,13 @@ class LSPath:
     steps: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(self.steps))
+        if any(type(x) is not int for x in (self.shape, self.n, *self.steps)):
+            raise TypeError("shape, n and steps must be integers")
         if self.shape not in (0, 1):
             raise ValueError("shape must be 0 or 1")
         if self.n < 0:
             raise ValueError("final index must be nonnegative")
-        object.__setattr__(self, "steps", tuple(int(s) for s in self.steps))
         if self.steps:
             if self.steps[-1] < 1:
                 raise ValueError("steps must be positive")
@@ -194,22 +196,27 @@ def _h_values(path: LSPath, i: int) -> list[Fraction]:
     return [pair_coroot(p, i) for p in path.turning_points()]
 
 
+def _integer(q: Fraction) -> int:
+    """Pairing minima and string lengths of LS paths and of their
+    concatenations are integers; a fraction means the model is broken."""
+    if q.denominator != 1:
+        raise AssertionError("pairing value %s is not an integer" % q)
+    return int(q)
+
+
 def h_function(path: LSPath, i: int) -> PiecewiseLinearH:
     return PiecewiseLinearH(tuple(zip(path.times, _h_values(path, i))))
 
 
 def path_epsilon(path: LSPath, i: int) -> int:
     """Negated minimum of the pairing profile."""
-    q = min(_h_values(path, i))
-    assert q.denominator == 1
-    return -int(q)
+    return -_integer(min(_h_values(path, i)))
+
 
 def path_phi(path: LSPath, i: int) -> int:
     """Endpoint value minus minimum of the pairing profile."""
     values = _h_values(path, i)
-    p = values[-1] - min(values)
-    assert p.denominator == 1
-    return int(p)
+    return _integer(values[-1] - min(values))
 
 
 def f_path(path: LSPath, i: int) -> LSPath | None:
@@ -218,8 +225,7 @@ def f_path(path: LSPath, i: int) -> LSPath | None:
     idx = path.direction_indices
     times = path.times
     H = _h_values(path, i)
-    Q = min(H)
-    assert Q.denominator == 1, "pairing minimum must be an integer"
+    Q = _integer(min(H))
     if H[-1] - Q < 1:
         return None
     p = max(j for j in range(len(H)) if H[j] == Q)
@@ -246,8 +252,7 @@ def e_path(path: LSPath, i: int) -> LSPath | None:
     idx = path.direction_indices
     times = path.times
     H = _h_values(path, i)
-    Q = min(H)
-    assert Q.denominator == 1, "pairing minimum must be an integer"
+    Q = _integer(min(H))
     if Q >= 0:
         return None
     q = min(j for j in range(len(H)) if H[j] == Q)

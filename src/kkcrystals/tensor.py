@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import weights
 from .partitions import ChargedPartition, e_op, epsilon, f_op, phi, weight_of
-from .paths import LSPath, direction_weight
+from .paths import LSPath, _integer, direction_weight
 from .weights import Weight, pair_coroot
 from .weyl import (WeylElement, bruhat_ideal_min, coset_element,
                    double_coset_min, double_coset_min_index)
@@ -118,8 +118,7 @@ def _apply_root_operator(pieces, i: int, op: str):
     for v, d in pieces:
         times.append(times[-1] + d)
         H.append(H[-1] + pair_coroot(v, i) * d)
-    Q = min(H)
-    assert Q.denominator == 1, "pairing minimum must be an integer"
+    Q = _integer(min(H))
     if op == "f":
         if H[-1] - Q < 1:
             return None
@@ -144,7 +143,8 @@ def _apply_root_operator(pieces, i: int, op: str):
                 break
     else:
         raise ValueError("op must be 'f' or 'e'")
-    assert lo is not None and hi is not None
+    if lo is None or hi is None:
+        raise AssertionError("the pairing profile never returns to minimum + 1")
     pieces = _cut_at(_cut_at(pieces, lo), hi)
     out = []
     t = Fraction(0)
@@ -246,25 +246,26 @@ class CrystalGraph:
 
 def crystal_graph(seeds, max_boxes: int) -> CrystalGraph:
     """Closure of the seeds under the lowering operators, truncated at the
-    box bound; every edge is validated against the raising operator."""
+    box bound; every edge is validated against the raising operator.
+    Each vertex is lowered once, and its arrows become the edges."""
     verts = {s for s in seeds if s.total_boxes <= max_boxes}
     frontier = list(verts)
+    arrows = []
     while frontier:
         fresh = []
         for v in frontier:
             for i in (0, 1):
                 w = tensor_f(i, v)
-                if w is not None and w.total_boxes <= max_boxes and w not in verts:
+                if w is None or w.total_boxes > max_boxes:
+                    continue
+                if tensor_e(i, w) != v:
+                    raise AssertionError("edge fails the raising check")
+                arrows.append((v, i, w))
+                if w not in verts:
                     verts.add(w)
                     fresh.append(w)
         frontier = fresh
     vertices = sorted(verts, key=_canonical_key)
     index = {v: k for k, v in enumerate(vertices)}
-    edges = []
-    for v in vertices:
-        for i in (0, 1):
-            w = tensor_f(i, v)
-            if w is not None and w in index:
-                assert tensor_e(i, w) == v, "edge fails the raising check"
-                edges.append((index[v], i, index[w]))
+    edges = sorted((index[v], i, index[w]) for v, i, w in arrows)
     return CrystalGraph(vertices, edges)

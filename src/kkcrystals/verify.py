@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .iso import partition_to_path, path_to_partition
-from .kk import (KKSpec, decomposition, decomposition_via_crystal,
-                 full_tensor_decomposition, in_kk_crystal,
+from .kk import (KKSpec, MultiplicityTable, decomposition,
+                 decomposition_via_crystal, in_kk_crystal,
                  in_kk_crystal_by_weyl, kk_crystal_members)
-from .partitions import (ChargedPartition, Signature, closed_form_signature,
-                         e_op, enumerate_regular, epsilon, f_op, phi,
+from .partitions import (Signature, closed_form_signature, e_op,
+                         enumerate_regular, epsilon, f_op, phi,
                          reduce_signature, signature, weight_of)
-from .paths import LSPath, e_path, f_path, is_lambda_dominant, path_epsilon
+from .paths import LSPath, e_path, f_path, h_function, is_lambda_dominant
 from .tensor import (TensorElement, associated_weyl_element,
                      associated_weyl_element_by_minima, concat_path_op,
                      is_highest_weight, tensor_e, tensor_f)
@@ -82,6 +82,29 @@ def formal_reduction(sig: Signature) -> Signature:
             if _is_reducible(signs[a:b]):
                 drop.update(range(a, b))
     return Signature(tuple(e for k, e in enumerate(sig.entries) if k not in drop))
+
+
+def distinct_part_counts(max_total: int, parity: int) -> list[int]:
+    """counts[n] is the number of sets of distinct positive integers of
+    the given parity that sum to n, found by listing every such set with
+    sum at most max_total."""
+    counts = [0] * (max_total + 1)
+
+    def extend(total: int, smallest: int):
+        counts[total] += 1
+        for j in range(smallest, max_total - total + 1, 2):
+            extend(total + j, j + 2)
+
+    extend(0, 1 if parity == 1 else 2)
+    return counts
+
+
+def string_length(x, op, i: int) -> int:
+    """How many times in a row op(., i) applies, starting at x."""
+    k = 0
+    while (x := op(x, i)) is not None:
+        k += 1
+    return k
 
 
 def all_elements(len_max: int) -> list[WeylElement]:
@@ -209,21 +232,9 @@ def check_string_lengths(max_boxes: int = 10) -> CheckResult:
         for cp in enumerate_regular(charge, max_boxes):
             for i in (0, 1):
                 res.count()
-                k, walker = 0, cp
-                while True:
-                    walker = e_op(walker, i)
-                    if walker is None:
-                        break
-                    k += 1
-                if k != epsilon(cp, i):
+                if string_length(cp, e_op, i) != epsilon(cp, i):
                     res.fail("epsilon mismatch at %s, i=%d" % (cp, i))
-                k, walker = 0, cp
-                while True:
-                    walker = f_op(walker, i)
-                    if walker is None:
-                        break
-                    k += 1
-                if k != phi(cp, i):
+                if string_length(cp, f_op, i) != phi(cp, i):
                     res.fail("phi mismatch at %s, i=%d" % (cp, i))
     return res
 
@@ -242,22 +253,18 @@ def check_iso_commutation(max_boxes: int = 12) -> CheckResult:
             if path.initial_direction().index != m or path.final_direction().index != n:
                 res.fail("directions miss the bounding rectangle at %s" % cp)
             for i in (0, 1):
-                down_cp = f_op(cp, i)
-                down_path = f_path(path, i)
-                if (down_cp is None) != (down_path is None):
-                    res.fail("f kill mismatch at %s, i=%d" % (cp, i))
-                elif down_cp is not None and partition_to_path(down_cp) != down_path:
-                    res.fail("f images differ at %s, i=%d" % (cp, i))
-                if down_path is not None and e_path(down_path, i) != path:
-                    res.fail("e f != id on paths at %s, i=%d" % (cp, i))
-                up_cp = e_op(cp, i)
-                up_path = e_path(path, i)
-                if (up_cp is None) != (up_path is None):
-                    res.fail("e kill mismatch at %s, i=%d" % (cp, i))
-                elif up_cp is not None and partition_to_path(up_cp) != up_path:
-                    res.fail("e images differ at %s, i=%d" % (cp, i))
-                if up_path is not None and f_path(up_path, i) != path:
-                    res.fail("f e != id on paths at %s, i=%d" % (cp, i))
+                for op, cp_op, path_op, back, undo in (
+                        ("f", f_op, f_path, "e", e_path),
+                        ("e", e_op, e_path, "f", f_path)):
+                    image_cp, image_path = cp_op(cp, i), path_op(path, i)
+                    if (image_cp is None) != (image_path is None):
+                        res.fail("%s kill mismatch at %s, i=%d" % (op, cp, i))
+                    elif (image_cp is not None
+                          and partition_to_path(image_cp) != image_path):
+                        res.fail("%s images differ at %s, i=%d" % (op, cp, i))
+                    if image_path is not None and undo(image_path, i) != path:
+                        res.fail("%s %s != id on paths at %s, i=%d"
+                                 % (back, op, cp, i))
     return res
 
 
@@ -308,17 +315,12 @@ def check_path_integrality(max_boxes: int = 12) -> CheckResult:
             path = partition_to_path(cp)
             for i in (0, 1):
                 res.count()
-                values = [v for _, v in _profile(path, i)]
+                values = [v for _, v in h_function(path, i).points]
                 for k in range(1, len(values) - 1):
                     if values[k] < values[k - 1] and values[k] <= values[k + 1]:
                         if values[k].denominator != 1:
                             res.fail("%s, i=%d" % (cp, i))
     return res
-
-
-def _profile(path, i):
-    from .paths import h_function
-    return h_function(path, i).points
 
 
 def check_tensor_convention(side_boxes: int = 6) -> CheckResult:
@@ -427,9 +429,12 @@ def check_kk_stabilization(cutoff: int = 6) -> CheckResult:
     res = CheckResult("large-p tables match the full tensor product")
     for lambda_type in (0, 1):
         res.count()
+        coeffs = distinct_part_counts(2 * cutoff + 1, 1 - lambda_type)
+        full = MultiplicityTable(coeffs[0::2],
+                                 coeffs[1::2] if lambda_type == 0 else None,
+                                 cutoff)
         p = 2 * cutoff + 1 if lambda_type == 0 else 2 * cutoff + 2
-        if decomposition(KKSpec(lambda_type, p), cutoff) \
-                != full_tensor_decomposition(lambda_type, cutoff):
+        if decomposition(KKSpec(lambda_type, p), cutoff) != full:
             res.fail("stabilization fails for lambda_type %d" % lambda_type)
     return res
 

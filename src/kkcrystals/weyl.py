@@ -220,7 +220,8 @@ def double_coset_min(left_fundamental: int, z: WeylElement,
                   right_multiply(left_multiply(a, z), b)}
     best = min(c.length for c in candidates)
     minima = [c for c in candidates if c.length == best]
-    assert len(minima) == 1, "double coset minimum must be unique"
+    if len(minima) != 1:
+        raise AssertionError("double coset minimum must be unique")
     return minima[0]
 
 

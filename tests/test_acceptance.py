@@ -1,19 +1,12 @@
 """Acceptance suite: each test runs one headline guarantee at full desk
 scale with exact (zero-tolerance) comparisons and prints a pass line."""
 
-from itertools import combinations
-
-from kkcrystals.iso import partition_to_path
-from kkcrystals.kk import (KKSpec, decomposition, decomposition_via_crystal,
-                           full_tensor_decomposition, in_kk_crystal,
-                           in_kk_crystal_by_weyl, kk_crystal_members)
-from kkcrystals.partitions import (ChargedPartition, closed_form_signature,
-                                   e_op, enumerate_regular, f_op,
+from kkcrystals.partitions import (ChargedPartition, e_op, f_op,
                                    reduce_signature, signature, weight_of)
-from kkcrystals.paths import e_path, f_path
-from kkcrystals.tensor import TensorElement, concat_path_op, tensor_e, tensor_f
 from kkcrystals.verify import (check_bruhat_subword, check_double_coset_index,
-                               check_iso_commutation,
+                               check_iso_commutation, check_kk_decomposition,
+                               check_kk_invariance, check_kk_membership_routes,
+                               check_kk_stabilization,
                                check_signature_closed_form,
                                check_tensor_convention)
 from kkcrystals.weights import ALPHA0, ALPHA1, LAMBDA0
@@ -62,60 +55,27 @@ def test_criterion_4_double_coset_minima():
 
 
 def test_criterion_5_kk_decomposition():
-    checked = 0
-    for lambda_type, ps in ((0, (0, 1, 3, 5, 7)), (1, (0, 2, 4, 6))):
-        for p in ps:
-            spec = KKSpec(lambda_type, p)
-            assert decomposition(spec, 8) == decomposition_via_crystal(spec, 8), spec
-            checked += 1
+    result = check_kk_decomposition(p_max=7, cutoff=8)
+    assert result.ok, result.failures
     _report(5, "generating functions equal crystal counts for %d crystals "
-               "at cutoff 8" % checked)
-
-
-def _distinct_part_counts(max_total, parity):
-    values = [j for j in range(1, max_total + 1) if j % 2 == parity]
-    counts = [0] * (max_total + 1)
-    for size in range(len(values) + 1):
-        for combo in combinations(values, size):
-            total = sum(combo)
-            if total <= max_total:
-                counts[total] += 1
-    return counts
+               "at cutoff 8" % result.cases)
 
 
 def test_criterion_6_tensor_stabilization():
-    coeffs_odd = _distinct_part_counts(17, 1)
-    table = full_tensor_decomposition(0, 8)
-    assert table.a == tuple(coeffs_odd[2 * k] for k in range(9))
-    assert table.b == tuple(coeffs_odd[2 * k + 1] for k in range(9))
-    assert decomposition(KKSpec(0, 17), 8) == table
-
-    coeffs_even = _distinct_part_counts(17, 0)
-    table = full_tensor_decomposition(1, 8)
-    assert table.a == tuple(coeffs_even[2 * k] for k in range(9))
-    assert decomposition(KKSpec(1, 16), 8) == table
-    _report(6, "full tensor multiplicities match subset counts up to x^17 "
-               "and the large-p truncations")
+    result = check_kk_stabilization(cutoff=8)
+    assert result.ok, result.failures
+    _report(6, "large-p truncations match the subset counts of the full "
+               "tensor product up to x^17 for both families")
 
 
 def test_criterion_7_kk_crystal_invariance():
-    checked = 0
-    for lambda_type, ps in ((0, (0, 1, 3, 5, 7)), (1, (0, 2, 4, 6))):
-        for p in ps:
-            spec = KKSpec(lambda_type, p)
-            for t in kk_crystal_members(spec, 14):
-                for i in (0, 1):
-                    for image in (tensor_f(i, t), tensor_e(i, t)):
-                        checked += 1
-                        assert image is None or in_kk_crystal(spec, image), \
-                            (spec, t, i)
-            for b1 in enumerate_regular(lambda_type, 14):
-                for b2 in enumerate_regular(0, 14 - b1.size):
-                    t = TensorElement(b1, b2)
-                    assert in_kk_crystal(spec, t) == \
-                        in_kk_crystal_by_weyl(spec, t), (spec, t)
-    _report(7, "operators stay inside each crystal (%d images) and both "
-               "membership routes agree (<= 14 boxes)" % checked)
+    invariance = check_kk_invariance(p_max=7, max_boxes=14)
+    assert invariance.ok, invariance.failures
+    routes = check_kk_membership_routes(p_max=7, max_boxes=14)
+    assert routes.ok, routes.failures
+    _report(7, "operators stay inside each crystal (%d checks) and both "
+               "membership routes agree on %d pairs (<= 14 boxes)"
+            % (invariance.cases, routes.cases))
 
 
 def test_criterion_8_tensor_convention_oracle():

@@ -60,6 +60,19 @@ def test_convert_rejects_malformed_json(capsys):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("data", [
+    '{"parts": [3.7, 1], "charge": 0}',
+    '{"parts": [3, 1], "charge": true}',
+    '{"parts": ["3", 1], "charge": 0}',
+    '{"shape": "L0", "n": 4, "steps": [2.5]}',
+    '{"shape": "L0", "n": true, "steps": []}',
+], ids=["float-part", "bool-charge", "string-part", "float-step", "bool-n"])
+def test_convert_rejects_non_integers(data, capsys):
+    code, out, err = run(["convert", data], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_convert_round_trip(capsys):
     source = '{"parts": [5, 4, 2], "charge": 1}'
     _, out, _ = run(["convert", source], capsys)
@@ -77,6 +90,11 @@ def test_decompose_tsv(capsys):
                    "2\t1\t0\n"
                    "3\t0\t0\n"
                    "4\t0\t0\n")
+    # factors past 2 * cutoff + 1 are skipped, so a huge p is cheap
+    stable = run(["decompose", "--lambda", "0", "--p", "7", "--cutoff", "3"],
+                 capsys)
+    assert run(["decompose", "--lambda", "0", "--p", "30000001",
+                "--cutoff", "3"], capsys) == stable
 
 
 def test_decompose_trivial_case(capsys):
@@ -168,6 +186,14 @@ def test_verify_json_report(capsys):
     report = json.loads(out)
     assert all(entry["ok"] for entry in report)
     assert all(entry["cases"] > 0 for entry in report)
+
+
+def test_verify_all_at_defaults(capsys):
+    code, out, _ = run(["verify", "all", "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert len(report) == 19 and all(entry["ok"] for entry in report)
+    assert sum(entry["cases"] for entry in report) == 23006
 
 
 def test_deterministic_output(capsys):

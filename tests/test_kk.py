@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from kkcrystals.kk import (KKSpec, MultiplicityTable, decomposition,
-                           decomposition_via_crystal, dominant_set,
-                           full_tensor_decomposition, in_kk_crystal,
-                           in_kk_crystal_by_weyl, kk_crystal_graph,
+                           dominant_set, in_kk_crystal, kk_crystal_graph,
                            kk_crystal_members, kk_nesting_check,
                            weight_of_dominant)
-from kkcrystals.partitions import ChargedPartition, enumerate_regular
-from kkcrystals.tensor import TensorElement, tensor_e, tensor_f
+from kkcrystals.partitions import ChargedPartition
+from kkcrystals.tensor import TensorElement
+from kkcrystals.verify import (check_kk_decomposition, check_kk_monotone,
+                               check_kk_stabilization)
 from kkcrystals.weights import ALPHA0, DELTA, LAMBDA0, LAMBDA1
 
 
@@ -43,28 +49,6 @@ def test_membership_examples():
         in_kk_crystal(KKSpec(1, 2), pair((), ()))
 
 
-def test_membership_routes_agree():
-    for lambda_type, ps in ((0, (0, 1, 3, 5)), (1, (0, 2, 4))):
-        for p in ps:
-            spec = KKSpec(lambda_type, p)
-            for b1 in enumerate_regular(lambda_type, 8):
-                for b2 in enumerate_regular(0, 8 - b1.size):
-                    t = TensorElement(b1, b2)
-                    assert in_kk_crystal(spec, t) == \
-                        in_kk_crystal_by_weyl(spec, t), (spec, t)
-
-
-def test_operators_preserve_membership():
-    for lambda_type, ps in ((0, (0, 1, 3)), (1, (0, 2, 4))):
-        for p in ps:
-            spec = KKSpec(lambda_type, p)
-            for t in kk_crystal_members(spec, 9):
-                for i in (0, 1):
-                    for image in (tensor_f(i, t), tensor_e(i, t)):
-                        if image is not None:
-                            assert in_kk_crystal(spec, image), (spec, t, i)
-
-
 def test_dominant_sets():
     assert {c.parts for c in dominant_set(0, 3, 10)} == \
         {(), (1,), (3,), (3, 1)}
@@ -96,38 +80,32 @@ def test_decomposition_tables():
 
 
 def test_decomposition_matches_crystal_counts():
-    for lambda_type, ps in ((0, (0, 1, 3, 5, 7, 9)), (1, (0, 2, 4, 6, 8))):
-        for p in ps:
-            spec = KKSpec(lambda_type, p)
-            for cutoff in (0, 3, 8):
-                assert decomposition(spec, cutoff) == \
-                    decomposition_via_crystal(spec, cutoff)
+    for cutoff in (0, 3, 8):
+        result = check_kk_decomposition(9, cutoff)
+        assert result.ok, result.failures
 
 
 def test_full_tensor_decomposition():
-    table = full_tensor_decomposition(0, 3)
+    # factors past 2 * cutoff + 1 are skipped, so p = 10**18 costs nothing
+    table = decomposition(KKSpec(0, 10**18 + 1), 3)
+    assert table == decomposition(KKSpec(0, 7), 3)
     assert table.a == (1, 0, 1, 1)
     assert table.b == (1, 1, 1, 1)
-    table = full_tensor_decomposition(1, 3)
+    table = decomposition(KKSpec(1, 10**18), 3)
+    assert table == decomposition(KKSpec(1, 8), 3)
     assert table.a == (1, 1, 1, 2) and table.b is None
-    assert full_tensor_decomposition(0, 0).a == (1,)
+    assert decomposition(KKSpec(0, 10**18 + 1), 0).a == (1,)
 
 
 def test_stabilization():
     for cutoff in (3, 6):
-        assert decomposition(KKSpec(0, 2 * cutoff + 1), cutoff) == \
-            full_tensor_decomposition(0, cutoff)
-        assert decomposition(KKSpec(1, 2 * cutoff + 2), cutoff) == \
-            full_tensor_decomposition(1, cutoff)
+        result = check_kk_stabilization(cutoff)
+        assert result.ok, result.failures
 
 
 def test_monotone_in_p():
-    for lambda_type, ps in ((0, (0, 1, 3, 5, 7)), (1, (0, 2, 4, 6))):
-        tables = [decomposition(KKSpec(lambda_type, p), 6) for p in ps]
-        for small, large in zip(tables, tables[1:]):
-            assert all(x <= y for x, y in zip(small.a, large.a))
-            if small.b is not None:
-                assert all(x <= y for x, y in zip(small.b, large.b))
+    result = check_kk_monotone(7, 6)
+    assert result.ok, result.failures
 
 
 def test_nesting():
@@ -174,3 +152,37 @@ def test_multiplicity_table_validation():
         MultiplicityTable((1, 2), None, 2)
     with pytest.raises(ValueError):
         MultiplicityTable((1, -1), None, 1)
+
+
+BROKEN_GRAPHS = textwrap.dedent("""
+    from unittest import mock
+
+    import kkcrystals.kk as kk
+    import kkcrystals.tensor as tensor
+
+    members = kk.kk_crystal_members
+
+    def drop_one(spec, max_boxes):
+        # the closure regenerates f_0 of the vacuum from the vacuum
+        found = members(spec, max_boxes)
+        found.remove(tensor.tensor_f(0, found[0]))
+        return found
+
+    for patch in (mock.patch.object(tensor, "tensor_e", lambda i, t: None),
+                  mock.patch.object(kk, "kk_crystal_members", drop_one)):
+        with patch:
+            try:
+                kk.kk_crystal_graph(kk.KKSpec(0, 3), 4)
+            except AssertionError as exc:
+                print(exc)
+""")
+
+
+def test_invariant_checks_fire_under_python_O():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", BROKEN_GRAPHS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["edge fails the raising check",
+                                        "lowering operators escaped the crystal"]

@@ -5,8 +5,9 @@ from kkcrystals.partitions import (ChargedPartition, Signature, box_label,
                                    enumerate_regular, epsilon, f_op,
                                    gap_conjugate, phi, reduce_signature,
                                    signature, weight_of)
+from kkcrystals.verify import (check_operator_inverses, check_reduction_oracle,
+                               check_string_lengths)
 from kkcrystals.weights import ALPHA0, ALPHA1, LAMBDA0, LAMBDA1
-from kkcrystals.verify import formal_reduction
 
 RUNNING = ChargedPartition((8, 6, 3, 1), 0)
 EMPTY0 = ChargedPartition((), 0)
@@ -93,57 +94,23 @@ def test_closed_form_signature_examples():
         closed_form_signature(EMPTY0, 0)
 
 
-def test_closed_form_matches_scan_at_desk_scale():
-    for charge in (0, 1):
-        for cp in enumerate_regular(charge, 12):
-            if not cp.parts:
-                continue
-            for i in (0, 1):
-                assert closed_form_signature(cp, i) == signature(cp, i).signs, \
-                    (cp, i)
-
 
 def test_reduction_matches_the_substring_definition():
-    for charge in (0, 1):
-        for cp in enumerate_regular(charge, 18):
-            for i in (0, 1):
-                sig = signature(cp, i)
-                assert reduce_signature(sig) == formal_reduction(sig)
+    # also checks that every reduced signature is plus signs then minus signs
+    result = check_reduction_oracle(18)
+    assert result.ok, result.failures
 
-
-def test_reduced_signature_shape():
-    for cp in enumerate_regular(0, 12):
-        for i in (0, 1):
-            signs = reduce_signature(signature(cp, i)).signs
-            assert signs == "+" * signs.count("+") + "-" * signs.count("-")
 
 
 def test_operators_are_partial_inverses():
-    for charge in (0, 1):
-        for cp in enumerate_regular(charge, 18):
-            for i in (0, 1):
-                down = f_op(cp, i)
-                if down is not None:
-                    assert down.is_regular
-                    assert e_op(down, i) == cp
-                    assert weight_of(down) == weight_of(cp) - (ALPHA0 if i == 0 else ALPHA1)
-                up = e_op(cp, i)
-                if up is not None:
-                    assert up.is_regular
-                    assert f_op(up, i) == cp
+    # the e-side weight step at 19 boxes covers every f image of 18 boxes
+    result = check_operator_inverses(19)
+    assert result.ok, result.failures
 
 
 def test_epsilon_phi_count_string_lengths():
-    for cp in enumerate_regular(0, 9) + enumerate_regular(1, 9):
-        for i in (0, 1):
-            walker, k = cp, 0
-            while (walker := e_op(walker, i)) is not None:
-                k += 1
-            assert k == epsilon(cp, i)
-            walker, k = cp, 0
-            while (walker := f_op(walker, i)) is not None:
-                k += 1
-            assert k == phi(cp, i)
+    result = check_string_lengths(9)
+    assert result.ok, result.failures
 
 
 def test_bounding_rect():

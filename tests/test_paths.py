@@ -6,7 +6,8 @@ from kkcrystals.iso import partition_to_path
 from kkcrystals.partitions import ChargedPartition, enumerate_regular
 from kkcrystals.paths import (LSPath, e_path, f_path, h_function,
                               is_lambda_dominant, path_epsilon, path_phi)
-from kkcrystals.weights import ALPHA0, ALPHA1, LAMBDA0, LAMBDA1, Weight
+from kkcrystals.verify import check_path_integrality, string_length
+from kkcrystals.weights import ALPHA0, ALPHA1, LAMBDA0, Weight
 
 STRAIGHT0 = LSPath(0, 0, ())
 STRAIGHT1 = LSPath(1, 0, ())
@@ -81,44 +82,18 @@ def test_operators_on_the_running_path():
     assert e_path(RUNNING_PATH, 1) == LSPath(0, 4, (3, 2, 2))
 
 
-def test_operators_are_mutually_inverse_at_desk_scale():
-    for charge in (0, 1):
-        for cp in enumerate_regular(charge, 12):
-            path = partition_to_path(cp)
-            for i in (0, 1):
-                down = f_path(path, i)
-                if down is not None:
-                    assert e_path(down, i) == path
-                    assert down.evaluate(1) == path.evaluate(1) - \
-                        (ALPHA0 if i == 0 else ALPHA1)
-                up = e_path(path, i)
-                if up is not None:
-                    assert f_path(up, i) == path
-
 
 def test_string_lengths_match_profile_extrema():
     for cp in enumerate_regular(0, 10):
         path = partition_to_path(cp)
         for i in (0, 1):
-            walker, k = path, 0
-            while (walker := e_path(walker, i)) is not None:
-                k += 1
-            assert k == path_epsilon(path, i)
-            walker, k = path, 0
-            while (walker := f_path(walker, i)) is not None:
-                k += 1
-            assert k == path_phi(path, i)
+            assert string_length(path, e_path, i) == path_epsilon(path, i)
+            assert string_length(path, f_path, i) == path_phi(path, i)
 
 
 def test_integer_local_minima():
-    for charge in (0, 1):
-        for cp in enumerate_regular(charge, 12):
-            path = partition_to_path(cp)
-            for i in (0, 1):
-                values = [v for _, v in h_function(path, i).points]
-                for k in range(1, len(values) - 1):
-                    if values[k] < values[k - 1] and values[k] <= values[k + 1]:
-                        assert values[k].denominator == 1
+    result = check_path_integrality(12)
+    assert result.ok, result.failures
 
 
 def test_dominance():
