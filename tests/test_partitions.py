@@ -101,6 +101,12 @@ def test_reduction_matches_the_substring_definition():
     assert result.ok, result.failures
 
 
+def test_reduced_signature_shape():
+    for cp in enumerate_regular(0, 12):
+        for i in (0, 1):
+            signs = reduce_signature(signature(cp, i)).signs
+            assert signs == "+" * signs.count("+") + "-" * signs.count("-")
+
 
 def test_operators_are_partial_inverses():
     # the e-side weight step at 19 boxes covers every f image of 18 boxes

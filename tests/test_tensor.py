@@ -7,7 +7,7 @@ from kkcrystals.tensor import (TensorElement, associated_weyl_element,
                                is_highest_weight, tensor_e, tensor_f)
 from kkcrystals.verify import check_tensor_structure
 from kkcrystals.weights import simple_root
-from kkcrystals.weyl import IDENTITY, coset_element
+from kkcrystals.weyl import IDENTITY, bruhat_leq, coset_element
 
 
 def cp(parts, charge=0):
@@ -94,6 +94,17 @@ def test_associated_weyl_element_routes_agree():
     result = check_tensor_structure(12)
     assert result.ok, result.failures
 
+
+def test_raising_never_increases_the_associated_element():
+    for charge in (0, 1):
+        for b1 in enumerate_regular(charge, 5):
+            for b2 in enumerate_regular(0, 5):
+                t = TensorElement(b1, b2)
+                for i in (0, 1):
+                    up = tensor_e(i, t)
+                    if up is not None:
+                        assert bruhat_leq(associated_weyl_element(up),
+                                          associated_weyl_element(t))
 
 
 def test_crystal_graph_from_the_vacuum():
