@@ -19,6 +19,10 @@ from .partitions import ChargedPartition, enumerate_regular
 from .paths import LSPath
 from .verify import run_suites
 
+# largest part of a partition, and n + len(steps) of a path, that convert
+# accepts: the output grows with them, so larger inputs exit 2 up front
+MAX_CONVERT_SIZE = 100_000
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -114,6 +118,9 @@ def _convert_partition(data: dict):
     if not cp.is_regular:
         _fail("parts must be strictly decreasing (2-regular), got %s"
               % list(cp.parts), 2)
+    if cp.parts and cp.parts[0] > MAX_CONVERT_SIZE:
+        _fail("largest part %d exceeds the limit %d"
+              % (cp.parts[0], MAX_CONVERT_SIZE), 2)
     print(json.dumps(partition_to_path(cp).to_json()))
 
 
@@ -122,6 +129,9 @@ def _convert_path(data: dict):
         path = LSPath.from_json(data)
     except (ValueError, KeyError, TypeError) as exc:
         _fail("bad LS path: %s" % exc, 2)
+    if path.m > MAX_CONVERT_SIZE:
+        _fail("n + len(steps) = %d exceeds the limit %d"
+              % (path.m, MAX_CONVERT_SIZE), 2)
     print(json.dumps(path_to_partition(path).to_json()))
 
 
@@ -174,6 +184,10 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag in ("max_boxes", "len_max", "index_max", "p_max", "cutoff",
+                 "side_boxes"):
+        if getattr(args, flag) < 0:
+            _fail("%s must be nonnegative" % flag.replace("_", "-"), 2)
     names = ["bruhat", "signatures", "iso", "tensor", "kk"] \
         if args.suite == "all" else [args.suite]
     results = run_suites(

@@ -7,13 +7,20 @@ distinct) the label-i addable and removable columns, scanned left to
 right, give the i-signature; cancelling "-" immediately followed by "+"
 until none remain leaves the reduced i-signature, which drives the
 raising and lowering operators e_i and f_i.
+
+phi, epsilon, e_i and f_i, and the tensor rule, read the reduced
+signature in one integer pass over the rows (`_reduced`), bottom to top,
+which visits the signature's columns left to right.  The column scan
+`signature`, its reduction `reduce_signature` and the block pattern
+`closed_form_signature` serve only as the oracle that the verify suites
+check this pass against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .weights import Weight, fundamental, simple_root
+from .weights import Weight
 
 
 @dataclass(frozen=True)
@@ -30,8 +37,13 @@ class ChargedPartition:
             raise ValueError("charge must be 0 or 1")
         if any(p <= 0 for p in self.parts):
             raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError("parts must be weakly decreasing")
+        regular = True
+        for a, b in zip(self.parts, self.parts[1:]):
+            if a <= b:
+                if a < b:
+                    raise ValueError("parts must be weakly decreasing")
+                regular = False
+        object.__setattr__(self, "_regular", regular)
 
     @property
     def size(self) -> int:
@@ -40,7 +52,7 @@ class ChargedPartition:
     @property
     def is_regular(self) -> bool:
         """True iff all parts are distinct (2-regular)."""
-        return all(a > b for a, b in zip(self.parts, self.parts[1:]))
+        return self._regular
 
     @property
     def bounding_rect(self) -> tuple[int, int]:
@@ -135,47 +147,86 @@ def reduce_signature(sig: Signature) -> Signature:
     return Signature(tuple(stack))
 
 
+def _reduced(cp: ChargedPartition, i: int) -> tuple[int, int, int, int]:
+    """(phi, epsilon, row of the rightmost surviving '+', row of the
+    leftmost surviving '-') of the reduced i-signature, rows 0-based and
+    -1 when there is no such sign.
+
+    Reading the rows bottom to top visits the signature's columns left to
+    right: row k gives the addable box ending row k + 1 (column
+    parts[k+1] + 1) and then the removable end box of row k (column
+    parts[k]), and a last step gives the addable box ending row 0
+    (column parts[0] + 1).  When the two boxes of a row share a column their
+    labels differ, so each column carries at most one sign.  A count of
+    unmatched '-' does the cancellation."""
+    _require_regular(cp)
+    if i not in (0, 1):
+        raise ValueError("label must be 0 or 1")
+    parts = cp.parts
+    plus = depth = 0
+    plus_row = minus_row = -1
+    # odd is the parity of charge - (k + 1) - i: the end box of row k, in
+    # column c, is labelled i iff odd + c is even, and the box addable at
+    # the end of row k + 1, in column below + 1, iff odd + below is even
+    odd = (cp.charge + len(parts) + i) & 1
+    below = 0
+    for k in range(len(parts) - 1, -2, -1):
+        if not (odd + below) & 1:
+            if depth:
+                depth -= 1
+            else:
+                plus += 1
+                plus_row = k + 1
+        if k < 0:
+            break
+        below = parts[k]
+        if not (odd + below) & 1:
+            if not depth:
+                minus_row = k
+            depth += 1
+        odd ^= 1
+    return plus, depth, plus_row, minus_row
+
+
+def _add_box(cp: ChargedPartition, row: int) -> ChargedPartition:
+    """cp with a box added at the end of the given (0-based) row."""
+    parts = cp.parts
+    if row == len(parts):
+        return ChargedPartition(parts + (1,), cp.charge)
+    return ChargedPartition(parts[:row] + (parts[row] + 1,) + parts[row + 1:],
+                            cp.charge)
+
+
+def _remove_box(cp: ChargedPartition, row: int) -> ChargedPartition:
+    """cp with the end box of the given (0-based) row removed."""
+    parts = cp.parts
+    end = parts[row] - 1
+    head = parts[:row] + (end,) if end else parts[:row]
+    return ChargedPartition(head + parts[row + 1:], cp.charge)
+
+
 def epsilon(cp: ChargedPartition, i: int) -> int:
     """Number of minus signs in the reduced i-signature."""
-    return reduce_signature(signature(cp, i)).signs.count("-")
+    return _reduced(cp, i)[1]
 
 
 def phi(cp: ChargedPartition, i: int) -> int:
     """Number of plus signs in the reduced i-signature."""
-    return reduce_signature(signature(cp, i)).signs.count("+")
+    return _reduced(cp, i)[0]
 
 
 def f_op(cp: ChargedPartition, i: int) -> ChargedPartition | None:
     """Add a box labelled i at the bottom of the column of the rightmost
     '+' in the reduced i-signature; None if there is no '+'."""
-    reduced = reduce_signature(signature(cp, i))
-    plus_cols = [c for s, c in reduced.entries if s == "+"]
-    if not plus_cols:
-        return None
-    c = plus_cols[-1]
-    parts = list(cp.parts)
-    h = _column_height(cp.parts, c)
-    if h < len(parts):
-        parts[h] += 1
-    else:
-        parts.append(1)
-    return ChargedPartition(tuple(parts), cp.charge)
+    plus, _, row, _ = _reduced(cp, i)
+    return _add_box(cp, row) if plus else None
 
 
 def e_op(cp: ChargedPartition, i: int) -> ChargedPartition | None:
     """Remove the bottom box of the column of the leftmost '-' in the
     reduced i-signature; None if there is no '-'."""
-    reduced = reduce_signature(signature(cp, i))
-    minus_cols = [c for s, c in reduced.entries if s == "-"]
-    if not minus_cols:
-        return None
-    c = minus_cols[0]
-    parts = list(cp.parts)
-    h = _column_height(cp.parts, c)
-    parts[h - 1] -= 1
-    if parts[h - 1] == 0:
-        del parts[h - 1]
-    return ChargedPartition(tuple(parts), cp.charge)
+    _, minus, _, row = _reduced(cp, i)
+    return _remove_box(cp, row) if minus else None
 
 
 def weight_of(cp: ChargedPartition) -> Weight:
@@ -186,15 +237,22 @@ def weight_of(cp: ChargedPartition) -> Weight:
         lead = (cp.charge - r + 1) % 2
         counts[lead] += (length + 1) // 2
         counts[1 - lead] += length // 2
-    return (fundamental(cp.charge)
-            - counts[0] * simple_root(0) - counts[1] * simple_root(1))
+    # Λ_c - n0 α0 - n1 α1 with α0 = (2, -2, 1) and α1 = (-2, 2, 0)
+    step = 2 * (counts[1] - counts[0])
+    return Weight(1 - cp.charge + step, cp.charge - step, -counts[0])
 
 
 def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Transpose of a partition (column lengths)."""
     if not parts:
         return ()
-    return tuple(sum(1 for p in parts if p >= c) for c in range(1, parts[0] + 1))
+    out = []
+    height = len(parts)
+    for c in range(1, parts[0] + 1):
+        while parts[height - 1] < c:
+            height -= 1
+        out.append(height)
+    return tuple(out)
 
 
 def gap_conjugate(cp: ChargedPartition) -> tuple[int, ...]:

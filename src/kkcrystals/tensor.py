@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import weights
-from .partitions import ChargedPartition, e_op, epsilon, f_op, phi, weight_of
+from .partitions import (ChargedPartition, _add_box, _reduced, _remove_box,
+                         weight_of)
 from .paths import LSPath, _integer, direction_weight
 from .weights import Weight, pair_coroot
 from .weyl import (WeylElement, bruhat_ideal_min, coset_element,
@@ -54,19 +55,23 @@ class TensorElement:
 
 
 def tensor_f(i: int, t: TensorElement) -> TensorElement | None:
-    if phi(t.left, i) > epsilon(t.right, i):
-        new = f_op(t.left, i)
-        return None if new is None else TensorElement(new, t.right)
-    new = f_op(t.right, i)
-    return None if new is None else TensorElement(t.left, new)
+    left_phi, _, left_row, _ = _reduced(t.left, i)
+    right_phi, right_eps, right_row, _ = _reduced(t.right, i)
+    if left_phi > right_eps:
+        return TensorElement(_add_box(t.left, left_row), t.right)
+    if not right_phi:
+        return None
+    return TensorElement(t.left, _add_box(t.right, right_row))
 
 
 def tensor_e(i: int, t: TensorElement) -> TensorElement | None:
-    if phi(t.left, i) >= epsilon(t.right, i):
-        new = e_op(t.left, i)
-        return None if new is None else TensorElement(new, t.right)
-    new = e_op(t.right, i)
-    return None if new is None else TensorElement(t.left, new)
+    left_phi, left_eps, _, left_row = _reduced(t.left, i)
+    _, right_eps, _, right_row = _reduced(t.right, i)
+    if left_phi >= right_eps:
+        if not left_eps:
+            return None
+        return TensorElement(_remove_box(t.left, left_row), t.right)
+    return TensorElement(t.left, _remove_box(t.right, right_row))
 
 
 def is_highest_weight(t: TensorElement) -> bool:

@@ -17,8 +17,8 @@ from .iso import partition_to_path, path_to_partition
 from .kk import (KKSpec, MultiplicityTable, decomposition,
                  decomposition_via_crystal, in_kk_crystal,
                  in_kk_crystal_by_weyl, kk_crystal_members)
-from .partitions import (Signature, closed_form_signature, e_op,
-                         enumerate_regular, epsilon, f_op, phi,
+from .partitions import (ChargedPartition, Signature, closed_form_signature,
+                         e_op, enumerate_regular, epsilon, f_op, phi,
                          reduce_signature, signature, weight_of)
 from .paths import LSPath, e_path, f_path, h_function, is_lambda_dominant
 from .tensor import (TensorElement, associated_weyl_element,
@@ -82,6 +82,33 @@ def formal_reduction(sig: Signature) -> Signature:
             if _is_reducible(signs[a:b]):
                 drop.update(range(a, b))
     return Signature(tuple(e for k, e in enumerate(sig.entries) if k not in drop))
+
+
+def move_at_column(cp: ChargedPartition, c: int,
+                   step: int) -> ChargedPartition:
+    """cp with a box added below column c (step 1) or the bottom box of
+    column c removed (step -1), found from the column height."""
+    h = sum(1 for p in cp.parts if p >= c)
+    parts = list(cp.parts) + [0]
+    parts[h if step > 0 else h - 1] += step
+    return ChargedPartition(tuple(p for p in parts if p), cp.charge)
+
+
+def kernel_disagreement(cp: ChargedPartition, i: int,
+                        reduced: Signature) -> str | None:
+    """Where the one-pass operators part from the reduced column scan:
+    phi and epsilon must count its '+' and '-', f_i must add at the column
+    of its rightmost '+' and e_i remove at the column of its leftmost
+    '-'; None when they agree."""
+    plus = [c for s, c in reduced.entries if s == "+"]
+    minus = [c for s, c in reduced.entries if s == "-"]
+    if (phi(cp, i), epsilon(cp, i)) != (len(plus), len(minus)):
+        return "phi/epsilon differ from the scan at %s, i=%d" % (cp, i)
+    if f_op(cp, i) != (move_at_column(cp, plus[-1], 1) if plus else None):
+        return "f moved a box off the scan's column at %s, i=%d" % (cp, i)
+    if e_op(cp, i) != (move_at_column(cp, minus[0], -1) if minus else None):
+        return "e moved a box off the scan's column at %s, i=%d" % (cp, i)
+    return None
 
 
 def distinct_part_counts(max_total: int, parity: int) -> list[int]:
@@ -202,7 +229,29 @@ def check_reduction_oracle(max_boxes: int = 12) -> CheckResult:
                 signs = reduced.signs
                 if signs != "+" * signs.count("+") + "-" * signs.count("-"):
                     res.fail("reduced signature %r is not plus-then-minus" % signs)
+                message = kernel_disagreement(cp, i, reduced)
+                if message:
+                    res.fail(message)
     return res
+
+
+def inverse_disagreement(cp: ChargedPartition, i: int) -> str | None:
+    """Where e_i and f_i fail to be partial inverses at cp, leave the
+    2-regular partitions, or step the weight by other than the simple
+    root; None when they pass."""
+    down = f_op(cp, i)
+    if down is not None and e_op(down, i) != cp:
+        return "e f != id at %s, i=%d" % (cp, i)
+    if down is not None and not down.is_regular:
+        return "f broke regularity at %s, i=%d" % (cp, i)
+    up = e_op(cp, i)
+    if up is not None and f_op(up, i) != cp:
+        return "f e != id at %s, i=%d" % (cp, i)
+    if up is not None and not up.is_regular:
+        return "e broke regularity at %s, i=%d" % (cp, i)
+    if up is not None and weight_of(up) != weight_of(cp) + simple_root(i):
+        return "weight step wrong at %s, i=%d" % (cp, i)
+    return None
 
 
 def check_operator_inverses(max_boxes: int = 12) -> CheckResult:
@@ -211,18 +260,9 @@ def check_operator_inverses(max_boxes: int = 12) -> CheckResult:
         for cp in enumerate_regular(charge, max_boxes):
             for i in (0, 1):
                 res.count()
-                down = f_op(cp, i)
-                if down is not None and e_op(down, i) != cp:
-                    res.fail("e f != id at %s, i=%d" % (cp, i))
-                if down is not None and not down.is_regular:
-                    res.fail("f broke regularity at %s, i=%d" % (cp, i))
-                up = e_op(cp, i)
-                if up is not None and f_op(up, i) != cp:
-                    res.fail("f e != id at %s, i=%d" % (cp, i))
-                if up is not None and not up.is_regular:
-                    res.fail("e broke regularity at %s, i=%d" % (cp, i))
-                if up is not None and weight_of(up) != weight_of(cp) + simple_root(i):
-                    res.fail("weight step wrong at %s, i=%d" % (cp, i))
+                message = inverse_disagreement(cp, i)
+                if message:
+                    res.fail(message)
     return res
 
 
@@ -323,6 +363,21 @@ def check_path_integrality(max_boxes: int = 12) -> CheckResult:
     return res
 
 
+def tensor_rule_disagreement(t: TensorElement, left_path: LSPath,
+                             right_path: LSPath, i: int,
+                             op: str) -> str | None:
+    """Where the tensor rule parts from the root operator op ('f' or 'e')
+    on the concatenation of the factors' paths; None when they agree."""
+    via_rule = (tensor_f if op == "f" else tensor_e)(i, t)
+    via_paths = concat_path_op(i, left_path, right_path, op)
+    if (via_rule is None) != (via_paths is None):
+        return "%s kill mismatch at %s, i=%d" % (op, t, i)
+    if via_rule is not None and via_paths != (partition_to_path(via_rule.left),
+                                              partition_to_path(via_rule.right)):
+        return "%s images differ at %s, i=%d" % (op, t, i)
+    return None
+
+
 def check_tensor_convention(side_boxes: int = 6) -> CheckResult:
     res = CheckResult("tensor rule vs concatenated-path operators")
     rights = enumerate_regular(0, side_boxes)
@@ -334,17 +389,11 @@ def check_tensor_convention(side_boxes: int = 6) -> CheckResult:
                 p2 = partition_to_path(b2)
                 t = TensorElement(b1, b2)
                 for i in (0, 1):
-                    for op, rule in (("f", tensor_f), ("e", tensor_e)):
+                    for op in ("f", "e"):
                         res.count()
-                        via_rule = rule(i, t)
-                        via_paths = concat_path_op(i, p1, p2, op)
-                        if (via_rule is None) != (via_paths is None):
-                            res.fail("%s kill mismatch at %s, i=%d" % (op, t, i))
-                        elif via_rule is not None:
-                            expected = (partition_to_path(via_rule.left),
-                                        partition_to_path(via_rule.right))
-                            if via_paths != expected:
-                                res.fail("%s images differ at %s, i=%d" % (op, t, i))
+                        message = tensor_rule_disagreement(t, p1, p2, i, op)
+                        if message:
+                            res.fail(message)
     return res
 
 

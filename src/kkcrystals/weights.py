@@ -1,8 +1,10 @@
 """Exact arithmetic in the affine sl2 weight lattice.
 
 A weight is stored by its pairings with the two simple coroots and with
-the scaling element d, as exact rationals.  LS-path turning times are
-rationals like 2/7, so everything downstream depends on this exactness.
+the scaling element d, as exact rationals: an `int` when the coordinate
+is integral and a `Fraction` otherwise, never a float.  LS-path turning
+times are rationals like 2/7, so everything downstream depends on this
+exactness.
 """
 
 from __future__ import annotations
@@ -16,18 +18,28 @@ from .weyl import WeylElement
 Scalar = Union[int, Fraction]
 
 
+def _exact(x) -> Scalar:
+    """x as an int when it is integral, else as a Fraction; anything
+    Fraction() accepts is read exactly."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class Weight:
     """Coroot-pairing coordinates (<w, a0v>, <w, a1v>, <w, d>)."""
 
-    c0: Fraction
-    c1: Fraction
-    dd: Fraction
+    c0: Scalar
+    c1: Scalar
+    dd: Scalar
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", Fraction(self.c0))
-        object.__setattr__(self, "c1", Fraction(self.c1))
-        object.__setattr__(self, "dd", Fraction(self.dd))
+        object.__setattr__(self, "c0", _exact(self.c0))
+        object.__setattr__(self, "c1", _exact(self.c1))
+        object.__setattr__(self, "dd", _exact(self.dd))
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.c0 + other.c0, self.c1 + other.c1, self.dd + other.dd)
@@ -39,8 +51,8 @@ class Weight:
         return Weight(-self.c0, -self.c1, -self.dd)
 
     def __mul__(self, scalar: Scalar) -> "Weight":
-        s = Fraction(scalar)
-        return Weight(self.c0 * s, self.c1 * s, self.dd * s)
+        s = _exact(scalar)
+        return Weight(s * self.c0, s * self.c1, s * self.dd)
 
     __rmul__ = __mul__
 
@@ -63,7 +75,7 @@ class Weight:
                 half = self.c0 - a
                 if half % 2 != 0:
                     continue
-                n1 = n0 + half / 2
+                n1 = n0 + Fraction(half, 2)
                 if n1.denominator != 1 or self.c1 - b != 2 * n0 - 2 * n1:
                     continue
                 terms = []
@@ -112,7 +124,7 @@ def simple_root(i: int) -> Weight:
     raise ValueError("simple root index must be 0 or 1")
 
 
-def pair_coroot(w: Weight, i: int) -> Fraction:
+def pair_coroot(w: Weight, i: int) -> Scalar:
     if i == 0:
         return w.c0
     if i == 1:

@@ -73,6 +73,25 @@ def test_convert_rejects_non_integers(data, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("data", [
+    "100001",
+    "3000000",
+    '{"shape": "L0", "n": 100001, "steps": []}',
+    '{"shape": "L1", "n": 99999, "steps": [1, 1]}',
+], ids=["part-over", "part-far-over", "path-n-over", "path-n-plus-steps-over"])
+def test_convert_rejects_oversized_input(data, capsys):
+    code, out, err = run(["convert", data], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "limit" in err
+
+
+def test_convert_accepts_input_at_the_size_limit(capsys):
+    code, out, _ = run(["convert", "100000"], capsys)
+    assert code == 0
+    path = json.loads(out)
+    assert path["n"] + len(path["steps"]) == 100000
+
+
 def test_convert_round_trip(capsys):
     source = '{"parts": [5, 4, 2], "charge": 1}'
     _, out, _ = run(["convert", source], capsys)
@@ -186,6 +205,20 @@ def test_verify_json_report(capsys):
     report = json.loads(out)
     assert all(entry["ok"] for entry in report)
     assert all(entry["cases"] > 0 for entry in report)
+
+
+@pytest.mark.parametrize("suite, flag", [
+    ("signatures", "--max-boxes"),
+    ("tensor", "--side-boxes"),
+    ("kk", "--cutoff"),
+    ("bruhat", "--len-max"),
+    ("bruhat", "--index-max"),
+    ("kk", "--p-max"),
+])
+def test_verify_rejects_negative_sizes(suite, flag, capsys):
+    code, out, err = run(["verify", suite, flag, "-1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_verify_all_at_defaults(capsys):

@@ -1,0 +1,55 @@
+"""Randomised checks on 2-regular partitions of 100-400 boxes, past the
+sizes the exhaustive verify suites reach."""
+
+from math import isqrt
+
+from hypothesis import given, strategies as st
+
+from kkcrystals.iso import partition_to_path
+from kkcrystals.partitions import (ChargedPartition, enumerate_regular,
+                                   reduce_signature, signature)
+from kkcrystals.tensor import TensorElement
+from kkcrystals.verify import (inverse_disagreement, kernel_disagreement,
+                               tensor_rule_disagreement)
+
+LABELS = st.sampled_from((0, 1))
+SMALL_RIGHTS = enumerate_regular(0, 6)
+
+
+@st.composite
+def regular_partitions(draw, min_boxes: int = 100, max_boxes: int = 400):
+    """Distinct parts summing to a size in the range, largest first; each
+    part is at least the smallest p whose staircase 1 + ... + p still
+    covers what is left, so the draw never gets stuck."""
+    remaining = draw(st.integers(min_boxes, max_boxes))
+    parts, bound = [], remaining
+    while remaining:
+        low = (isqrt(8 * remaining + 1) - 1) // 2
+        if low * (low + 1) // 2 < remaining:
+            low += 1
+        part = draw(st.integers(low, min(remaining, bound)))
+        parts.append(part)
+        remaining -= part
+        bound = part - 1
+    return ChargedPartition(tuple(parts), draw(LABELS))
+
+
+@given(regular_partitions(), LABELS)
+def test_kernel_matches_the_column_scan(cp, i):
+    assert cp.is_regular and 100 <= cp.size <= 400
+    reduced = reduce_signature(signature(cp, i))
+    assert kernel_disagreement(cp, i, reduced) is None
+
+
+@given(regular_partitions(), LABELS)
+def test_operators_are_partial_inverses_with_the_weight_step(cp, i):
+    assert inverse_disagreement(cp, i) is None
+
+
+@given(regular_partitions(), st.sampled_from(SMALL_RIGHTS), LABELS,
+       st.sampled_from(("f", "e")))
+def test_tensor_rule_matches_concatenated_paths(left, right, i, op):
+    t = TensorElement(left, right)
+    message = tensor_rule_disagreement(t, partition_to_path(left),
+                                       partition_to_path(right), i, op)
+    assert message is None

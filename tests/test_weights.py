@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kkcrystals.weights import (ALPHA0, ALPHA1, DELTA, LAMBDA0, LAMBDA1,
                                 Weight, act, fundamental, is_dominant,
@@ -80,3 +81,24 @@ def test_bad_indices_rejected():
         fundamental(2)
     with pytest.raises(ValueError):
         pair_coroot(LAMBDA0, 3)
+
+
+COORDS = st.one_of(st.integers(-40, 40),
+                   st.fractions(min_value=-40, max_value=40,
+                                max_denominator=4))
+
+
+@given(COORDS, COORDS, COORDS, COORDS)
+def test_coordinates_are_int_when_integral_and_fraction_otherwise(c0, c1, dd,
+                                                                   scalar):
+    by_fraction = Weight(Fraction(c0), Fraction(c1), Fraction(dd))
+    by_int = Weight(*(int(x) if Fraction(x).denominator == 1 else x
+                      for x in (c0, c1, dd)))
+    for w in (by_fraction, by_int, by_fraction + by_int, -by_int,
+              scalar * by_int, by_fraction * 2, reflect(0, by_int)):
+        for x in (w.c0, w.c1, w.dd):
+            assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+    assert by_fraction == by_int and hash(by_fraction) == hash(by_int)
+    assert by_fraction.display() == by_int.display()
+    assert by_fraction.to_json() == by_int.to_json()
+    assert "." not in by_int.display()
