@@ -9,7 +9,7 @@ from .iso import partition_to_path, path_to_partition
 from .kk import (KKSpec, MultiplicityTable, decomposition,
                  decomposition_via_crystal, dominant_set, in_kk_crystal,
                  in_kk_crystal_by_weyl, kk_crystal_graph, kk_crystal_members,
-                 kk_nesting_check, weight_of_dominant)
+                 weight_of_dominant)
 from .partitions import (ChargedPartition, Signature, box_label,
                          closed_form_signature, conjugate, e_op,
                          enumerate_regular, epsilon, f_op, gap_conjugate,

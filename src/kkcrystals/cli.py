@@ -22,6 +22,9 @@ from .verify import run_suites
 # largest part of a partition, and n + len(steps) of a path, that convert
 # accepts: the output grows with them, so larger inputs exit 2 up front
 MAX_CONVERT_SIZE = 100_000
+# largest decompose cutoff: the cost grows with its square, so larger
+# cutoffs exit 2 up front
+MAX_DECOMPOSE_CUTOFF = 1_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,9 +118,6 @@ def _convert_partition(data: dict):
         cp = ChargedPartition.from_json(data)
     except (ValueError, KeyError, TypeError) as exc:
         _fail("bad charged partition: %s" % exc, 2)
-    if not cp.is_regular:
-        _fail("parts must be strictly decreasing (2-regular), got %s"
-              % list(cp.parts), 2)
     if cp.parts and cp.parts[0] > MAX_CONVERT_SIZE:
         _fail("largest part %d exceeds the limit %d"
               % (cp.parts[0], MAX_CONVERT_SIZE), 2)
@@ -146,6 +146,9 @@ def _cmd_decompose(args) -> int:
     spec = _spec(args)
     if args.cutoff < 0:
         _fail("cutoff must be nonnegative", 2)
+    if args.cutoff > MAX_DECOMPOSE_CUTOFF:
+        _fail("cutoff %d exceeds the limit %d"
+              % (args.cutoff, MAX_DECOMPOSE_CUTOFF), 2)
     table = decomposition(spec, args.cutoff)
     agreement = None
     if args.oracle:

@@ -1,6 +1,6 @@
 """The bijection between 2-regular charged partitions and LS paths.
 
-A regular charged partition with bounding rectangle (m, n) maps to the
+A charged partition with bounding rectangle (m, n) maps to the
 path with direction chain w_m > ... > w_n whose step data is the gap
 conjugate of the partition; the charge picks the shape (and with it the
 sign of the coset representatives).  The map intertwines the partition
@@ -14,8 +14,6 @@ from .paths import LSPath
 
 
 def partition_to_path(cp: ChargedPartition) -> LSPath:
-    if not cp.is_regular:
-        raise ValueError("only regular charged partitions map to paths, got %s" % cp)
     return LSPath(cp.charge, len(cp.parts), gap_conjugate(cp))
 
 

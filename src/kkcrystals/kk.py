@@ -206,18 +206,6 @@ def kk_crystal_members(spec: KKSpec, max_boxes: int) -> list[TensorElement]:
     return out
 
 
-def kk_nesting_check(lambda_type: int, p_small: int, p_large: int,
-                     max_boxes: int) -> bool:
-    """True iff the smaller crystal sits inside the larger at the given
-    scale."""
-    if p_small > p_large:
-        raise ValueError("p_small must not exceed p_large")
-    small = KKSpec(lambda_type, p_small)
-    large = KKSpec(lambda_type, p_large)
-    return all(in_kk_crystal(large, t)
-               for t in kk_crystal_members(small, max_boxes))
-
-
 def kk_crystal_graph(spec: KKSpec, max_boxes: int) -> CrystalGraph:
     members = kk_crystal_members(spec, max_boxes)
     graph = crystal_graph(members, max_boxes)

@@ -1,12 +1,12 @@
 """Charged partitions and their crystal structure.
 
-A charged partition is an integer partition together with a charge in
-{0, 1}; the box in row r, column c of its Young diagram is labelled
-(charge - r + c) mod 2.  On 2-regular charged partitions (all parts
-distinct) the label-i addable and removable columns, scanned left to
-right, give the i-signature; cancelling "-" immediately followed by "+"
-until none remain leaves the reduced i-signature, which drives the
-raising and lowering operators e_i and f_i.
+A charged partition is a 2-regular integer partition (distinct parts,
+enforced on construction) with a charge in {0, 1}; the box in row r,
+column c of its Young diagram is labelled (charge - r + c) mod 2.  The
+label-i addable and removable columns, scanned left to right, give the
+i-signature; cancelling "-" immediately followed by "+" until none
+remain leaves the reduced i-signature, which drives the raising and
+lowering operators e_i and f_i.
 
 phi, epsilon, e_i and f_i, and the tensor rule, read the reduced
 signature in one integer pass over the rows (`_reduced`), bottom to top,
@@ -25,6 +25,9 @@ from .weights import Weight
 
 @dataclass(frozen=True)
 class ChargedPartition:
+    """Strictly decreasing positive parts (a 2-regular partition) and a
+    charge in {0, 1}; anything else raises on construction."""
+
     parts: tuple[int, ...]
     charge: int
 
@@ -37,22 +40,14 @@ class ChargedPartition:
             raise ValueError("charge must be 0 or 1")
         if any(p <= 0 for p in self.parts):
             raise ValueError("parts must be positive")
-        regular = True
         for a, b in zip(self.parts, self.parts[1:]):
             if a <= b:
-                if a < b:
-                    raise ValueError("parts must be weakly decreasing")
-                regular = False
-        object.__setattr__(self, "_regular", regular)
+                raise ValueError("parts must be strictly decreasing "
+                                 "(2-regular), got %d before %d" % (a, b))
 
     @property
     def size(self) -> int:
         return sum(self.parts)
-
-    @property
-    def is_regular(self) -> bool:
-        """True iff all parts are distinct (2-regular)."""
-        return self._regular
 
     @property
     def bounding_rect(self) -> tuple[int, int]:
@@ -106,27 +101,17 @@ def box_label(cp: ChargedPartition, r: int, c: int) -> int:
     return (cp.charge - r + c) % 2
 
 
-def _column_height(parts: tuple[int, ...], c: int) -> int:
-    return sum(1 for p in parts if p >= c)
-
-
-def _require_regular(cp: ChargedPartition):
-    if not cp.is_regular:
-        raise ValueError("crystal operations require distinct parts, got %s" % cp)
-
-
 def signature(cp: ChargedPartition, i: int) -> Signature:
     """Scan columns 1 .. largest+1 and record '+' for each column where a
     box labelled i is addable at the bottom, '-' where the bottom box is
     labelled i and removable."""
-    _require_regular(cp)
     if i not in (0, 1):
         raise ValueError("label must be 0 or 1")
     parts = cp.parts
     top = parts[0] + 1 if parts else 1
     entries = []
     for c in range(1, top + 1):
-        h = _column_height(parts, c)
+        h = sum(1 for p in parts if p >= c)
         below = parts[h] if h < len(parts) else 0
         if below == c - 1 and (cp.charge - (h + 1) + c) % 2 == i:
             entries.append(("+", c))
@@ -159,7 +144,6 @@ def _reduced(cp: ChargedPartition, i: int) -> tuple[int, int, int, int]:
     (column parts[0] + 1).  When the two boxes of a row share a column their
     labels differ, so each column carries at most one sign.  A count of
     unmatched '-' does the cancellation."""
-    _require_regular(cp)
     if i not in (0, 1):
         raise ValueError("label must be 0 or 1")
     parts = cp.parts
@@ -257,13 +241,12 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 def gap_conjugate(cp: ChargedPartition) -> tuple[int, ...]:
     """Column lengths of the part of the diagram left after removing the
-    tallest staircase, read off a regular charged partition.
+    tallest staircase, read off a charged partition.
 
     With bounding rectangle (m, n) the result has exactly m - n entries,
     weakly decreasing, each between 1 and n.  These are the step data of
     the LS path matched to the partition.
     """
-    _require_regular(cp)
     parts = cp.parts
     n = len(parts)
     gaps = tuple(parts[k] - (n - k) for k in range(n))
@@ -274,7 +257,6 @@ def closed_form_signature(cp: ChargedPartition, i: int) -> str:
     """The i-signature as a block pattern of alternating sign runs whose
     lengths come from the staircase gap data; equals the sign string of
     the direct column scan."""
-    _require_regular(cp)
     if not cp.parts:
         raise ValueError("closed form needs a nonempty diagram")
     m, n = cp.bounding_rect

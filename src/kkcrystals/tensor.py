@@ -27,9 +27,9 @@ from .weyl import (WeylElement, bruhat_ideal_min, coset_element,
 
 @dataclass(frozen=True)
 class TensorElement:
-    """An ordered pair of regular charged partitions; the left charge
-    selects the level-one crystal of the left factor, the right factor
-    always has charge 0."""
+    """An ordered pair of charged partitions, each 2-regular by
+    construction; the left charge selects the level-one crystal of the
+    left factor, the right factor always has charge 0."""
 
     left: ChargedPartition
     right: ChargedPartition
@@ -37,8 +37,6 @@ class TensorElement:
     def __post_init__(self):
         if self.right.charge != 0:
             raise ValueError("right factor must have charge 0")
-        if not (self.left.is_regular and self.right.is_regular):
-            raise ValueError("both factors must be regular")
 
     @property
     def total_boxes(self) -> int:
@@ -160,21 +158,14 @@ def _apply_root_operator(pieces, i: int, op: str):
     return out
 
 
-_INDEX_CACHE: dict[int, dict[Weight, int]] = {0: {}, 1: {}}
-
-
-def _direction_index(shape: int, v: Weight, limit: int = 4096) -> int:
-    cache = _INDEX_CACHE[shape]
-    if v in cache:
-        return cache[v]
-    k = len(cache)
-    while k <= limit:
-        w = direction_weight(shape, k)
-        cache[w] = k
-        if w == v:
-            return k
-        k += 1
-    raise ValueError("%r is not a direction weight for shape %d" % (v, shape))
+def _direction_index(shape: int, v: Weight) -> int:
+    """The k with direction_weight(shape, k) == v: the k-th direction
+    weight pairs to -k with one simple coroot and to k + 1 with the
+    other, so k = min(|c0|, |c1|)."""
+    k = min(abs(v.c0), abs(v.c1))
+    if type(k) is not int or direction_weight(shape, k) != v:
+        raise ValueError("%r is not a direction weight for shape %d" % (v, shape))
+    return k
 
 
 def _lspath_from_pieces(shape: int, pieces) -> LSPath:

@@ -34,6 +34,11 @@ FAILURE_CAP = 5
 
 @dataclass
 class CheckResult:
+    """Cases and failures of one check.  A check runs its cases inside
+    `with CheckResult(name) as res:`, so an Exception raised by a case
+    ends the check with the failure "<ExceptionType>: <message>" and the
+    cases counted so far."""
+
     name: str
     cases: int = 0
     failures: list[str] = field(default_factory=list)
@@ -48,6 +53,15 @@ class CheckResult:
     def fail(self, message: str):
         if len(self.failures) < FAILURE_CAP:
             self.failures.append(message)
+
+    def __enter__(self) -> "CheckResult":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        if not isinstance(exc, Exception):
+            return False
+        self.fail("%s: %s" % (kind.__name__, exc))
+        return True
 
 
 # --- brute-force oracles -------------------------------------------------
@@ -145,37 +159,37 @@ def all_elements(len_max: int) -> list[WeylElement]:
 # --- suites ---------------------------------------------------------------
 
 def check_bruhat_subword(len_max: int = 8) -> CheckResult:
-    res = CheckResult("bruhat closed form vs subword oracle")
-    elems = all_elements(len_max)
-    for u in elems:
-        for w in elems:
-            res.count()
-            if bruhat_leq(u, w) != subword_leq(u, w):
-                res.fail("disagree on (%s, %s)" % (u, w))
+    with CheckResult("bruhat closed form vs subword oracle") as res:
+        elems = all_elements(len_max)
+        for u in elems:
+            for w in elems:
+                res.count()
+                if bruhat_leq(u, w) != subword_leq(u, w):
+                    res.fail("disagree on (%s, %s)" % (u, w))
     return res
 
 
 def check_left_multiply_involution(len_max: int = 8) -> CheckResult:
-    res = CheckResult("left multiplication is an involution per generator")
-    for w in all_elements(len_max):
-        for g in (0, 1):
-            res.count()
-            if left_multiply(g, left_multiply(g, w)) != w:
-                res.fail("s%d twice moved %s" % (g, w))
+    with CheckResult("left multiplication is an involution per generator") as res:
+        for w in all_elements(len_max):
+            for g in (0, 1):
+                res.count()
+                if left_multiply(g, left_multiply(g, w)) != w:
+                    res.fail("s%d twice moved %s" % (g, w))
     return res
 
 
 def check_ideal_min(len_max: int = 6) -> CheckResult:
-    res = CheckResult("iterated wedges compute the Bruhat-ideal minimum")
-    elems = all_elements(len_max)
-    for x in elems:
-        ideal = bruhat_ideal(x)
-        for y in elems:
-            res.count()
-            z = bruhat_ideal_min(x, y)
-            orbit = [left_multiply_word(u, y) for u in ideal]
-            if z not in orbit or any(not bruhat_leq(z, v) for v in orbit):
-                res.fail("min I(%s)%s gave %s" % (x, y, z))
+    with CheckResult("iterated wedges compute the Bruhat-ideal minimum") as res:
+        elems = all_elements(len_max)
+        for x in elems:
+            ideal = bruhat_ideal(x)
+            for y in elems:
+                res.count()
+                z = bruhat_ideal_min(x, y)
+                orbit = [left_multiply_word(u, y) for u in ideal]
+                if z not in orbit or any(not bruhat_leq(z, v) for v in orbit):
+                    res.fail("min I(%s)%s gave %s" % (x, y, z))
     return res
 
 
@@ -186,137 +200,134 @@ def left_multiply_word(u: WeylElement, y: WeylElement) -> WeylElement:
 
 
 def check_double_coset_index(index_max: int = 12) -> CheckResult:
-    res = CheckResult("double-coset minimum closed form vs wedge route")
-    for lambda_type in (0, 1):
-        sign = "+" if lambda_type == 0 else "-"
-        for n in range(index_max + 1):
-            tau = coset_element(sign, n)
-            for m in range(index_max + 1):
-                res.count()
-                z = bruhat_ideal_min(tau.inverse(), coset_element("+", m))
-                w = double_coset_min(lambda_type, z, 0)
-                expected = coset_element(
-                    "+", double_coset_min_index(lambda_type, n, m))
-                if w != expected:
-                    res.fail("type %d, n=%d, m=%d: %s != %s"
-                             % (lambda_type, n, m, w, expected))
+    with CheckResult("double-coset minimum closed form vs wedge route") as res:
+        for lambda_type in (0, 1):
+            sign = "+" if lambda_type == 0 else "-"
+            for n in range(index_max + 1):
+                tau = coset_element(sign, n)
+                for m in range(index_max + 1):
+                    res.count()
+                    z = bruhat_ideal_min(tau.inverse(), coset_element("+", m))
+                    w = double_coset_min(lambda_type, z, 0)
+                    expected = coset_element(
+                        "+", double_coset_min_index(lambda_type, n, m))
+                    if w != expected:
+                        res.fail("type %d, n=%d, m=%d: %s != %s"
+                                 % (lambda_type, n, m, w, expected))
     return res
 
 
 def check_signature_closed_form(max_boxes: int = 12) -> CheckResult:
-    res = CheckResult("closed-form signatures vs column scan")
-    for charge in (0, 1):
-        for cp in enumerate_regular(charge, max_boxes):
-            if not cp.parts:
-                continue
-            for i in (0, 1):
-                res.count()
-                if closed_form_signature(cp, i) != signature(cp, i).signs:
-                    res.fail("%s, i=%d" % (cp, i))
+    with CheckResult("closed-form signatures vs column scan") as res:
+        for charge in (0, 1):
+            for cp in enumerate_regular(charge, max_boxes):
+                if not cp.parts:
+                    continue
+                for i in (0, 1):
+                    res.count()
+                    if closed_form_signature(cp, i) != signature(cp, i).signs:
+                        res.fail("%s, i=%d" % (cp, i))
     return res
 
 
 def check_reduction_oracle(max_boxes: int = 12) -> CheckResult:
-    res = CheckResult("stack cancellation vs reducible-substring deletion")
-    for charge in (0, 1):
-        for cp in enumerate_regular(charge, max_boxes):
-            for i in (0, 1):
-                res.count()
-                sig = signature(cp, i)
-                reduced = reduce_signature(sig)
-                if reduced != formal_reduction(sig):
-                    res.fail("%s, i=%d" % (cp, i))
-                signs = reduced.signs
-                if signs != "+" * signs.count("+") + "-" * signs.count("-"):
-                    res.fail("reduced signature %r is not plus-then-minus" % signs)
-                message = kernel_disagreement(cp, i, reduced)
-                if message:
-                    res.fail(message)
+    with CheckResult("stack cancellation vs reducible-substring deletion") as res:
+        for charge in (0, 1):
+            for cp in enumerate_regular(charge, max_boxes):
+                for i in (0, 1):
+                    res.count()
+                    sig = signature(cp, i)
+                    reduced = reduce_signature(sig)
+                    if reduced != formal_reduction(sig):
+                        res.fail("%s, i=%d" % (cp, i))
+                    signs = reduced.signs
+                    if signs != "+" * signs.count("+") + "-" * signs.count("-"):
+                        res.fail("reduced signature %r is not plus-then-minus" % signs)
+                    message = kernel_disagreement(cp, i, reduced)
+                    if message:
+                        res.fail(message)
     return res
 
 
 def inverse_disagreement(cp: ChargedPartition, i: int) -> str | None:
-    """Where e_i and f_i fail to be partial inverses at cp, leave the
-    2-regular partitions, or step the weight by other than the simple
-    root; None when they pass."""
+    """Where e_i and f_i fail to be partial inverses at cp or step the
+    weight by other than the simple root; None when they pass.  An
+    operator that would leave the 2-regular partitions raises instead,
+    since its image cannot be constructed."""
     down = f_op(cp, i)
     if down is not None and e_op(down, i) != cp:
         return "e f != id at %s, i=%d" % (cp, i)
-    if down is not None and not down.is_regular:
-        return "f broke regularity at %s, i=%d" % (cp, i)
     up = e_op(cp, i)
     if up is not None and f_op(up, i) != cp:
         return "f e != id at %s, i=%d" % (cp, i)
-    if up is not None and not up.is_regular:
-        return "e broke regularity at %s, i=%d" % (cp, i)
     if up is not None and weight_of(up) != weight_of(cp) + simple_root(i):
         return "weight step wrong at %s, i=%d" % (cp, i)
     return None
 
 
 def check_operator_inverses(max_boxes: int = 12) -> CheckResult:
-    res = CheckResult("raising and lowering operators are partial inverses")
-    for charge in (0, 1):
-        for cp in enumerate_regular(charge, max_boxes):
-            for i in (0, 1):
-                res.count()
-                message = inverse_disagreement(cp, i)
-                if message:
-                    res.fail(message)
+    with CheckResult("raising and lowering operators are partial inverses") as res:
+        for charge in (0, 1):
+            for cp in enumerate_regular(charge, max_boxes):
+                for i in (0, 1):
+                    res.count()
+                    message = inverse_disagreement(cp, i)
+                    if message:
+                        res.fail(message)
     return res
 
 
 def check_string_lengths(max_boxes: int = 10) -> CheckResult:
-    res = CheckResult("epsilon and phi count the operator string lengths")
-    for charge in (0, 1):
-        for cp in enumerate_regular(charge, max_boxes):
-            for i in (0, 1):
-                res.count()
-                if string_length(cp, e_op, i) != epsilon(cp, i):
-                    res.fail("epsilon mismatch at %s, i=%d" % (cp, i))
-                if string_length(cp, f_op, i) != phi(cp, i):
-                    res.fail("phi mismatch at %s, i=%d" % (cp, i))
+    with CheckResult("epsilon and phi count the operator string lengths") as res:
+        for charge in (0, 1):
+            for cp in enumerate_regular(charge, max_boxes):
+                for i in (0, 1):
+                    res.count()
+                    if string_length(cp, e_op, i) != epsilon(cp, i):
+                        res.fail("epsilon mismatch at %s, i=%d" % (cp, i))
+                    if string_length(cp, f_op, i) != phi(cp, i):
+                        res.fail("phi mismatch at %s, i=%d" % (cp, i))
     return res
 
 
 def check_iso_commutation(max_boxes: int = 12) -> CheckResult:
-    res = CheckResult("partition/path bijection commutes with the operators")
-    for charge in (0, 1):
-        for cp in enumerate_regular(charge, max_boxes):
-            path = partition_to_path(cp)
-            res.count()
-            if path_to_partition(path) != cp:
-                res.fail("round trip failed at %s" % cp)
-            if path.evaluate(1) != weight_of(cp):
-                res.fail("weights differ at %s" % cp)
-            m, n = cp.bounding_rect
-            if path.initial_direction().index != m or path.final_direction().index != n:
-                res.fail("directions miss the bounding rectangle at %s" % cp)
-            for i in (0, 1):
-                for op, cp_op, path_op, back, undo in (
-                        ("f", f_op, f_path, "e", e_path),
-                        ("e", e_op, e_path, "f", f_path)):
-                    image_cp, image_path = cp_op(cp, i), path_op(path, i)
-                    if (image_cp is None) != (image_path is None):
-                        res.fail("%s kill mismatch at %s, i=%d" % (op, cp, i))
-                    elif (image_cp is not None
-                          and partition_to_path(image_cp) != image_path):
-                        res.fail("%s images differ at %s, i=%d" % (op, cp, i))
-                    if image_path is not None and undo(image_path, i) != path:
-                        res.fail("%s %s != id on paths at %s, i=%d"
-                                 % (back, op, cp, i))
+    with CheckResult("partition/path bijection commutes with the operators") as res:
+        for charge in (0, 1):
+            for cp in enumerate_regular(charge, max_boxes):
+                path = partition_to_path(cp)
+                res.count()
+                if path_to_partition(path) != cp:
+                    res.fail("round trip failed at %s" % cp)
+                if path.evaluate(1) != weight_of(cp):
+                    res.fail("weights differ at %s" % cp)
+                if (path.initial_direction().index,
+                        path.final_direction().index) != cp.bounding_rect:
+                    res.fail("directions miss the bounding rectangle at %s" % cp)
+                for i in (0, 1):
+                    for op, cp_op, path_op, back, undo in (
+                            ("f", f_op, f_path, "e", e_path),
+                            ("e", e_op, e_path, "f", f_path)):
+                        image_cp, image_path = cp_op(cp, i), path_op(path, i)
+                        if (image_cp is None) != (image_path is None):
+                            res.fail("%s kill mismatch at %s, i=%d" % (op, cp, i))
+                        elif (image_cp is not None
+                              and partition_to_path(image_cp) != image_path):
+                            res.fail("%s images differ at %s, i=%d" % (op, cp, i))
+                        if image_path is not None and undo(image_path, i) != path:
+                            res.fail("%s %s != id on paths at %s, i=%d"
+                                     % (back, op, cp, i))
     return res
 
 
 def check_path_bijectivity(m_max: int = 12) -> CheckResult:
-    res = CheckResult("every canonical path comes from exactly one partition")
-    for shape in (0, 1):
-        for n in range(m_max + 1):
-            for steps in _box_partitions(n, m_max - n):
-                res.count()
-                path = LSPath(shape, n, steps)
-                if partition_to_path(path_to_partition(path)) != path:
-                    res.fail("round trip failed at %s" % path)
+    with CheckResult("every canonical path comes from exactly one partition") as res:
+        for shape in (0, 1):
+            for n in range(m_max + 1):
+                for steps in _box_partitions(n, m_max - n):
+                    res.count()
+                    path = LSPath(shape, n, steps)
+                    if partition_to_path(path_to_partition(path)) != path:
+                        res.fail("round trip failed at %s" % path)
     return res
 
 
@@ -334,32 +345,32 @@ def _box_partitions(max_part: int, max_len: int):
 
 
 def check_dominance(max_boxes: int = 12) -> CheckResult:
-    res = CheckResult("path dominance matches the raising-operator test")
-    for cp in enumerate_regular(0, max_boxes):
-        path = partition_to_path(cp)
-        for j in (0, 1):
-            res.count()
-            by_path = is_lambda_dominant(path, j)
-            by_ops = all(epsilon(cp, i) <= (1 if i == j else 0) for i in (0, 1))
-            wanted = 1 if j == 0 else 0
-            by_parts = all(p % 2 == wanted for p in cp.parts)
-            if by_path != by_ops or by_path != by_parts:
-                res.fail("%s, fundamental %d" % (cp, j))
+    with CheckResult("path dominance matches the raising-operator test") as res:
+        for cp in enumerate_regular(0, max_boxes):
+            path = partition_to_path(cp)
+            for j in (0, 1):
+                res.count()
+                by_path = is_lambda_dominant(path, j)
+                by_ops = all(epsilon(cp, i) <= (1 if i == j else 0) for i in (0, 1))
+                wanted = 1 if j == 0 else 0
+                by_parts = all(p % 2 == wanted for p in cp.parts)
+                if by_path != by_ops or by_path != by_parts:
+                    res.fail("%s, fundamental %d" % (cp, j))
     return res
 
 
 def check_path_integrality(max_boxes: int = 12) -> CheckResult:
-    res = CheckResult("pairing profiles have integer local minima")
-    for charge in (0, 1):
-        for cp in enumerate_regular(charge, max_boxes):
-            path = partition_to_path(cp)
-            for i in (0, 1):
-                res.count()
-                values = [v for _, v in h_function(path, i).points]
-                for k in range(1, len(values) - 1):
-                    if values[k] < values[k - 1] and values[k] <= values[k + 1]:
-                        if values[k].denominator != 1:
-                            res.fail("%s, i=%d" % (cp, i))
+    with CheckResult("pairing profiles have integer local minima") as res:
+        for charge in (0, 1):
+            for cp in enumerate_regular(charge, max_boxes):
+                path = partition_to_path(cp)
+                for i in (0, 1):
+                    res.count()
+                    values = [v for _, v in h_function(path, i).points]
+                    for k in range(1, len(values) - 1):
+                        if values[k] < values[k - 1] and values[k] <= values[k + 1]:
+                            if values[k].denominator != 1:
+                                res.fail("%s, i=%d" % (cp, i))
     return res
 
 
@@ -379,51 +390,52 @@ def tensor_rule_disagreement(t: TensorElement, left_path: LSPath,
 
 
 def check_tensor_convention(side_boxes: int = 6) -> CheckResult:
-    res = CheckResult("tensor rule vs concatenated-path operators")
-    rights = enumerate_regular(0, side_boxes)
-    for charge in (0, 1):
-        lefts = enumerate_regular(charge, side_boxes)
-        for b1 in lefts:
-            p1 = partition_to_path(b1)
-            for b2 in rights:
-                p2 = partition_to_path(b2)
-                t = TensorElement(b1, b2)
-                for i in (0, 1):
-                    for op in ("f", "e"):
-                        res.count()
-                        message = tensor_rule_disagreement(t, p1, p2, i, op)
-                        if message:
-                            res.fail(message)
+    with CheckResult("tensor rule vs concatenated-path operators") as res:
+        rights = enumerate_regular(0, side_boxes)
+        for charge in (0, 1):
+            lefts = enumerate_regular(charge, side_boxes)
+            for b1 in lefts:
+                p1 = partition_to_path(b1)
+                for b2 in rights:
+                    p2 = partition_to_path(b2)
+                    t = TensorElement(b1, b2)
+                    for i in (0, 1):
+                        for op in ("f", "e"):
+                            res.count()
+                            message = tensor_rule_disagreement(t, p1, p2, i, op)
+                            if message:
+                                res.fail(message)
     return res
 
 
 def check_tensor_structure(max_boxes: int = 10) -> CheckResult:
-    res = CheckResult("tensor weights, highest-weight law, monotone descent")
-    for charge in (0, 1):
-        wanted = 1 if charge == 0 else 0
-        for b1 in enumerate_regular(charge, max_boxes):
-            for b2 in enumerate_regular(0, max_boxes - b1.size):
-                t = TensorElement(b1, b2)
-                res.count()
-                classified = (not b1.parts
-                              and all(p % 2 == wanted for p in b2.parts))
-                if is_highest_weight(t) != classified:
-                    res.fail("highest-weight law fails at %s" % t)
-                for i in (0, 1):
-                    down = tensor_f(i, t)
-                    if down is not None:
-                        if down.weight() != t.weight() - simple_root(i):
-                            res.fail("f weight step wrong at %s, i=%d" % (t, i))
-                        if tensor_e(i, down) != t:
-                            res.fail("e f != id at %s, i=%d" % (t, i))
-                    up = tensor_e(i, t)
-                    if up is not None and not bruhat_leq(
-                            associated_weyl_element(up),
-                            associated_weyl_element(t)):
-                        res.fail("raising increased the associated element at %s"
-                                 % (t,))
-                if associated_weyl_element(t) != associated_weyl_element_by_minima(t):
-                    res.fail("associated element routes differ at %s" % t)
+    with CheckResult("tensor weights, highest-weight law, monotone descent") as res:
+        for charge in (0, 1):
+            wanted = 1 if charge == 0 else 0
+            for b1 in enumerate_regular(charge, max_boxes):
+                for b2 in enumerate_regular(0, max_boxes - b1.size):
+                    t = TensorElement(b1, b2)
+                    res.count()
+                    classified = (not b1.parts
+                                  and all(p % 2 == wanted for p in b2.parts))
+                    if is_highest_weight(t) != classified:
+                        res.fail("highest-weight law fails at %s" % t)
+                    for i in (0, 1):
+                        down = tensor_f(i, t)
+                        if down is not None:
+                            if down.weight() != t.weight() - simple_root(i):
+                                res.fail("f weight step wrong at %s, i=%d" % (t, i))
+                            if tensor_e(i, down) != t:
+                                res.fail("e f != id at %s, i=%d" % (t, i))
+                        up = tensor_e(i, t)
+                        if up is not None and not bruhat_leq(
+                                associated_weyl_element(up),
+                                associated_weyl_element(t)):
+                            res.fail("raising increased the associated element at %s"
+                                     % (t,))
+                    if (associated_weyl_element(t)
+                            != associated_weyl_element_by_minima(t)):
+                        res.fail("associated element routes differ at %s" % t)
     return res
 
 
@@ -434,72 +446,73 @@ def _valid_p_values(lambda_type: int, p_max: int) -> list[int]:
 
 
 def check_kk_invariance(p_max: int = 5, max_boxes: int = 10) -> CheckResult:
-    res = CheckResult("submodule crystals are stable under the operators")
-    for lambda_type in (0, 1):
-        for p in _valid_p_values(lambda_type, p_max):
-            spec = KKSpec(lambda_type, p)
-            for t in kk_crystal_members(spec, max_boxes):
-                for i in (0, 1):
-                    res.count()
-                    for image in (tensor_f(i, t), tensor_e(i, t)):
-                        if image is not None and not in_kk_crystal(spec, image):
-                            res.fail("escaped K(%d, %d) at %s, i=%d"
-                                     % (lambda_type, p, t, i))
+    with CheckResult("submodule crystals are stable under the operators") as res:
+        for lambda_type in (0, 1):
+            for p in _valid_p_values(lambda_type, p_max):
+                spec = KKSpec(lambda_type, p)
+                for t in kk_crystal_members(spec, max_boxes):
+                    for i in (0, 1):
+                        res.count()
+                        for image in (tensor_f(i, t), tensor_e(i, t)):
+                            if image is not None and not in_kk_crystal(spec, image):
+                                res.fail("escaped K(%d, %d) at %s, i=%d"
+                                         % (lambda_type, p, t, i))
     return res
 
 
 def check_kk_membership_routes(p_max: int = 5, max_boxes: int = 10) -> CheckResult:
-    res = CheckResult("rectangle membership vs Bruhat-bound membership")
-    for lambda_type in (0, 1):
-        for p in _valid_p_values(lambda_type, p_max):
-            spec = KKSpec(lambda_type, p)
-            for b1 in enumerate_regular(lambda_type, max_boxes):
-                for b2 in enumerate_regular(0, max_boxes - b1.size):
-                    t = TensorElement(b1, b2)
-                    res.count()
-                    if in_kk_crystal(spec, t) != in_kk_crystal_by_weyl(spec, t):
-                        res.fail("routes disagree for K(%d, %d) at %s"
-                                 % (lambda_type, p, t))
+    with CheckResult("rectangle membership vs Bruhat-bound membership") as res:
+        for lambda_type in (0, 1):
+            for p in _valid_p_values(lambda_type, p_max):
+                spec = KKSpec(lambda_type, p)
+                for b1 in enumerate_regular(lambda_type, max_boxes):
+                    for b2 in enumerate_regular(0, max_boxes - b1.size):
+                        t = TensorElement(b1, b2)
+                        res.count()
+                        if in_kk_crystal(spec, t) != in_kk_crystal_by_weyl(spec, t):
+                            res.fail("routes disagree for K(%d, %d) at %s"
+                                     % (lambda_type, p, t))
     return res
 
 
 def check_kk_decomposition(p_max: int = 9, cutoff: int = 6) -> CheckResult:
-    res = CheckResult("generating-function tables vs highest-weight counts")
-    for lambda_type in (0, 1):
-        for p in _valid_p_values(lambda_type, p_max):
-            spec = KKSpec(lambda_type, p)
-            res.count()
-            if decomposition(spec, cutoff) != decomposition_via_crystal(spec, cutoff):
-                res.fail("tables differ for K(%d, %d)" % (lambda_type, p))
+    with CheckResult("generating-function tables vs highest-weight counts") as res:
+        for lambda_type in (0, 1):
+            for p in _valid_p_values(lambda_type, p_max):
+                spec = KKSpec(lambda_type, p)
+                res.count()
+                if (decomposition(spec, cutoff)
+                        != decomposition_via_crystal(spec, cutoff)):
+                    res.fail("tables differ for K(%d, %d)" % (lambda_type, p))
     return res
 
 
 def check_kk_stabilization(cutoff: int = 6) -> CheckResult:
-    res = CheckResult("large-p tables match the full tensor product")
-    for lambda_type in (0, 1):
-        res.count()
-        coeffs = distinct_part_counts(2 * cutoff + 1, 1 - lambda_type)
-        full = MultiplicityTable(coeffs[0::2],
-                                 coeffs[1::2] if lambda_type == 0 else None,
-                                 cutoff)
-        p = 2 * cutoff + 1 if lambda_type == 0 else 2 * cutoff + 2
-        if decomposition(KKSpec(lambda_type, p), cutoff) != full:
-            res.fail("stabilization fails for lambda_type %d" % lambda_type)
+    with CheckResult("large-p tables match the full tensor product") as res:
+        for lambda_type in (0, 1):
+            res.count()
+            coeffs = distinct_part_counts(2 * cutoff + 1, 1 - lambda_type)
+            full = MultiplicityTable(coeffs[0::2],
+                                     coeffs[1::2] if lambda_type == 0 else None,
+                                     cutoff)
+            p = 2 * cutoff + 1 if lambda_type == 0 else 2 * cutoff + 2
+            if decomposition(KKSpec(lambda_type, p), cutoff) != full:
+                res.fail("stabilization fails for lambda_type %d" % lambda_type)
     return res
 
 
 def check_kk_monotone(p_max: int = 9, cutoff: int = 6) -> CheckResult:
-    res = CheckResult("tables grow entrywise with p")
-    for lambda_type in (0, 1):
-        ps = _valid_p_values(lambda_type, p_max)
-        for small, large in zip(ps, ps[1:]):
-            res.count()
-            ts = decomposition(KKSpec(lambda_type, small), cutoff)
-            tl = decomposition(KKSpec(lambda_type, large), cutoff)
-            if any(x > y for x, y in zip(ts.a, tl.a)):
-                res.fail("a-entries drop from p=%d to p=%d" % (small, large))
-            if ts.b is not None and any(x > y for x, y in zip(ts.b, tl.b)):
-                res.fail("b-entries drop from p=%d to p=%d" % (small, large))
+    with CheckResult("tables grow entrywise with p") as res:
+        for lambda_type in (0, 1):
+            ps = _valid_p_values(lambda_type, p_max)
+            for small, large in zip(ps, ps[1:]):
+                res.count()
+                ts = decomposition(KKSpec(lambda_type, small), cutoff)
+                tl = decomposition(KKSpec(lambda_type, large), cutoff)
+                if any(x > y for x, y in zip(ts.a, tl.a)):
+                    res.fail("a-entries drop from p=%d to p=%d" % (small, large))
+                if ts.b is not None and any(x > y for x, y in zip(ts.b, tl.b)):
+                    res.fail("b-entries drop from p=%d to p=%d" % (small, large))
     return res
 
 

@@ -64,37 +64,26 @@ class Weight:
         return cls(Fraction(data["c0"]), Fraction(data["c1"]), Fraction(data["d"]))
 
     def display(self) -> str:
-        """Render as 'aΛ0 + bΛ1 - n0α0 - n1α1' with integer coefficients
-        when possible (the representation is unique for a, b >= 0), else
-        fall back to raw coordinates."""
-        level = self.c0 + self.c1
-        n0 = -self.dd
-        if level.denominator == 1 and level >= 0 and n0.denominator == 1:
-            for a in range(int(level), -1, -1):
-                b = int(level) - a
-                half = self.c0 - a
-                if half % 2 != 0:
-                    continue
-                n1 = n0 + Fraction(half, 2)
-                if n1.denominator != 1 or self.c1 - b != 2 * n0 - 2 * n1:
-                    continue
-                terms = []
-                if a:
-                    terms.append(("+", "Λ0" if a == 1 else "%dΛ0" % a))
-                if b:
-                    terms.append(("+", "Λ1" if b == 1 else "%dΛ1" % b))
-                for coeff, root in ((int(n0), "α0"), (int(n1), "α1")):
-                    if coeff:
-                        terms.append(("-" if coeff > 0 else "+",
-                                      "%d%s" % (abs(coeff), root)))
-                if not terms:
-                    return "0"
-                sign, body = terms[0]
-                text = body if sign == "+" else "-" + body
-                for sign, body in terms[1:]:
-                    text += " %s %s" % (sign, body)
-                return text
-        return "(%s, %s, %s)" % (self.c0, self.c1, self.dd)
+        """Render as 'aΛ0 + bΛ1 - n0α0 - n1α1' in integers, with a + b the
+        level and a the largest a <= level with a = c0 mod 2 (a - 2, b + 2
+        would fit as well, so the form is not unique); raw coordinates
+        when c0, the level or n0 is not an int, or no such a >= 0
+        exists."""
+        level, n0 = self.c0 + self.c1, -self.dd
+        integral = all(type(x) is int for x in (self.c0, level, n0))
+        a = level - (level - self.c0) % 2 if integral else -1
+        if a < 0:
+            return "(%s, %s, %s)" % (self.c0, self.c1, self.dd)
+        n1 = n0 + (self.c0 - a) // 2
+        text = ""
+        for coeff, name in ((a, "Λ0"), (level - a, "Λ1"), (-n0, "α0"),
+                            (-n1, "α1")):
+            if coeff:
+                shown = "" if coeff == 1 and name[0] == "Λ" else str(abs(coeff))
+                text += " %s %s%s" % ("+" if coeff > 0 else "-", shown, name)
+        if not text:
+            return "0"
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __str__(self):
         return self.display()

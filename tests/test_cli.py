@@ -1,9 +1,13 @@
+import inspect
 import io
 import json
+import textwrap
 
 import pytest
 
+from kkcrystals import partitions
 from kkcrystals.cli import main
+from kkcrystals.verify import CheckResult
 
 
 def run(argv, capsys):
@@ -141,6 +145,16 @@ def test_decompose_rejects_bad_parity(capsys):
     assert "even" in err
 
 
+def test_decompose_rejects_cutoff_above_the_limit(capsys):
+    code, out, err = run(["decompose", "--lambda", "0", "--p", "1",
+                          "--cutoff", "1001"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "limit" in err
+    code, out, _ = run(["decompose", "--lambda", "0", "--p", "1",
+                        "--cutoff", "1000"], capsys)
+    assert code == 0 and len(out.splitlines()) == 1002
+
+
 def test_graph_stdout(capsys):
     code, out, _ = run(["graph", "--lambda", "0", "--p", "0",
                         "--max-boxes", "0"], capsys)
@@ -227,6 +241,38 @@ def test_verify_all_at_defaults(capsys):
     report = json.loads(out)
     assert len(report) == 19 and all(entry["ok"] for entry in report)
     assert sum(entry["cases"] for entry in report) == 23006
+
+
+# one-line edits of the kernel's source: (text, replacement)
+BROKEN_KERNELS = {
+    "rightmost '+' row shifted": ("plus_row = k + 1", "plus_row = k + 2"),
+    "leftmost '-' row shifted": ("minus_row = k\n", "minus_row = k + 1\n"),
+    "top addable '+' dropped": ("range(len(parts) - 1, -2, -1)",
+                                "range(len(parts) - 1, -1, -1)"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(BROKEN_KERNELS))
+def test_verify_reports_a_broken_kernel(mutation, capsys, monkeypatch):
+    old, new = BROKEN_KERNELS[mutation]
+    source = textwrap.dedent(inspect.getsource(partitions._reduced))
+    assert source.count(old) == 1
+    namespace = dict(vars(partitions))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(partitions, "_reduced", namespace["_reduced"])
+    code, out, _ = run(["verify", "signatures"], capsys)
+    assert code == 1
+    assert any(line.startswith("FAIL ") for line in out.splitlines())
+
+
+def test_a_check_that_raises_keeps_its_name_and_cases():
+    with CheckResult("demo") as res:
+        res.count()
+        raise ValueError("boom")
+    assert (res.name, res.cases, res.failures) == ("demo", 1, ["ValueError: boom"])
+    with pytest.raises(KeyboardInterrupt):
+        with CheckResult("interrupted"):
+            raise KeyboardInterrupt
 
 
 def test_deterministic_output(capsys):

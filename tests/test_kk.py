@@ -8,8 +8,7 @@ import pytest
 
 from kkcrystals.kk import (KKSpec, MultiplicityTable, decomposition,
                            dominant_set, in_kk_crystal, kk_crystal_graph,
-                           kk_crystal_members, kk_nesting_check,
-                           weight_of_dominant)
+                           kk_crystal_members, weight_of_dominant)
 from kkcrystals.partitions import ChargedPartition
 from kkcrystals.tensor import TensorElement
 from kkcrystals.verify import (check_kk_decomposition, check_kk_monotone,
@@ -106,14 +105,6 @@ def test_stabilization():
 def test_monotone_in_p():
     result = check_kk_monotone(7, 6)
     assert result.ok, result.failures
-
-
-def test_nesting():
-    assert kk_nesting_check(0, 0, 1, 12)
-    assert kk_nesting_check(0, 3, 5, 12)
-    assert kk_nesting_check(1, 2, 4, 12)
-    with pytest.raises(ValueError):
-        kk_nesting_check(0, 5, 3, 6)
 
 
 def test_members_and_graph_counts():

@@ -1,12 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
 from kkcrystals.partitions import ChargedPartition, enumerate_regular
-from kkcrystals.paths import LSPath
-from kkcrystals.tensor import (TensorElement, associated_weyl_element,
-                               concat_path_op, crystal_graph,
-                               is_highest_weight, tensor_e, tensor_f)
+from kkcrystals.paths import LSPath, direction_weight
+from kkcrystals.tensor import (TensorElement, _lspath_from_pieces,
+                               associated_weyl_element, concat_path_op,
+                               crystal_graph, is_highest_weight, tensor_e,
+                               tensor_f)
 from kkcrystals.verify import check_tensor_structure
-from kkcrystals.weights import simple_root
+from kkcrystals.weights import Weight, simple_root
 from kkcrystals.weyl import IDENTITY, bruhat_leq, coset_element
 
 
@@ -51,6 +54,15 @@ def test_concat_examples():
     assert concat_path_op(0, straight, straight, "e") is None
     assert concat_path_op(1, LSPath(1, 0, ()), straight, "e") is None
 
+
+
+def test_direction_index_is_read_off_the_weight():
+    # no search over the directions before it, however far out it lies
+    far = [(direction_weight(0, 5000), Fraction(1))]
+    assert _lspath_from_pieces(0, far) == LSPath(0, 5000, ())
+    for off_orbit in (direction_weight(1, 3), Weight(Fraction(1, 2), 0, 0)):
+        with pytest.raises(ValueError):
+            _lspath_from_pieces(0, [(off_orbit, Fraction(1))])
 
 
 def test_weight_additivity():

@@ -67,6 +67,9 @@ def test_display():
     assert (LAMBDA0 + ALPHA1).display() == "Λ0 + 1α1"
     assert (LAMBDA0 - ALPHA0).display() == "Λ0 - 1α0"
     assert Weight(Fraction(1, 2), 0, 0).display() == "(1/2, 0, 0)"
+    # level 0 with c0 odd has no nonnegative a of the right parity
+    assert Weight(1, -1, 0).display() == "(1, -1, 0)"
+    assert (2 * LAMBDA0 - ALPHA0).display() == "2Λ0 - 1α0"
 
 
 def test_json_round_trip():
