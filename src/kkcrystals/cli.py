@@ -25,6 +25,8 @@ MAX_CONVERT_SIZE = 100_000
 # largest decompose cutoff: the cost grows with its square, so larger
 # cutoffs exit 2 up front
 MAX_DECOMPOSE_CUTOFF = 1_000
+SIZE_FLAGS = ("max_boxes", "len_max", "index_max", "p_max", "cutoff",
+              "side_boxes")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,21 +189,13 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    for flag in ("max_boxes", "len_max", "index_max", "p_max", "cutoff",
-                 "side_boxes"):
+    for flag in SIZE_FLAGS:
         if getattr(args, flag) < 0:
             _fail("%s must be nonnegative" % flag.replace("_", "-"), 2)
     names = ["bruhat", "signatures", "iso", "tensor", "kk"] \
         if args.suite == "all" else [args.suite]
-    results = run_suites(
-        names,
-        max_boxes=args.max_boxes,
-        len_max=args.len_max,
-        index_max=args.index_max,
-        p_max=args.p_max,
-        cutoff=args.cutoff,
-        side_boxes=args.side_boxes,
-    )
+    results = run_suites(names, **{flag: getattr(args, flag)
+                                   for flag in SIZE_FLAGS})
     if args.json:
         print(json.dumps([{"name": r.name, "ok": r.ok, "cases": r.cases,
                            "failures": r.failures} for r in results],

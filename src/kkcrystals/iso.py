@@ -9,7 +9,7 @@ and path root operators, which the test suite checks exhaustively.
 
 from __future__ import annotations
 
-from .partitions import ChargedPartition, conjugate, gap_conjugate
+from .partitions import ChargedPartition, gap_conjugate
 from .paths import LSPath
 
 
@@ -18,7 +18,14 @@ def partition_to_path(cp: ChargedPartition) -> LSPath:
 
 
 def path_to_partition(path: LSPath) -> ChargedPartition:
-    cols = conjugate(path.steps)
-    gaps = tuple(cols) + (0,) * (path.n - len(cols))
-    parts = tuple(gaps[k] + (path.n - k) for k in range(path.n))
-    return ChargedPartition(parts, path.shape)
+    """Row k is n - k plus column k + 1 of the steps' diagram, run by run."""
+    steps, n = path.steps, path.n
+    parts = []
+    r, low = len(steps), 0
+    for step in reversed(steps):
+        if step != low:
+            parts += range(r + n - low, r + n - step, -1)
+            low = step
+        r -= 1
+    parts += range(n - low, 0, -1)
+    return ChargedPartition(tuple(parts), path.shape)

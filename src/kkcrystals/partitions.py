@@ -32,18 +32,26 @@ class ChargedPartition:
     charge: int
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if type(self.charge) is not int or any(type(p) is not int
-                                               for p in self.parts):
+        parts = self.parts
+        if type(parts) is not tuple:
+            parts = tuple(parts)
+            object.__setattr__(self, "parts", parts)
+        if type(self.charge) is not int:
             raise TypeError("parts and charge must be integers")
+        repeat, last = None, parts[0] + 1 if parts and type(parts[0]) is int else 0
+        for p in parts:
+            if type(p) is not int:
+                raise TypeError("parts and charge must be integers")
+            if p >= last and repeat is None:
+                repeat = (last, p)
+            last = p
         if self.charge not in (0, 1):
             raise ValueError("charge must be 0 or 1")
-        if any(p <= 0 for p in self.parts):
+        if parts and (last if repeat is None else min(parts)) <= 0:
             raise ValueError("parts must be positive")
-        for a, b in zip(self.parts, self.parts[1:]):
-            if a <= b:
-                raise ValueError("parts must be strictly decreasing "
-                                 "(2-regular), got %d before %d" % (a, b))
+        if repeat:
+            raise ValueError("parts must be strictly decreasing "
+                             "(2-regular), got %d before %d" % repeat)
 
     @property
     def size(self) -> int:
@@ -249,8 +257,16 @@ def gap_conjugate(cp: ChargedPartition) -> tuple[int, ...]:
     """
     parts = cp.parts
     n = len(parts)
-    gaps = tuple(parts[k] - (n - k) for k in range(n))
-    return conjugate(tuple(g for g in gaps if g > 0))
+    out = []
+    below = 0
+    # the gaps parts[k] - (n - k) weakly decrease, so the columns past the
+    # gap below row k and up to the gap of row k have height k + 1
+    for k in range(n - 1, -1, -1):
+        gap = parts[k] - n + k
+        if gap > below:
+            out += [k + 1] * (gap - below)
+            below = gap
+    return tuple(out)
 
 
 def closed_form_signature(cp: ChargedPartition, i: int) -> str:

@@ -15,6 +15,10 @@ reproduces it and splitting the final segment when the return time falls
 strictly inside it.  The raising operator e_i is the mirror image
 (leftmost minimum, first earlier return), and is the two-sided inverse of
 f_i.
+
+The operators run on ints, with turning times scaled by D = lcm(1, ...,
+m + 1) (it holds the times of the path and of its images) and integer
+slopes; `times`, `evaluate`, `turning_points` and `h_function` stay exact.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import weights
-from .weights import Weight, fundamental, is_dominant, pair_coroot
-from .weyl import CosetRep, coset_action, coset_element
+from .weights import Weight, fundamental, pair_coroot
+from .weyl import CosetRep, coset_action
 
 
 def shape_sign(shape: int) -> str:
@@ -37,8 +42,14 @@ def shape_sign(shape: int) -> str:
 @lru_cache(maxsize=None)
 def direction_weight(shape: int, k: int) -> Weight:
     """Image of the fundamental weight under the k-th coset representative
-    of the matching sign."""
-    return weights.act(coset_element(shape_sign(shape), k), fundamental(shape))
+    of the matching sign, in closed form (`weights.act` is the oracle); see
+    `_int_profile` for its pairings, and d = -ceil(k/2)^2 for shape 0 and
+    -floor(k/2)(floor(k/2) + 1) for shape 1."""
+    shape_sign(shape)  # validates the shape
+    if k < 0:
+        raise ValueError("index must be nonnegative")
+    d = -((k + 1 - shape) // 2) * ((k + 1 + shape) // 2)
+    return Weight(k + 1, -k, d) if (k + shape) % 2 == 0 else Weight(-k, k + 1, d)
 
 
 @dataclass(frozen=True)
@@ -48,30 +59,34 @@ class LSPath:
     steps: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if any(type(x) is not int for x in (self.shape, self.n, *self.steps)):
+        steps, n = self.steps, self.n
+        if type(steps) is not tuple:
+            steps = tuple(steps)
+            object.__setattr__(self, "steps", steps)
+        if type(self.shape) is not int or type(n) is not int:
             raise TypeError("shape, n and steps must be integers")
+        rising, last = False, steps[0] if steps else 0
+        for x in steps:
+            if type(x) is not int:
+                raise TypeError("shape, n and steps must be integers")
+            rising = rising or x > last
+            last = x
         if self.shape not in (0, 1):
             raise ValueError("shape must be 0 or 1")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("final index must be nonnegative")
-        if self.steps:
-            if self.steps[-1] < 1:
+        if steps:
+            if last < 1:
                 raise ValueError("steps must be positive")
-            if any(a < b for a, b in zip(self.steps, self.steps[1:])):
+            if rising:
                 raise ValueError("steps must be weakly decreasing")
-            if self.steps[0] > self.n:
+            if steps[0] > n:
                 raise ValueError("leading step exceeds the final index")
 
     @property
     def m(self) -> int:
         """Initial direction index."""
         return self.n + len(self.steps)
-
-    @property
-    def r(self) -> int:
-        """Number of linear segments."""
-        return len(self.steps) + 1
 
     @property
     def direction_indices(self) -> tuple[int, ...]:
@@ -84,12 +99,6 @@ class LSPath:
             ts.append(Fraction(self.steps[j - self.n - 1], j))
         ts.append(Fraction(1))
         return tuple(ts)
-
-    def pieces(self) -> list[tuple[Weight, Fraction]]:
-        """(velocity, duration) pairs for the piecewise-linear map."""
-        ts = self.times
-        return [(direction_weight(self.shape, k), ts[j + 1] - ts[j])
-                for j, k in enumerate(self.direction_indices)]
 
     def evaluate(self, t) -> Weight:
         t = Fraction(t)
@@ -136,30 +145,35 @@ class LSPath:
 
     @classmethod
     def from_chain(cls, shape: int, indices, times) -> "LSPath":
-        """Rebuild the canonical form from an explicit direction chain and
-        turning times, validating the canonical-shape constraints."""
-        indices = list(indices)
+        """Validated canonical form of an explicit chain and turning times."""
         times = [Fraction(t) for t in times]
-        if not indices or len(times) != len(indices) + 1:
-            raise ValueError("need one more time than directions")
-        if times[0] != 0 or times[-1] != 1:
-            raise ValueError("times must run from 0 to 1")
-        if any(a >= b for a, b in zip(times, times[1:])):
-            raise ValueError("times must strictly increase")
-        for a, b in zip(indices, indices[1:]):
-            if a != b + 1:
-                raise ValueError("direction chain must descend contiguously")
-        steps = []
-        for k in range(len(indices) - 1):
-            value = times[k + 1] * indices[k]
-            if value.denominator != 1:
-                raise ValueError("time %s is not canonical for index %d"
-                                 % (times[k + 1], indices[k]))
-            steps.append(int(value))
-        return cls(shape, indices[-1], tuple(reversed(steps)))
+        D = lcm(*[t.denominator for t in times])
+        return _int_chain(shape, list(indices),
+                          [t.numerator * (D // t.denominator) for t in times], D)
 
     def __str__(self):
         return "LSPath(L%d, n=%d, steps=%s)" % (self.shape, self.n, list(self.steps))
+
+
+def _int_chain(shape: int, indices: list[int], times: list[int], D: int) -> LSPath:
+    """Validated canonical path of a chain with turning times scaled by D."""
+    if not indices or len(times) != len(indices) + 1:
+        raise ValueError("need one more time than directions")
+    if times[0] != 0 or times[-1] != D:
+        raise ValueError("times must run from 0 to 1")
+    steps = []
+    for j, k in enumerate(indices):
+        t = times[j + 1]
+        if t <= times[j]:
+            raise ValueError("times must strictly increase")
+        if j and k != indices[j - 1] - 1:
+            raise ValueError("direction chain must descend contiguously")
+        step, rest = divmod(t * k, D)
+        if rest:
+            raise ValueError("time %s is not canonical for index %d"
+                             % (Fraction(t, D), k))
+        steps.append(step)
+    return LSPath(shape, indices[-1], tuple(steps[-2::-1]))
 
 
 @dataclass(frozen=True)
@@ -192,89 +206,110 @@ class PiecewiseLinearH:
         return self.points[-1][1]
 
 
-def _h_values(path: LSPath, i: int) -> list[Fraction]:
-    return [pair_coroot(p, i) for p in path.turning_points()]
-
-
-def _integer(q: Fraction) -> int:
-    """Pairing minima and string lengths of LS paths and of their
-    concatenations are integers; a fraction means the model is broken."""
-    if q.denominator != 1:
-        raise AssertionError("pairing value %s is not an integer" % q)
-    return int(q)
-
-
 def h_function(path: LSPath, i: int) -> PiecewiseLinearH:
-    return PiecewiseLinearH(tuple(zip(path.times, _h_values(path, i))))
+    return PiecewiseLinearH(tuple(zip(
+        path.times, [pair_coroot(p, i) for p in path.turning_points()])))
+
+
+def _denominator(m: int) -> int:
+    """lcm(1, ..., m + 1): a common denominator for paths of initial index
+    at most m and for their root-operator images."""
+    return lcm(*range(1, m + 2))
+
+
+def _int_profile(path: LSPath, i: int, D: int) -> tuple[list[int], list[int]]:
+    """Turning times and values of h(t) = <path(t), a_i^vee> scaled by D;
+    direction k has slope k + 1 if k + shape + i is even, else -k."""
+    n, steps = path.n, path.steps
+    times, values = [0], [0]
+    for k in range(path.m, n - 1, -1):
+        t = D // k * steps[k - n - 1] if k > n else D
+        slope = k + 1 if (k + path.shape + i) % 2 == 0 else -k
+        values.append(values[-1] + slope * (t - times[-1]))
+        times.append(t)
+    return times, values
+
+
+def _minimum(values: list[int], D: int) -> int:
+    """Least scaled value; LS-path minima are integers, else the model broke."""
+    q = min(values)
+    if q % D:
+        raise AssertionError("pairing value %s is not an integer" % Fraction(q, D))
+    return q
+
+
+def _crossing(t0: int, h0: int, t1: int, h1: int, level: int) -> int:
+    """Scaled time at which (t0, h0)-(t1, h1) reaches level; a turning time."""
+    dt, rest = divmod((level - h0) * (t1 - t0), h1 - h0)
+    if rest:
+        raise AssertionError("crossing time is not a multiple of the unit")
+    return t0 + dt
 
 
 def path_epsilon(path: LSPath, i: int) -> int:
     """Negated minimum of the pairing profile."""
-    return -_integer(min(_h_values(path, i)))
+    D = _denominator(path.m)
+    return -_minimum(_int_profile(path, i, D)[1], D) // D
 
 
 def path_phi(path: LSPath, i: int) -> int:
     """Endpoint value minus minimum of the pairing profile."""
-    values = _h_values(path, i)
-    return _integer(values[-1] - min(values))
+    D = _denominator(path.m)
+    values = _int_profile(path, i, D)[1]
+    return (values[-1] - _minimum(values, D)) // D
 
 
 def f_path(path: LSPath, i: int) -> LSPath | None:
     """Path lowering operator; None when the endpoint sits less than one
     above the minimum of the pairing profile."""
-    idx = path.direction_indices
-    times = path.times
-    H = _h_values(path, i)
-    Q = _integer(min(H))
-    if H[-1] - Q < 1:
+    D = _denominator(path.m)
+    times, H = _int_profile(path, i, D)
+    Q = _minimum(H, D)
+    if H[-1] - Q < D:
         return None
-    p = max(j for j in range(len(H)) if H[j] == Q)
-    x = max(j for j in range(p, len(H)) if H[j] < Q + 1) + 1
-    sign = shape_sign(path.shape)
+    p = len(H) - 1 - H[::-1].index(Q)
+    x = next(j for j in range(p + 1, len(H)) if H[j] >= Q + D)
+    idx, sign = path.direction_indices, shape_sign(path.shape)
     reflected = [coset_action(i, k, sign) for k in idx[p:x]]
     merge = p >= 1 and reflected[0] == idx[p - 1]
-    split = H[x] > Q + 1
-
     new_idx = list(idx[:p - 1] if merge else idx[:p]) + reflected
-    new_times = list(times[:p] if merge else times[:p + 1]) + list(times[p + 1:x])
-    if split:
-        slope = (H[x] - H[x - 1]) / (times[x] - times[x - 1])
-        new_times.append(times[x - 1] + (Q + 1 - H[x - 1]) / slope)
+    new_times = (times[:p] if merge else times[:p + 1]) + times[p + 1:x]
+    if H[x] > Q + D:
+        new_times.append(_crossing(times[x - 1], H[x - 1], times[x], H[x],
+                                   Q + D))
         new_idx.append(idx[x - 1])
-    new_idx += list(idx[x:])
-    new_times += list(times[x:])
-    return LSPath.from_chain(path.shape, new_idx, new_times)
+    return _int_chain(path.shape, new_idx + list(idx[x:]),
+                      new_times + times[x:], D)
 
 
 def e_path(path: LSPath, i: int) -> LSPath | None:
     """Path raising operator, the mirror of f_path; None when the pairing
     profile never goes below zero."""
-    idx = path.direction_indices
-    times = path.times
-    H = _h_values(path, i)
-    Q = _integer(min(H))
+    D = _denominator(path.m)
+    times, H = _int_profile(path, i, D)
+    Q = _minimum(H, D)
     if Q >= 0:
         return None
-    q = min(j for j in range(len(H)) if H[j] == Q)
-    y = min(j for j in range(q + 1) if H[j] < Q + 1) - 1
-    sign = shape_sign(path.shape)
+    q = H.index(Q)
+    y = next(j for j in range(q - 1, -1, -1) if H[j] >= Q + D)
+    idx, sign = path.direction_indices, shape_sign(path.shape)
     reflected = [coset_action(i, k, sign) for k in idx[y:q]]
     merge = q < len(idx) and reflected[-1] == idx[q]
-    split = H[y] > Q + 1
-
     new_idx = list(idx[:y])
-    new_times = list(times[:y + 1])
-    if split:
-        slope = (H[y + 1] - H[y]) / (times[y + 1] - times[y])
-        new_times.append(times[y] + (Q + 1 - H[y]) / slope)
+    new_times = times[:y + 1]
+    if H[y] > Q + D:
+        new_times.append(_crossing(times[y], H[y], times[y + 1], H[y + 1],
+                                   Q + D))
         new_idx.append(idx[y])
     new_idx += reflected + list(idx[q + 1:] if merge else idx[q:])
-    new_times += list(times[y + 1:q]) + list(times[q + 1:] if merge else times[q:])
-    return LSPath.from_chain(path.shape, new_idx, new_times)
+    new_times += times[y + 1:q] + (times[q + 1:] if merge else times[q:])
+    return _int_chain(path.shape, new_idx, new_times, D)
 
 
 def is_lambda_dominant(path: LSPath, lambda_type: int) -> bool:
     """True iff the chosen fundamental weight plus every turning point
     stays in the dominant chamber."""
     lam = fundamental(lambda_type)
-    return all(is_dominant(lam + g) for g in path.turning_points())
+    D = _denominator(path.m)
+    return all(min(_int_profile(path, i, D)[1]) >= -D * pair_coroot(lam, i)
+               for i in (0, 1))

@@ -8,18 +8,20 @@ iff phi_i(left) >= epsilon_i(right); otherwise they act on the right
 factor, and a kill on the chosen factor kills the pair.  The rule is not
 an axiom here: concat_path_op applies the path root operator to the
 concatenation of the two LS paths and re-splits, and the test suite
-checks the two agree on every pair at desk scale.
+checks the two agree on every pair at desk scale.  The oracle scales
+durations to ints by D = lcm(1, ..., M + 1), M the larger initial index,
+and reflects `Weight` velocities, so it shares nothing with the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import weights
 from .partitions import (ChargedPartition, _add_box, _reduced, _remove_box,
                          weight_of)
-from .paths import LSPath, _integer, direction_weight
+from .paths import (LSPath, _crossing, _denominator, _int_chain, _int_profile,
+                    _minimum, direction_weight)
 from .weights import Weight, pair_coroot
 from .weyl import (WeylElement, bruhat_ideal_min, coset_element,
                    double_coset_min, double_coset_min_index)
@@ -97,60 +99,43 @@ def associated_weyl_element_by_minima(t: TensorElement) -> WeylElement:
 
 # --- concatenated-path oracle ------------------------------------------
 
-def _cut_at(pieces, tcut: Fraction):
-    out = []
-    t = Fraction(0)
+def _cut_at(pieces, tcut: int):
+    out, t = [], 0
     for v, d in pieces:
-        if t < tcut < t + d:
-            out.append((v, tcut - t))
-            out.append((v, t + d - tcut))
-        else:
-            out.append((v, d))
+        out += [(v, tcut - t), (v, t + d - tcut)] if t < tcut < t + d else [(v, d)]
         t += d
     return out
 
 
-def _apply_root_operator(pieces, i: int, op: str):
-    """Generic path root operator on a (velocity, duration) list: reflect
-    the window between the extreme attainment of the minimum of the
-    pairing profile and its first return to minimum + 1.  Valid for
-    integral paths (all local minima of the profile at integers), which
-    covers LS paths and their concatenations."""
-    times = [Fraction(0)]
-    H = [Fraction(0)]
+def _apply_root_operator(pieces, i: int, op: str, D: int):
+    """Generic path root operator on a (velocity, duration) list with
+    durations scaled by D: reflect the window between the extreme
+    attainment of the minimum of the pairing profile and its first return
+    to minimum + 1.  Valid for integral paths (all local minima of the
+    profile at integers), which covers LS paths and their concatenations."""
+    times, H = [0], [0]
     for v, d in pieces:
         times.append(times[-1] + d)
         H.append(H[-1] + pair_coroot(v, i) * d)
-    Q = _integer(min(H))
+    Q = _minimum(H, D)
+    # a return exists: H[-1] >= Q + D for f, and H[0] = 0 >= Q + D for e
     if op == "f":
-        if H[-1] - Q < 1:
+        if H[-1] - Q < D:
             return None
         k = max(j for j in range(len(H)) if H[j] == Q)
-        lo = times[k]
-        hi = None
-        for j in range(k + 1, len(H)):
-            if H[j] >= Q + 1:
-                hi = times[j - 1] + ((Q + 1 - H[j - 1])
-                                     * (times[j] - times[j - 1]) / (H[j] - H[j - 1]))
-                break
+        j = next(j for j in range(k + 1, len(H)) if H[j] >= Q + D)
+        lo, hi = times[k], _crossing(times[j - 1], H[j - 1], times[j], H[j], Q + D)
     elif op == "e":
         if Q >= 0:
             return None
         k = min(j for j in range(len(H)) if H[j] == Q)
-        hi = times[k]
-        lo = None
-        for j in range(k - 1, -1, -1):
-            if H[j] >= Q + 1:
-                lo = times[j] + ((Q + 1 - H[j])
-                                 * (times[j + 1] - times[j]) / (H[j + 1] - H[j]))
-                break
+        j = next(j for j in range(k - 1, -1, -1) if H[j] >= Q + D)
+        lo, hi = _crossing(times[j], H[j], times[j + 1], H[j + 1], Q + D), times[k]
     else:
         raise ValueError("op must be 'f' or 'e'")
-    if lo is None or hi is None:
-        raise AssertionError("the pairing profile never returns to minimum + 1")
     pieces = _cut_at(_cut_at(pieces, lo), hi)
     out = []
-    t = Fraction(0)
+    t = 0
     for v, d in pieces:
         inside = lo <= t and t + d <= hi
         out.append((weights.reflect(i, v), d) if inside else (v, d))
@@ -168,20 +153,18 @@ def _direction_index(shape: int, v: Weight) -> int:
     return k
 
 
-def _lspath_from_pieces(shape: int, pieces) -> LSPath:
-    merged: list[tuple[Weight, Fraction]] = []
+def _lspath_from_pieces(shape: int, pieces, D: int) -> LSPath:
+    velocities, times = [], [0]
     for v, d in pieces:
-        if merged and merged[-1][0] == v:
-            merged[-1] = (v, merged[-1][1] + d)
+        if velocities and velocities[-1] == v:
+            times[-1] += d
         else:
-            merged.append((v, d))
-    if sum(d for _, d in merged) != 1:
+            velocities.append(v)
+            times.append(times[-1] + d)
+    if times[-1] != D:
         raise ValueError("piece durations must total 1")
-    indices = [_direction_index(shape, v) for v, _ in merged]
-    times = [Fraction(0)]
-    for _, d in merged:
-        times.append(times[-1] + d)
-    return LSPath.from_chain(shape, indices, times)
+    return _int_chain(shape, [_direction_index(shape, v) for v in velocities],
+                      times, D)
 
 
 def concat_path_op(i: int, left_path: LSPath, right_path: LSPath,
@@ -189,20 +172,26 @@ def concat_path_op(i: int, left_path: LSPath, right_path: LSPath,
     """Apply a root operator to the concatenation of two LS paths and
     split the result back into a pair of LS paths of the same shapes.
     The operator is reparametrisation-invariant, so the concatenation is
-    taken piecewise with the junction at accumulated duration 1."""
-    pieces = left_path.pieces() + right_path.pieces()
-    result = _apply_root_operator(pieces, i, op)
+    taken piecewise with the junction at accumulated duration 1.  Every
+    duration is scaled by one D that holds the turning times of both
+    factors and of their images."""
+    D = _denominator(max(left_path.m, right_path.m))
+    pieces = []
+    for path in (left_path, right_path):
+        times = _int_profile(path, 0, D)[0]
+        pieces += [(direction_weight(path.shape, k), times[j + 1] - times[j])
+                   for j, k in enumerate(path.direction_indices)]
+    result = _apply_root_operator(pieces, i, op, D)
     if result is None:
         return None
-    result = _cut_at(result, Fraction(1))
     first, second = [], []
-    t = Fraction(0)
-    for v, d in result:
-        (first if t < 1 else second).append((v, d))
+    t = 0
+    for v, d in _cut_at(result, D):
+        (first if t < D else second).append((v, d))
         t += d
     try:
-        return (_lspath_from_pieces(left_path.shape, first),
-                _lspath_from_pieces(right_path.shape, second))
+        return (_lspath_from_pieces(left_path.shape, first, D),
+                _lspath_from_pieces(right_path.shape, second, D))
     except ValueError as exc:
         raise AssertionError(
             "root operator left the set of path concatenations: %s" % exc)

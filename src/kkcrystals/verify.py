@@ -12,6 +12,7 @@ command-line `verify` subcommand and the test suite both drive these.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 from .iso import partition_to_path, path_to_partition
 from .kk import (KKSpec, MultiplicityTable, decomposition,
@@ -20,11 +21,12 @@ from .kk import (KKSpec, MultiplicityTable, decomposition,
 from .partitions import (ChargedPartition, Signature, closed_form_signature,
                          e_op, enumerate_regular, epsilon, f_op, phi,
                          reduce_signature, signature, weight_of)
-from .paths import LSPath, e_path, f_path, h_function, is_lambda_dominant
+from .paths import (LSPath, _denominator, _int_profile, direction_weight,
+                    e_path, f_path, h_function, is_lambda_dominant, shape_sign)
 from .tensor import (TensorElement, associated_weyl_element,
                      associated_weyl_element_by_minima, concat_path_op,
                      is_highest_weight, tensor_e, tensor_f)
-from .weights import simple_root
+from .weights import act, fundamental, simple_root
 from .weyl import (WeylElement, bruhat_ideal, bruhat_ideal_min, bruhat_leq,
                    coset_element, double_coset_min, double_coset_min_index,
                    left_multiply)
@@ -140,10 +142,10 @@ def distinct_part_counts(max_total: int, parity: int) -> list[int]:
     return counts
 
 
-def string_length(x, op, i: int) -> int:
-    """How many times in a row op(., i) applies, starting at x."""
+def string_length(x, op, i: int, bound: int) -> int:
+    """How many times in a row op(., i) applies from x, at most bound + 1."""
     k = 0
-    while (x := op(x, i)) is not None:
+    while k <= bound and (x := op(x, i)) is not None:
         k += 1
     return k
 
@@ -283,16 +285,34 @@ def check_string_lengths(max_boxes: int = 10) -> CheckResult:
             for cp in enumerate_regular(charge, max_boxes):
                 for i in (0, 1):
                     res.count()
-                    if string_length(cp, e_op, i) != epsilon(cp, i):
+                    eps, ph = epsilon(cp, i), phi(cp, i)
+                    if string_length(cp, e_op, i, eps) != eps:
                         res.fail("epsilon mismatch at %s, i=%d" % (cp, i))
-                    if string_length(cp, f_op, i) != phi(cp, i):
+                    if string_length(cp, f_op, i, ph) != ph:
                         res.fail("phi mismatch at %s, i=%d" % (cp, i))
     return res
+
+
+def iso_disagreement(cp: ChargedPartition, i: int) -> str | None:
+    """Where the bijection fails to carry f_i and e_i at cp to the path
+    operators, or those fail to undo each other; None when they pass."""
+    path = partition_to_path(cp)
+    for op, cp_op, path_op, back, undo in (("f", f_op, f_path, "e", e_path),
+                                           ("e", e_op, e_path, "f", f_path)):
+        image_cp, image_path = cp_op(cp, i), path_op(path, i)
+        if (image_cp is None) != (image_path is None):
+            return "%s kill mismatch at %s, i=%d" % (op, cp, i)
+        if image_cp is not None and partition_to_path(image_cp) != image_path:
+            return "%s images differ at %s, i=%d" % (op, cp, i)
+        if image_path is not None and undo(image_path, i) != path:
+            return "%s %s != id on paths at %s, i=%d" % (back, op, cp, i)
+    return None
 
 
 def check_iso_commutation(max_boxes: int = 12) -> CheckResult:
     with CheckResult("partition/path bijection commutes with the operators") as res:
         for charge in (0, 1):
+            sign, lam = shape_sign(charge), fundamental(charge)
             for cp in enumerate_regular(charge, max_boxes):
                 path = partition_to_path(cp)
                 res.count()
@@ -303,19 +323,13 @@ def check_iso_commutation(max_boxes: int = 12) -> CheckResult:
                 if (path.initial_direction().index,
                         path.final_direction().index) != cp.bounding_rect:
                     res.fail("directions miss the bounding rectangle at %s" % cp)
+                for k in (path.m, path.n):
+                    if direction_weight(charge, k) != act(coset_element(sign, k), lam):
+                        res.fail("direction weight %d is off at %s" % (k, cp))
                 for i in (0, 1):
-                    for op, cp_op, path_op, back, undo in (
-                            ("f", f_op, f_path, "e", e_path),
-                            ("e", e_op, e_path, "f", f_path)):
-                        image_cp, image_path = cp_op(cp, i), path_op(path, i)
-                        if (image_cp is None) != (image_path is None):
-                            res.fail("%s kill mismatch at %s, i=%d" % (op, cp, i))
-                        elif (image_cp is not None
-                              and partition_to_path(image_cp) != image_path):
-                            res.fail("%s images differ at %s, i=%d" % (op, cp, i))
-                        if image_path is not None and undo(image_path, i) != path:
-                            res.fail("%s %s != id on paths at %s, i=%d"
-                                     % (back, op, cp, i))
+                    message = iso_disagreement(cp, i)
+                    if message:
+                        res.fail(message)
     return res
 
 
@@ -333,15 +347,9 @@ def check_path_bijectivity(m_max: int = 12) -> CheckResult:
 
 def _box_partitions(max_part: int, max_len: int):
     """Weakly decreasing tuples with at most max_len entries in
-    1..max_part (possibly empty)."""
-    def rec(bound, remaining):
-        yield ()
-        if remaining == 0:
-            return
-        for first in range(bound, 0, -1):
-            for rest in rec(first, remaining - 1):
-                yield (first,) + rest
-    yield from rec(max_part, max_len)
+    1..max_part (possibly empty), shortest first."""
+    for length in range(max_len + 1):
+        yield from combinations_with_replacement(range(max_part, 0, -1), length)
 
 
 def check_dominance(max_boxes: int = 12) -> CheckResult:
@@ -364,9 +372,14 @@ def check_path_integrality(max_boxes: int = 12) -> CheckResult:
         for charge in (0, 1):
             for cp in enumerate_regular(charge, max_boxes):
                 path = partition_to_path(cp)
+                D = _denominator(path.m)
                 for i in (0, 1):
                     res.count()
-                    values = [v for _, v in h_function(path, i).points]
+                    points = h_function(path, i).points
+                    scaled = list(zip(*_int_profile(path, i, D)))
+                    if scaled != [(t * D, h * D) for t, h in points]:
+                        res.fail("scaled profile differs at %s, i=%d" % (cp, i))
+                    values = [v for _, v in points]
                     for k in range(1, len(values) - 1):
                         if values[k] < values[k - 1] and values[k] <= values[k + 1]:
                             if values[k].denominator != 1:

@@ -79,10 +79,10 @@ def test_criterion_7_kk_crystal_invariance():
 
 
 def test_criterion_8_tensor_convention_oracle():
-    result = check_tensor_convention(side_boxes=8)
+    result = check_tensor_convention(side_boxes=10)
     assert result.ok, result.failures
     _report(8, "tensor rule equals concatenated-path operators on %d checks "
-               "(<= 8 boxes per side)" % result.cases)
+               "(<= 10 boxes per side)" % result.cases)
 
 
 def test_criterion_9_bruhat_closed_form():

@@ -1,11 +1,15 @@
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from kkcrystals import partitions
+from kkcrystals import partitions, paths, tensor, verify
 from kkcrystals.cli import main
 from kkcrystals.verify import CheckResult
 
@@ -263,6 +267,59 @@ def test_verify_reports_a_broken_kernel(mutation, capsys, monkeypatch):
     code, out, _ = run(["verify", "signatures"], capsys)
     assert code == 1
     assert any(line.startswith("FAIL ") for line in out.splitlines())
+
+
+# one-line edits of the path layer: (module, function, text, replacement,
+# the verify suite that must catch it)
+BROKEN_PATH_LAYERS = {
+    "crossing time one unit late": (
+        paths, "_crossing", "return t0 + dt", "return t0 + dt + 1", "tensor"),
+    "leftmost minimum lowered": (
+        paths, "f_path", "p = len(H) - 1 - H[::-1].index(Q)",
+        "p = H.index(Q)", "iso"),
+    "merge test negated": (
+        paths, "f_path", "merge = p >= 1 and reflected[0] == idx[p - 1]",
+        "merge = not (p >= 1 and reflected[0] == idx[p - 1])", "iso"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(BROKEN_PATH_LAYERS))
+def test_verify_reports_a_broken_path_layer(mutation, capsys, monkeypatch):
+    module, name, old, new, suite = BROKEN_PATH_LAYERS[mutation]
+    original = getattr(module, name)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    # every module that imported the function by name gets the edit too
+    for user in (paths, tensor, verify):
+        if getattr(user, name, None) is original:
+            monkeypatch.setattr(user, name, namespace[name])
+    code, out, _ = run(["verify", suite], capsys)
+    assert code == 1
+    assert any(line.startswith("FAIL ") for line in out.splitlines())
+
+
+# an f_0 that always applies at row 0, so its string never ends
+ENDLESS_STRING = textwrap.dedent("""
+    import sys
+
+    from kkcrystals import partitions
+    from kkcrystals.cli import main
+
+    partitions._reduced = lambda cp, i: (1, 0, 0, -1)
+    sys.exit(main(["verify", "signatures", "--max-boxes", "4"]))
+""")
+
+
+def test_verify_ends_on_an_endless_operator_string():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", ENDLESS_STRING],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert any(line.startswith("FAIL ") for line in done.stdout.splitlines())
+    assert "Traceback" not in done.stderr
 
 
 def test_a_check_that_raises_keeps_its_name_and_cases():

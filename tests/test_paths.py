@@ -4,10 +4,13 @@ import pytest
 
 from kkcrystals.iso import partition_to_path
 from kkcrystals.partitions import ChargedPartition, enumerate_regular
-from kkcrystals.paths import (LSPath, e_path, f_path, h_function,
-                              is_lambda_dominant, path_epsilon, path_phi)
+from kkcrystals.paths import (LSPath, direction_weight, e_path, f_path,
+                              h_function, is_lambda_dominant, path_epsilon,
+                              path_phi)
 from kkcrystals.verify import check_path_integrality, string_length
-from kkcrystals.weights import ALPHA0, ALPHA1, LAMBDA0, Weight
+from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, Weight, act,
+                                fundamental)
+from kkcrystals.weyl import coset_element
 
 STRAIGHT0 = LSPath(0, 0, ())
 STRAIGHT1 = LSPath(1, 0, ())
@@ -87,8 +90,16 @@ def test_string_lengths_match_profile_extrema():
     for cp in enumerate_regular(0, 10):
         path = partition_to_path(cp)
         for i in (0, 1):
-            assert string_length(path, e_path, i) == path_epsilon(path, i)
-            assert string_length(path, f_path, i) == path_phi(path, i)
+            eps, ph = path_epsilon(path, i), path_phi(path, i)
+            assert string_length(path, e_path, i, eps) == eps
+            assert string_length(path, f_path, i, ph) == ph
+
+
+def test_direction_weight_closed_form():
+    for shape in (0, 1):
+        sign, lam = "+-"[shape], fundamental(shape)
+        for k in range(600):
+            assert direction_weight(shape, k) == act(coset_element(sign, k), lam)
 
 
 def test_integer_local_minima():

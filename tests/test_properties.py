@@ -9,8 +9,8 @@ from kkcrystals.iso import partition_to_path
 from kkcrystals.partitions import (ChargedPartition, enumerate_regular,
                                    reduce_signature, signature)
 from kkcrystals.tensor import TensorElement
-from kkcrystals.verify import (inverse_disagreement, kernel_disagreement,
-                               tensor_rule_disagreement)
+from kkcrystals.verify import (inverse_disagreement, iso_disagreement,
+                               kernel_disagreement, tensor_rule_disagreement)
 
 LABELS = st.sampled_from((0, 1))
 SMALL_RIGHTS = enumerate_regular(0, 6)
@@ -44,6 +44,12 @@ def test_kernel_matches_the_column_scan(cp, i):
 @given(regular_partitions(), LABELS)
 def test_operators_are_partial_inverses_with_the_weight_step(cp, i):
     assert inverse_disagreement(cp, i) is None
+
+
+@given(regular_partitions(), LABELS)
+def test_bijection_commutes_with_the_operators(cp, i):
+    # path turning times here have denominators of several hundred bits
+    assert iso_disagreement(cp, i) is None
 
 
 @given(regular_partitions(), st.sampled_from(SMALL_RIGHTS), LABELS,

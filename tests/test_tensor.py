@@ -58,11 +58,12 @@ def test_concat_examples():
 
 def test_direction_index_is_read_off_the_weight():
     # no search over the directions before it, however far out it lies
-    far = [(direction_weight(0, 5000), Fraction(1))]
-    assert _lspath_from_pieces(0, far) == LSPath(0, 5000, ())
+    # (a single piece of duration 1, scaled by D = 1)
+    far = [(direction_weight(0, 5000), 1)]
+    assert _lspath_from_pieces(0, far, 1) == LSPath(0, 5000, ())
     for off_orbit in (direction_weight(1, 3), Weight(Fraction(1, 2), 0, 0)):
         with pytest.raises(ValueError):
-            _lspath_from_pieces(0, [(off_orbit, Fraction(1))])
+            _lspath_from_pieces(0, [(off_orbit, 1)], 1)
 
 
 def test_weight_additivity():
