@@ -98,7 +98,8 @@ def _cmd_convert(args) -> int:
     if text.startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nested deeper than the decoder can follow
             _fail("malformed JSON: %s" % exc, 2)
         if "parts" in data:
             _convert_partition(data)

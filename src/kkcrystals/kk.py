@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .partitions import ChargedPartition, enumerate_regular
 from .tensor import (CrystalGraph, TensorElement, associated_weyl_element,
-                     crystal_graph, is_highest_weight)
+                     crystal_graph, is_highest_weight, tensor_pairs)
 from .weights import Weight, fundamental, simple_root
 from .weyl import bruhat_leq, coset_element
 
@@ -81,21 +81,6 @@ class MultiplicityTable:
         out = {"cutoff": self.cutoff, "a": list(self.a)}
         if self.b is not None:
             out["b"] = list(self.b)
-        return out
-
-    def summands(self, lambda_type: int) -> list[str]:
-        """Nonzero irreducible summands as display strings."""
-        base = "2Λ0" if lambda_type == 0 else "Λ0 + Λ1"
-        out = []
-        for n in range(self.cutoff + 1):
-            if self.a[n]:
-                head = base if n == 0 else "%s - %dδ" % (base, n)
-                out.append("V(%s) × %d" % (head, self.a[n]))
-        if self.b is not None:
-            for n in range(self.cutoff + 1):
-                if self.b[n]:
-                    head = "2Λ0 - α0" if n == 0 else "2Λ0 - α0 - %dδ" % n
-                    out.append("V(%s) × %d" % (head, self.b[n]))
         return out
 
 
@@ -196,12 +181,8 @@ def decomposition_via_crystal(spec: KKSpec, cutoff: int) -> MultiplicityTable:
 def kk_crystal_members(spec: KKSpec, max_boxes: int) -> list[TensorElement]:
     """Every member with at most max_boxes boxes in total, in canonical
     order."""
-    out = []
-    for b1 in enumerate_regular(spec.lambda_type, max_boxes):
-        for b2 in enumerate_regular(0, max_boxes - b1.size):
-            t = TensorElement(b1, b2)
-            if in_kk_crystal(spec, t):
-                out.append(t)
+    out = [t for t in tensor_pairs(spec.lambda_type, max_boxes)
+           if in_kk_crystal(spec, t)]
     out.sort(key=lambda t: (t.total_boxes, t.left.parts, t.right.parts))
     return out
 

@@ -102,13 +102,6 @@ class Signature:
         return " ".join(s for s, _ in self.entries)
 
 
-def box_label(cp: ChargedPartition, r: int, c: int) -> int:
-    """Label of the box in row r, column c (both 1-based)."""
-    if r < 1 or r > len(cp.parts) or c < 1 or c > cp.parts[r - 1]:
-        raise ValueError("box (%d, %d) is not in the diagram of %s" % (r, c, cp))
-    return (cp.charge - r + c) % 2
-
-
 def signature(cp: ChargedPartition, i: int) -> Signature:
     """Scan columns 1 .. largest+1 and record '+' for each column where a
     box labelled i is addable at the bottom, '-' where the bottom box is
@@ -232,19 +225,6 @@ def weight_of(cp: ChargedPartition) -> Weight:
     # Λ_c - n0 α0 - n1 α1 with α0 = (2, -2, 1) and α1 = (-2, 2, 0)
     step = 2 * (counts[1] - counts[0])
     return Weight(1 - cp.charge + step, cp.charge - step, -counts[0])
-
-
-def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Transpose of a partition (column lengths)."""
-    if not parts:
-        return ()
-    out = []
-    height = len(parts)
-    for c in range(1, parts[0] + 1):
-        while parts[height - 1] < c:
-            height -= 1
-        out.append(height)
-    return tuple(out)
 
 
 def gap_conjugate(cp: ChargedPartition) -> tuple[int, ...]:

@@ -30,7 +30,7 @@ from math import lcm
 
 from . import weights
 from .weights import Weight, fundamental, pair_coroot
-from .weyl import CosetRep, coset_action
+from .weyl import coset_action
 
 
 def shape_sign(shape: int) -> str:
@@ -120,12 +120,6 @@ class LSPath:
             out.append(out[-1] + (ts[j + 1] - ts[j]) * direction_weight(self.shape, k))
         return out
 
-    def initial_direction(self) -> CosetRep:
-        return CosetRep(shape_sign(self.shape), self.m)
-
-    def final_direction(self) -> CosetRep:
-        return CosetRep(shape_sign(self.shape), self.n)
-
     def to_json(self) -> dict:
         return {"shape": "L%d" % self.shape, "n": self.n, "steps": list(self.steps)}
 
@@ -192,18 +186,6 @@ class PiecewiseLinearH:
         for (t0, v0), (t1, v1) in zip(self.points, self.points[1:]):
             if ((v1 - v0) / (t1 - t0)).denominator != 1:
                 raise ValueError("slopes must be integers")
-
-    def minimum(self) -> Fraction:
-        return min(v for _, v in self.points)
-
-    def value_at(self, t) -> Fraction:
-        t = Fraction(t)
-        if t < 0 or t > 1:
-            raise ValueError("time must lie in [0, 1]")
-        for (t0, v0), (t1, v1) in zip(self.points, self.points[1:]):
-            if t <= t1:
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        return self.points[-1][1]
 
 
 def h_function(path: LSPath, i: int) -> PiecewiseLinearH:

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 from . import weights
 from .partitions import (ChargedPartition, _add_box, _reduced, _remove_box,
-                         weight_of)
+                         enumerate_regular, weight_of)
 from .paths import (LSPath, _crossing, _denominator, _int_chain, _int_profile,
                     _minimum, direction_weight)
 from .weights import Weight, pair_coroot
-from .weyl import (WeylElement, bruhat_ideal_min, coset_element,
-                   double_coset_min, double_coset_min_index)
+from .weyl import WeylElement, coset_element, double_coset_min_index
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,21 @@ class TensorElement:
         return self.display()
 
 
+def tensor_pairs(charge: int, max_boxes: int):
+    """Every pair with at most max_boxes boxes in total, left factor of
+    the given charge: left factors in enumeration order, and under each
+    the right factors that fit, in enumeration order.  The right factors
+    are listed once; the list is sorted by size, so each left factor
+    stops at the first one that no longer fits."""
+    rights = enumerate_regular(0, max_boxes)
+    for left in enumerate_regular(charge, max_boxes):
+        room = max_boxes - left.size
+        for right in rights:
+            if right.size > room:
+                break
+            yield TensorElement(left, right)
+
+
 def tensor_f(i: int, t: TensorElement) -> TensorElement | None:
     left_phi, _, left_row, _ = _reduced(t.left, i)
     right_phi, right_eps, right_row, _ = _reduced(t.right, i)
@@ -80,21 +94,12 @@ def is_highest_weight(t: TensorElement) -> bool:
 
 def associated_weyl_element(t: TensorElement) -> WeylElement:
     """The minimal double-coset element attached to the pair, in closed
-    form from the bounding rectangles: governs submodule membership."""
+    form from the bounding rectangles: governs submodule membership.
+    verify.check_double_coset_index checks the closed form against the
+    wedge route min W_lambda I(tau^{-1}) w_m^+ W_0."""
     n = len(t.left.parts)
     m = t.right.parts[0] if t.right.parts else 0
     return coset_element("+", double_coset_min_index(t.left.charge, n, m))
-
-
-def associated_weyl_element_by_minima(t: TensorElement) -> WeylElement:
-    """Same element computed the long way: iterated wedges over the
-    inverse of the final direction of the left path, applied to the
-    initial direction of the right path, then the double-coset minimum."""
-    n = len(t.left.parts)
-    m = t.right.parts[0] if t.right.parts else 0
-    tau = coset_element("+" if t.left.charge == 0 else "-", n)
-    z = bruhat_ideal_min(tau.inverse(), coset_element("+", m))
-    return double_coset_min(t.left.charge, z, 0)
 
 
 # --- concatenated-path oracle ------------------------------------------

@@ -16,16 +16,15 @@ from itertools import combinations_with_replacement
 
 from .iso import partition_to_path, path_to_partition
 from .kk import (KKSpec, MultiplicityTable, decomposition,
-                 decomposition_via_crystal, in_kk_crystal,
+                 decomposition_via_crystal, dominant_set, in_kk_crystal,
                  in_kk_crystal_by_weyl, kk_crystal_members)
 from .partitions import (ChargedPartition, Signature, closed_form_signature,
                          e_op, enumerate_regular, epsilon, f_op, phi,
                          reduce_signature, signature, weight_of)
 from .paths import (LSPath, _denominator, _int_profile, direction_weight,
                     e_path, f_path, h_function, is_lambda_dominant, shape_sign)
-from .tensor import (TensorElement, associated_weyl_element,
-                     associated_weyl_element_by_minima, concat_path_op,
-                     is_highest_weight, tensor_e, tensor_f)
+from .tensor import (TensorElement, associated_weyl_element, concat_path_op,
+                     is_highest_weight, tensor_e, tensor_f, tensor_pairs)
 from .weights import act, fundamental, simple_root
 from .weyl import (WeylElement, bruhat_ideal, bruhat_ideal_min, bruhat_leq,
                    coset_element, double_coset_min, double_coset_min_index,
@@ -127,21 +126,6 @@ def kernel_disagreement(cp: ChargedPartition, i: int,
     return None
 
 
-def distinct_part_counts(max_total: int, parity: int) -> list[int]:
-    """counts[n] is the number of sets of distinct positive integers of
-    the given parity that sum to n, found by listing every such set with
-    sum at most max_total."""
-    counts = [0] * (max_total + 1)
-
-    def extend(total: int, smallest: int):
-        counts[total] += 1
-        for j in range(smallest, max_total - total + 1, 2):
-            extend(total + j, j + 2)
-
-    extend(0, 1 if parity == 1 else 2)
-    return counts
-
-
 def string_length(x, op, i: int, bound: int) -> int:
     """How many times in a row op(., i) applies from x, at most bound + 1."""
     k = 0
@@ -156,6 +140,28 @@ def all_elements(len_max: int) -> list[WeylElement]:
         out.append(WeylElement(length, 0))
         out.append(WeylElement(length, 1))
     return out
+
+
+def labelled_partitions(max_boxes: int):
+    """Every (charged partition, label) pair with at most max_boxes boxes,
+    charge 0 first, each partition with label 0 then label 1."""
+    for charge in (0, 1):
+        for cp in enumerate_regular(charge, max_boxes):
+            yield cp, 0
+            yield cp, 1
+
+
+def kk_specs(p_max: int):
+    """Every submodule crystal with p at most p_max, lambda_type 0 first."""
+    for lambda_type in (0, 1):
+        for p in _valid_p_values(lambda_type, p_max):
+            yield KKSpec(lambda_type, p)
+
+
+def _valid_p_values(lambda_type: int, p_max: int) -> list[int]:
+    if lambda_type == 0:
+        return [0] + [p for p in range(1, p_max + 1, 2)]
+    return [p for p in range(0, p_max + 1, 2)]
 
 
 # --- suites ---------------------------------------------------------------
@@ -221,33 +227,28 @@ def check_double_coset_index(index_max: int = 12) -> CheckResult:
 
 def check_signature_closed_form(max_boxes: int = 12) -> CheckResult:
     with CheckResult("closed-form signatures vs column scan") as res:
-        for charge in (0, 1):
-            for cp in enumerate_regular(charge, max_boxes):
-                if not cp.parts:
-                    continue
-                for i in (0, 1):
-                    res.count()
-                    if closed_form_signature(cp, i) != signature(cp, i).signs:
-                        res.fail("%s, i=%d" % (cp, i))
+        for cp, i in labelled_partitions(max_boxes):
+            if cp.parts:
+                res.count()
+                if closed_form_signature(cp, i) != signature(cp, i).signs:
+                    res.fail("%s, i=%d" % (cp, i))
     return res
 
 
 def check_reduction_oracle(max_boxes: int = 12) -> CheckResult:
     with CheckResult("stack cancellation vs reducible-substring deletion") as res:
-        for charge in (0, 1):
-            for cp in enumerate_regular(charge, max_boxes):
-                for i in (0, 1):
-                    res.count()
-                    sig = signature(cp, i)
-                    reduced = reduce_signature(sig)
-                    if reduced != formal_reduction(sig):
-                        res.fail("%s, i=%d" % (cp, i))
-                    signs = reduced.signs
-                    if signs != "+" * signs.count("+") + "-" * signs.count("-"):
-                        res.fail("reduced signature %r is not plus-then-minus" % signs)
-                    message = kernel_disagreement(cp, i, reduced)
-                    if message:
-                        res.fail(message)
+        for cp, i in labelled_partitions(max_boxes):
+            res.count()
+            sig = signature(cp, i)
+            reduced = reduce_signature(sig)
+            if reduced != formal_reduction(sig):
+                res.fail("%s, i=%d" % (cp, i))
+            signs = reduced.signs
+            if signs != "+" * signs.count("+") + "-" * signs.count("-"):
+                res.fail("reduced signature %r is not plus-then-minus" % signs)
+            message = kernel_disagreement(cp, i, reduced)
+            if message:
+                res.fail(message)
     return res
 
 
@@ -269,27 +270,23 @@ def inverse_disagreement(cp: ChargedPartition, i: int) -> str | None:
 
 def check_operator_inverses(max_boxes: int = 12) -> CheckResult:
     with CheckResult("raising and lowering operators are partial inverses") as res:
-        for charge in (0, 1):
-            for cp in enumerate_regular(charge, max_boxes):
-                for i in (0, 1):
-                    res.count()
-                    message = inverse_disagreement(cp, i)
-                    if message:
-                        res.fail(message)
+        for cp, i in labelled_partitions(max_boxes):
+            res.count()
+            message = inverse_disagreement(cp, i)
+            if message:
+                res.fail(message)
     return res
 
 
 def check_string_lengths(max_boxes: int = 10) -> CheckResult:
     with CheckResult("epsilon and phi count the operator string lengths") as res:
-        for charge in (0, 1):
-            for cp in enumerate_regular(charge, max_boxes):
-                for i in (0, 1):
-                    res.count()
-                    eps, ph = epsilon(cp, i), phi(cp, i)
-                    if string_length(cp, e_op, i, eps) != eps:
-                        res.fail("epsilon mismatch at %s, i=%d" % (cp, i))
-                    if string_length(cp, f_op, i, ph) != ph:
-                        res.fail("phi mismatch at %s, i=%d" % (cp, i))
+        for cp, i in labelled_partitions(max_boxes):
+            res.count()
+            eps, ph = epsilon(cp, i), phi(cp, i)
+            if string_length(cp, e_op, i, eps) != eps:
+                res.fail("epsilon mismatch at %s, i=%d" % (cp, i))
+            if string_length(cp, f_op, i, ph) != ph:
+                res.fail("phi mismatch at %s, i=%d" % (cp, i))
     return res
 
 
@@ -320,8 +317,7 @@ def check_iso_commutation(max_boxes: int = 12) -> CheckResult:
                     res.fail("round trip failed at %s" % cp)
                 if path.evaluate(1) != weight_of(cp):
                     res.fail("weights differ at %s" % cp)
-                if (path.initial_direction().index,
-                        path.final_direction().index) != cp.bounding_rect:
+                if (path.m, path.n) != cp.bounding_rect:
                     res.fail("directions miss the bounding rectangle at %s" % cp)
                 for k in (path.m, path.n):
                     if direction_weight(charge, k) != act(coset_element(sign, k), lam):
@@ -369,21 +365,19 @@ def check_dominance(max_boxes: int = 12) -> CheckResult:
 
 def check_path_integrality(max_boxes: int = 12) -> CheckResult:
     with CheckResult("pairing profiles have integer local minima") as res:
-        for charge in (0, 1):
-            for cp in enumerate_regular(charge, max_boxes):
-                path = partition_to_path(cp)
-                D = _denominator(path.m)
-                for i in (0, 1):
-                    res.count()
-                    points = h_function(path, i).points
-                    scaled = list(zip(*_int_profile(path, i, D)))
-                    if scaled != [(t * D, h * D) for t, h in points]:
-                        res.fail("scaled profile differs at %s, i=%d" % (cp, i))
-                    values = [v for _, v in points]
-                    for k in range(1, len(values) - 1):
-                        if values[k] < values[k - 1] and values[k] <= values[k + 1]:
-                            if values[k].denominator != 1:
-                                res.fail("%s, i=%d" % (cp, i))
+        for cp, i in labelled_partitions(max_boxes):
+            res.count()
+            path = partition_to_path(cp)
+            D = _denominator(path.m)
+            points = h_function(path, i).points
+            scaled = list(zip(*_int_profile(path, i, D)))
+            if scaled != [(t * D, h * D) for t, h in points]:
+                res.fail("scaled profile differs at %s, i=%d" % (cp, i))
+            values = [v for _, v in points]
+            for k in range(1, len(values) - 1):
+                if values[k] < values[k - 1] and values[k] <= values[k + 1]:
+                    if values[k].denominator != 1:
+                        res.fail("%s, i=%d" % (cp, i))
     return res
 
 
@@ -425,78 +419,59 @@ def check_tensor_structure(max_boxes: int = 10) -> CheckResult:
     with CheckResult("tensor weights, highest-weight law, monotone descent") as res:
         for charge in (0, 1):
             wanted = 1 if charge == 0 else 0
-            for b1 in enumerate_regular(charge, max_boxes):
-                for b2 in enumerate_regular(0, max_boxes - b1.size):
-                    t = TensorElement(b1, b2)
-                    res.count()
-                    classified = (not b1.parts
-                                  and all(p % 2 == wanted for p in b2.parts))
-                    if is_highest_weight(t) != classified:
-                        res.fail("highest-weight law fails at %s" % t)
-                    for i in (0, 1):
-                        down = tensor_f(i, t)
-                        if down is not None:
-                            if down.weight() != t.weight() - simple_root(i):
-                                res.fail("f weight step wrong at %s, i=%d" % (t, i))
-                            if tensor_e(i, down) != t:
-                                res.fail("e f != id at %s, i=%d" % (t, i))
-                        up = tensor_e(i, t)
-                        if up is not None and not bruhat_leq(
-                                associated_weyl_element(up),
-                                associated_weyl_element(t)):
-                            res.fail("raising increased the associated element at %s"
-                                     % (t,))
-                    if (associated_weyl_element(t)
-                            != associated_weyl_element_by_minima(t)):
-                        res.fail("associated element routes differ at %s" % t)
+            for t in tensor_pairs(charge, max_boxes):
+                res.count()
+                classified = (not t.left.parts
+                              and all(p % 2 == wanted for p in t.right.parts))
+                if is_highest_weight(t) != classified:
+                    res.fail("highest-weight law fails at %s" % t)
+                for i in (0, 1):
+                    down = tensor_f(i, t)
+                    if down is not None:
+                        if down.weight() != t.weight() - simple_root(i):
+                            res.fail("f weight step wrong at %s, i=%d" % (t, i))
+                        if tensor_e(i, down) != t:
+                            res.fail("e f != id at %s, i=%d" % (t, i))
+                    up = tensor_e(i, t)
+                    if up is not None and not bruhat_leq(
+                            associated_weyl_element(up),
+                            associated_weyl_element(t)):
+                        res.fail("raising increased the associated element at %s"
+                                 % (t,))
     return res
-
-
-def _valid_p_values(lambda_type: int, p_max: int) -> list[int]:
-    if lambda_type == 0:
-        return [0] + [p for p in range(1, p_max + 1, 2)]
-    return [p for p in range(0, p_max + 1, 2)]
 
 
 def check_kk_invariance(p_max: int = 5, max_boxes: int = 10) -> CheckResult:
     with CheckResult("submodule crystals are stable under the operators") as res:
-        for lambda_type in (0, 1):
-            for p in _valid_p_values(lambda_type, p_max):
-                spec = KKSpec(lambda_type, p)
-                for t in kk_crystal_members(spec, max_boxes):
-                    for i in (0, 1):
-                        res.count()
-                        for image in (tensor_f(i, t), tensor_e(i, t)):
-                            if image is not None and not in_kk_crystal(spec, image):
-                                res.fail("escaped K(%d, %d) at %s, i=%d"
-                                         % (lambda_type, p, t, i))
+        for spec in kk_specs(p_max):
+            for t in kk_crystal_members(spec, max_boxes):
+                for i in (0, 1):
+                    res.count()
+                    for image in (tensor_f(i, t), tensor_e(i, t)):
+                        if image is not None and not in_kk_crystal(spec, image):
+                            res.fail("escaped K(%d, %d) at %s, i=%d"
+                                     % (spec.lambda_type, spec.p, t, i))
     return res
 
 
 def check_kk_membership_routes(p_max: int = 5, max_boxes: int = 10) -> CheckResult:
     with CheckResult("rectangle membership vs Bruhat-bound membership") as res:
-        for lambda_type in (0, 1):
-            for p in _valid_p_values(lambda_type, p_max):
-                spec = KKSpec(lambda_type, p)
-                for b1 in enumerate_regular(lambda_type, max_boxes):
-                    for b2 in enumerate_regular(0, max_boxes - b1.size):
-                        t = TensorElement(b1, b2)
-                        res.count()
-                        if in_kk_crystal(spec, t) != in_kk_crystal_by_weyl(spec, t):
-                            res.fail("routes disagree for K(%d, %d) at %s"
-                                     % (lambda_type, p, t))
+        for spec in kk_specs(p_max):
+            for t in tensor_pairs(spec.lambda_type, max_boxes):
+                res.count()
+                if in_kk_crystal(spec, t) != in_kk_crystal_by_weyl(spec, t):
+                    res.fail("routes disagree for K(%d, %d) at %s"
+                             % (spec.lambda_type, spec.p, t))
     return res
 
 
 def check_kk_decomposition(p_max: int = 9, cutoff: int = 6) -> CheckResult:
     with CheckResult("generating-function tables vs highest-weight counts") as res:
-        for lambda_type in (0, 1):
-            for p in _valid_p_values(lambda_type, p_max):
-                spec = KKSpec(lambda_type, p)
-                res.count()
-                if (decomposition(spec, cutoff)
-                        != decomposition_via_crystal(spec, cutoff)):
-                    res.fail("tables differ for K(%d, %d)" % (lambda_type, p))
+        for spec in kk_specs(p_max):
+            res.count()
+            if (decomposition(spec, cutoff)
+                    != decomposition_via_crystal(spec, cutoff)):
+                res.fail("tables differ for K(%d, %d)" % (spec.lambda_type, spec.p))
     return res
 
 
@@ -504,7 +479,11 @@ def check_kk_stabilization(cutoff: int = 6) -> CheckResult:
     with CheckResult("large-p tables match the full tensor product") as res:
         for lambda_type in (0, 1):
             res.count()
-            coeffs = distinct_part_counts(2 * cutoff + 1, 1 - lambda_type)
+            # sets of distinct odd (lambda_type 0) or even parts, by sum
+            top = 2 * cutoff + 1
+            coeffs = [0] * (top + 1)
+            for b in dominant_set(lambda_type, top, top):
+                coeffs[b.size] += 1
             full = MultiplicityTable(coeffs[0::2],
                                      coeffs[1::2] if lambda_type == 0 else None,
                                      cutoff)

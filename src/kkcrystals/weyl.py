@@ -142,41 +142,6 @@ def bruhat_ideal_min(x: WeylElement, y: WeylElement) -> WeylElement:
     return z
 
 
-@dataclass(frozen=True)
-class CosetRep:
-    """Minimal representative w_n^+ or w_n^- of a coset modulo a
-    fundamental-weight stabilizer.
-
-    Plus representatives end in s0 on the right, minus representatives in
-    s1; index 0 is the identity for both signs.
-    """
-
-    sign: str
-    index: int
-
-    def __post_init__(self):
-        if self.sign not in ("+", "-"):
-            raise ValueError("sign must be '+' or '-'")
-        if self.index < 0:
-            raise ValueError("index must be nonnegative")
-
-    def element(self) -> WeylElement:
-        return coset_element(self.sign, self.index)
-
-    def to_string(self) -> str:
-        return "w%s%d" % (self.sign, self.index)
-
-    @classmethod
-    def from_string(cls, text: str) -> "CosetRep":
-        text = text.strip()
-        if not text.startswith("w") or len(text) < 3 or text[1] not in "+-":
-            raise ValueError("bad coset representative %r" % text)
-        return cls(text[1], int(text[2:]))
-
-    def __str__(self):
-        return self.to_string()
-
-
 def coset_element(sign: str, n: int) -> WeylElement:
     """The alternating word of length n ending in s0 ('+') or s1 ('-')."""
     if sign not in ("+", "-"):

@@ -1,0 +1,63 @@
+"""The public surface: what the package re-exports, and the names that
+tools outside the library (such as the perfbench tracer and workloads)
+look up on each module."""
+
+import importlib
+
+import kkcrystals
+
+# oracle routes the verify suites check the library against: importable
+# from their own modules, not re-exported by the package
+ORACLE_ROUTES = {
+    "partitions": ("signature", "Signature", "reduce_signature",
+                   "closed_form_signature"),
+    "kk": ("in_kk_crystal_by_weyl", "decomposition_via_crystal"),
+    "tensor": ("concat_path_op",),
+    "weyl": ("bruhat_ideal", "bruhat_ideal_min", "double_coset_min", "wedge"),
+}
+
+# every module the benchmark imports, with the names it looks up there
+MODULE_NAMES = {
+    "weyl": (),
+    "weights": ("Weight",),
+    "iso": ("partition_to_path", "path_to_partition"),
+    "partitions": ("ChargedPartition", "signature", "enumerate_regular",
+                   "e_op", "f_op", "phi", "epsilon"),
+    "paths": ("e_path", "f_path", "path_phi", "path_epsilon",
+              "direction_weight"),
+    "tensor": ("TensorElement", "concat_path_op", "tensor_e", "tensor_f",
+               "crystal_graph", "CrystalGraph"),
+    "kk": ("in_kk_crystal", "in_kk_crystal_by_weyl", "decomposition",
+           "decomposition_via_crystal", "kk_crystal_members"),
+    "verify": ("run_suites",),
+    "cli": ("main",),
+}
+METHODS = {"Weight": ("__post_init__", "__add__", "__sub__", "__neg__",
+                      "__mul__", "display"),
+           "CrystalGraph": ("to_dot",)}
+
+
+def test_oracle_routes_stay_in_their_modules():
+    exported = set(kkcrystals.__all__)
+    for module_name, names in ORACLE_ROUTES.items():
+        module = importlib.import_module("kkcrystals." + module_name)
+        for name in names:
+            assert name not in exported
+            assert callable(getattr(module, name))
+
+
+def test_every_exported_name_imports():
+    namespace = {}
+    exec("from kkcrystals import *", namespace)
+    assert all(name in namespace for name in kkcrystals.__all__)
+
+
+def test_names_reached_by_module_path_resolve():
+    for module_name, names in MODULE_NAMES.items():
+        module = importlib.import_module("kkcrystals." + module_name)
+        for name in names:
+            assert getattr(module, name).__module__ == module.__name__, name
+    for cls in (kkcrystals.weights.Weight, kkcrystals.tensor.CrystalGraph):
+        for method in METHODS[cls.__name__]:
+            assert callable(getattr(cls, method))
+    assert hasattr(kkcrystals.paths.direction_weight.cache_info(), "hits")

@@ -68,6 +68,15 @@ def test_convert_rejects_malformed_json(capsys):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("key", ["parts", "shape"])
+def test_convert_rejects_json_nested_past_the_decoder(key, capsys):
+    # deeper than the recursion limit lets json.loads follow
+    data = '{"%s": %s%s}' % (key, "[" * 3000, "]" * 3000)
+    code, out, err = run(["convert", data], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed JSON") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("data", [
     '{"parts": [3.7, 1], "charge": 0}',
     '{"parts": [3, 1], "charge": true}',
@@ -245,6 +254,28 @@ def test_verify_all_at_defaults(capsys):
     report = json.loads(out)
     assert len(report) == 19 and all(entry["ok"] for entry in report)
     assert sum(entry["cases"] for entry in report) == 23006
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["verify", "all"], 60),
+    (["graph", "--lambda", "0", "--p", "5", "--max-boxes", "20"], 2),
+], ids=["verify-all", "graph"])
+def test_pair_loops_list_the_factors_once(argv, limit, capsys, monkeypatch):
+    # one enumerate_regular call per factor list, not one per left factor
+    original = partitions.enumerate_regular
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "kkcrystals"
+                and getattr(module, "enumerate_regular", None) is original):
+            monkeypatch.setattr(module, "enumerate_regular", counted)
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    assert 0 < len(calls) <= limit
 
 
 # one-line edits of the kernel's source: (text, replacement)

@@ -131,13 +131,6 @@ def test_table_formats():
     assert decomposition(KKSpec(1, 2), 1).to_tsv() == "n\ta_n\n0\t1\n1\t1\n"
 
 
-def test_summands():
-    names = decomposition(KKSpec(0, 3), 4).summands(0)
-    assert names == ["V(2Λ0) × 1", "V(2Λ0 - 2δ) × 1",
-                     "V(2Λ0 - α0) × 1", "V(2Λ0 - α0 - 1δ) × 1"]
-    assert decomposition(KKSpec(1, 0), 2).summands(1) == ["V(Λ0 + Λ1) × 1"]
-
-
 def test_multiplicity_table_validation():
     with pytest.raises(ValueError):
         MultiplicityTable((1, 2), None, 2)

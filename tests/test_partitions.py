@@ -1,7 +1,7 @@
 import pytest
 
-from kkcrystals.partitions import (ChargedPartition, Signature, box_label,
-                                   closed_form_signature, conjugate, e_op,
+from kkcrystals.partitions import (ChargedPartition, Signature,
+                                   closed_form_signature, e_op,
                                    enumerate_regular, epsilon, f_op,
                                    gap_conjugate, phi, reduce_signature,
                                    signature, weight_of)
@@ -12,16 +12,6 @@ from kkcrystals.weights import ALPHA0, ALPHA1, LAMBDA0, LAMBDA1
 RUNNING = ChargedPartition((8, 6, 3, 1), 0)
 EMPTY0 = ChargedPartition((), 0)
 EMPTY1 = ChargedPartition((), 1)
-
-
-def test_box_labels():
-    assert box_label(RUNNING, 1, 1) == 0
-    assert box_label(RUNNING, 4, 1) == 1
-    assert box_label(ChargedPartition((1,), 1), 1, 1) == 1
-    with pytest.raises(ValueError):
-        box_label(RUNNING, 2, 7)
-    with pytest.raises(ValueError):
-        box_label(RUNNING, 5, 1)
 
 
 def test_signatures_of_the_running_example():
@@ -80,8 +70,6 @@ def test_gap_conjugate():
     assert gap_conjugate(EMPTY0) == ()
     assert gap_conjugate(ChargedPartition((2, 1), 0)) == ()
     assert gap_conjugate(ChargedPartition((2,), 0)) == (1,)
-    assert conjugate((4, 3, 1)) == (3, 2, 2, 1)
-    assert conjugate(()) == ()
 
 
 def test_closed_form_signature_examples():

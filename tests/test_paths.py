@@ -9,7 +9,7 @@ from kkcrystals.paths import (LSPath, direction_weight, e_path, f_path,
                               path_phi)
 from kkcrystals.verify import check_path_integrality, string_length
 from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, Weight, act,
-                                fundamental)
+                                fundamental, pair_coroot)
 from kkcrystals.weyl import coset_element
 
 STRAIGHT0 = LSPath(0, 0, ())
@@ -57,12 +57,14 @@ def test_h_function():
     h = h_function(STRAIGHT0, 0)
     assert h.points == ((0, 0), (1, 1))
     assert h_function(LSPath(0, 1, ()), 0).points[-1] == (1, -1)
-    flat = h_function(STRAIGHT1, 0)
-    assert flat.minimum() == 0 and flat.points == ((0, 0), (1, 0))
+    assert h_function(STRAIGHT1, 0).points == ((0, 0), (1, 0))
     running = h_function(RUNNING_PATH, 0)
-    assert running.minimum() == -1
-    assert running.value_at(Fraction(3, 5)) == -1
-    assert running.value_at(Fraction(4, 5)) == 0
+    assert min(v for _, v in running.points) == -1
+    # breakpoints are the pairings of the path at its turning times
+    for t, v in running.points:
+        assert v == pair_coroot(RUNNING_PATH.evaluate(t), 0)
+    assert (Fraction(3, 5), -1) in running.points
+    assert pair_coroot(RUNNING_PATH.evaluate(Fraction(4, 5)), 0) == 0
 
 
 def test_f_path_base_cases():
@@ -113,15 +115,6 @@ def test_dominance():
     two = partition_to_path(ChargedPartition((2,), 0))
     assert is_lambda_dominant(two, 1)
     assert not is_lambda_dominant(two, 0)
-
-
-def test_directions():
-    assert STRAIGHT0.initial_direction().to_string() == "w+0"
-    assert RUNNING_PATH.initial_direction().to_string() == "w+8"
-    assert RUNNING_PATH.final_direction().to_string() == "w+4"
-    minus = LSPath(1, 2, (1,))
-    assert minus.initial_direction().to_string() == "w-3"
-    assert minus.final_direction().to_string() == "w-2"
 
 
 def test_from_chain_rejects_junk():

@@ -7,8 +7,8 @@ from kkcrystals.paths import LSPath, direction_weight
 from kkcrystals.tensor import (TensorElement, _lspath_from_pieces,
                                associated_weyl_element, concat_path_op,
                                crystal_graph, is_highest_weight, tensor_e,
-                               tensor_f)
-from kkcrystals.verify import check_tensor_structure
+                               tensor_f, tensor_pairs)
+from kkcrystals.verify import check_double_coset_index, check_tensor_structure
 from kkcrystals.weights import Weight, simple_root
 from kkcrystals.weyl import IDENTITY, bruhat_leq, coset_element
 
@@ -102,10 +102,23 @@ def test_associated_weyl_element_examples():
 
 
 def test_associated_weyl_element_routes_agree():
-    # also: raising never increases the associated element, weight steps,
+    # the closed form against the wedge route on every (n, m) <= 12, which
+    # holds the bounding rectangles of every pair of <= 12 boxes
+    result = check_double_coset_index(12)
+    assert result.ok, result.failures
+    # raising never increases the associated element, weight steps,
     # e f = id and the highest-weight law, on every pair of <= 12 boxes
     result = check_tensor_structure(12)
     assert result.ok, result.failures
+
+
+def test_tensor_pairs_keep_the_nested_order():
+    for charge in (0, 1):
+        for n in range(13):
+            nested = [TensorElement(b1, b2)
+                      for b1 in enumerate_regular(charge, n)
+                      for b2 in enumerate_regular(0, n - b1.size)]
+            assert list(tensor_pairs(charge, n)) == nested
 
 
 def test_raising_never_increases_the_associated_element():

@@ -1,7 +1,7 @@
-from kkcrystals.weyl import (IDENTITY, CosetRep, WeylElement,
-                             bruhat_ideal_min, bruhat_leq, coset_element,
-                             double_coset_min, double_coset_min_index,
-                             generator, left_multiply, right_multiply, wedge)
+from kkcrystals.weyl import (IDENTITY, WeylElement, bruhat_ideal_min,
+                             bruhat_leq, coset_element, double_coset_min,
+                             double_coset_min_index, generator,
+                             left_multiply, right_multiply, wedge)
 from kkcrystals.verify import all_elements, check_ideal_min
 
 import pytest
@@ -57,13 +57,6 @@ def test_coset_representatives():
             elem = coset_element(sign, n)
             assert elem.last == (0 if sign == "+" else 1)
             assert bruhat_leq(coset_element(sign, n - 1), elem)
-
-
-def test_coset_rep_strings():
-    rep = CosetRep("+", 3)
-    assert rep.to_string() == "w+3"
-    assert CosetRep.from_string("w-2") == CosetRep("-", 2)
-    assert rep.element() == w("s0 s1 s0")
 
 
 def test_wedge():
