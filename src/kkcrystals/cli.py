@@ -17,7 +17,7 @@ from .iso import partition_to_path, path_to_partition
 from .kk import KKSpec, decomposition, decomposition_via_crystal, kk_crystal_graph
 from .partitions import ChargedPartition, enumerate_regular
 from .paths import LSPath
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 # largest part of a partition, and n + len(steps) of a path, that convert
 # accepts: the output grows with them, so larger inputs exit 2 up front
@@ -25,6 +25,9 @@ MAX_CONVERT_SIZE = 100_000
 # largest decompose cutoff: the cost grows with its square, so larger
 # cutoffs exit 2 up front
 MAX_DECOMPOSE_CUTOFF = 1_000
+# largest cutoff with --oracle: the oracle lists every charge-0 partition
+# of up to 2 cutoff + 1 boxes, a count exponential in the cutoff
+MAX_ORACLE_CUTOFF = 25
 SIZE_FLAGS = ("max_boxes", "len_max", "index_max", "p_max", "cutoff",
               "side_boxes")
 
@@ -147,11 +150,9 @@ def _spec(args) -> KKSpec:
 
 def _cmd_decompose(args) -> int:
     spec = _spec(args)
-    if args.cutoff < 0:
-        _fail("cutoff must be nonnegative", 2)
-    if args.cutoff > MAX_DECOMPOSE_CUTOFF:
-        _fail("cutoff %d exceeds the limit %d"
-              % (args.cutoff, MAX_DECOMPOSE_CUTOFF), 2)
+    limit = MAX_ORACLE_CUTOFF if args.oracle else MAX_DECOMPOSE_CUTOFF
+    if args.cutoff > limit:
+        _fail("cutoff %d exceeds the limit %d" % (args.cutoff, limit), 2)
     table = decomposition(spec, args.cutoff)
     agreement = None
     if args.oracle:
@@ -172,8 +173,6 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_graph(args) -> int:
     spec = _spec(args)
-    if args.max_boxes < 0:
-        _fail("max-boxes must be nonnegative", 2)
     graph = kk_crystal_graph(spec, args.max_boxes)
     payload = (graph.to_dot("kk_crystal") if args.format == "dot"
                else json.dumps(graph.to_json_obj(), sort_keys=True) + "\n")
@@ -190,11 +189,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    for flag in SIZE_FLAGS:
-        if getattr(args, flag) < 0:
-            _fail("%s must be nonnegative" % flag.replace("_", "-"), 2)
-    names = ["bruhat", "signatures", "iso", "tensor", "kk"] \
-        if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, **{flag: getattr(args, flag)
                                    for flag in SIZE_FLAGS})
     if args.json:
@@ -211,8 +206,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.max_boxes < 0:
-        _fail("max-boxes must be nonnegative", 2)
     items = enumerate_regular(args.charge, args.max_boxes)
     for cp in items:
         if args.format == "text":
@@ -224,6 +217,9 @@ def _cmd_enumerate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    for flag in SIZE_FLAGS:
+        if getattr(args, flag, 0) < 0:
+            _fail("%s must be nonnegative" % flag.replace("_", "-"), 2)
     handler = {
         "convert": _cmd_convert,
         "decompose": _cmd_decompose,

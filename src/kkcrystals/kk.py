@@ -128,6 +128,13 @@ def weight_of_dominant(lambda_type: int, b: ChargedPartition) -> Weight:
     return fundamental(0) + fundamental(1) - k * delta
 
 
+def _check_cutoff(cutoff):
+    if type(cutoff) is not int:
+        raise TypeError("cutoff must be an integer")
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+
+
 def _truncated_product(factors, max_degree: int) -> list[int]:
     coeffs = [0] * (max_degree + 1)
     coeffs[0] = 1
@@ -145,8 +152,7 @@ def decomposition(spec: KKSpec, cutoff: int) -> MultiplicityTable:
     factor with j above that degree cannot reach one, so the product
     stops at min(p, 2*cutoff + 1).  For p past that bound the table is
     the one of the whole tensor product."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    _check_cutoff(cutoff)
     max_degree = 2 * cutoff + 1
     first = 1 if spec.lambda_type == 0 else 2
     factors = range(first, min(spec.p, max_degree) + 1, 2)
@@ -159,8 +165,7 @@ def decomposition(spec: KKSpec, cutoff: int) -> MultiplicityTable:
 def decomposition_via_crystal(spec: KKSpec, cutoff: int) -> MultiplicityTable:
     """Independent oracle: count highest-weight pairs inside the crystal,
     bucketed by the size of the right factor."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    _check_cutoff(cutoff)
     a = [0] * (cutoff + 1)
     b = [0] * (cutoff + 1) if spec.lambda_type == 0 else None
     left = ChargedPartition((), spec.lambda_type)

@@ -284,6 +284,6 @@ def enumerate_regular(charge: int, max_boxes: int) -> list[ChargedPartition]:
         raise ValueError("max_boxes must be nonnegative")
     out = []
     for size in range(max_boxes + 1):
-        for parts in sorted(_distinct_partitions(size, size), reverse=True):
+        for parts in _distinct_partitions(size, size):
             out.append(ChargedPartition(parts, charge))
     return out

@@ -101,7 +101,7 @@ class LSPath:
         return tuple(ts)
 
     def evaluate(self, t) -> Weight:
-        t = Fraction(t)
+        t = weights._exact(t)
         if t < 0 or t > 1:
             raise ValueError("time must lie in [0, 1]")
         ts = self.times

@@ -11,7 +11,9 @@ command-line `verify` subcommand and the test suite both drive these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import inspect
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .iso import partition_to_path, path_to_partition
@@ -35,34 +37,37 @@ FAILURE_CAP = 5
 
 @dataclass
 class CheckResult:
-    """Cases and failures of one check.  A check runs its cases inside
-    `with CheckResult(name) as res:`, so an Exception raised by a case
-    ends the check with the failure "<ExceptionType>: <message>" and the
-    cases counted so far."""
+    """Cases and the first FAILURE_CAP failure messages of one check."""
 
     name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
+    cases: int
+    failures: list[str]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def count(self):
-        self.cases += 1
 
-    def fail(self, message: str):
-        if len(self.failures) < FAILURE_CAP:
-            self.failures.append(message)
-
-    def __enter__(self) -> "CheckResult":
-        return self
-
-    def __exit__(self, kind, exc, tb) -> bool:
-        if not isinstance(exc, Exception):
-            return False
-        self.fail("%s: %s" % (kind.__name__, exc))
-        return True
+def check(name: str):
+    """Make the check `name` of a generator that yields one outcome per
+    case, None or the case's first failure message.  An Exception, in a
+    case or in producing one, ends the check as one more failed case."""
+    def decorate(outcomes):
+        @functools.wraps(outcomes)
+        def run(*sizes, **named_sizes) -> CheckResult:
+            cases = outcomes(*sizes, **named_sizes)  # binds, runs nothing
+            count, failures = 0, []
+            try:
+                for outcome in cases:
+                    count += 1
+                    if outcome is not None and len(failures) < FAILURE_CAP:
+                        failures.append(outcome)
+            except Exception as exc:
+                count += 1
+                failures.append("%s: %s" % (type(exc).__name__, exc))
+            return CheckResult(name, count, failures[:FAILURE_CAP])
+        return run
+    return decorate
 
 
 # --- brute-force oracles -------------------------------------------------
@@ -166,39 +171,33 @@ def _valid_p_values(lambda_type: int, p_max: int) -> list[int]:
 
 # --- suites ---------------------------------------------------------------
 
-def check_bruhat_subword(len_max: int = 8) -> CheckResult:
-    with CheckResult("bruhat closed form vs subword oracle") as res:
-        elems = all_elements(len_max)
-        for u in elems:
-            for w in elems:
-                res.count()
-                if bruhat_leq(u, w) != subword_leq(u, w):
-                    res.fail("disagree on (%s, %s)" % (u, w))
-    return res
+@check("bruhat closed form vs subword oracle")
+def check_bruhat_subword(len_max: int):
+    elems = all_elements(len_max)
+    for u in elems:
+        for w in elems:
+            bad = bruhat_leq(u, w) != subword_leq(u, w)
+            yield "disagree on (%s, %s)" % (u, w) if bad else None
 
 
-def check_left_multiply_involution(len_max: int = 8) -> CheckResult:
-    with CheckResult("left multiplication is an involution per generator") as res:
-        for w in all_elements(len_max):
-            for g in (0, 1):
-                res.count()
-                if left_multiply(g, left_multiply(g, w)) != w:
-                    res.fail("s%d twice moved %s" % (g, w))
-    return res
+@check("left multiplication is an involution per generator")
+def check_left_multiply_involution(len_max: int):
+    for w in all_elements(len_max):
+        for g in (0, 1):
+            bad = left_multiply(g, left_multiply(g, w)) != w
+            yield "s%d twice moved %s" % (g, w) if bad else None
 
 
-def check_ideal_min(len_max: int = 6) -> CheckResult:
-    with CheckResult("iterated wedges compute the Bruhat-ideal minimum") as res:
-        elems = all_elements(len_max)
-        for x in elems:
-            ideal = bruhat_ideal(x)
-            for y in elems:
-                res.count()
-                z = bruhat_ideal_min(x, y)
-                orbit = [left_multiply_word(u, y) for u in ideal]
-                if z not in orbit or any(not bruhat_leq(z, v) for v in orbit):
-                    res.fail("min I(%s)%s gave %s" % (x, y, z))
-    return res
+@check("iterated wedges compute the Bruhat-ideal minimum")
+def check_ideal_min(len_max: int):
+    elems = all_elements(len_max)
+    for x in elems:
+        ideal = bruhat_ideal(x)
+        for y in elems:
+            z = bruhat_ideal_min(x, y)
+            orbit = [left_multiply_word(u, y) for u in ideal]
+            bad = z not in orbit or any(not bruhat_leq(z, v) for v in orbit)
+            yield "min I(%s)%s gave %s" % (x, y, z) if bad else None
 
 
 def left_multiply_word(u: WeylElement, y: WeylElement) -> WeylElement:
@@ -207,49 +206,42 @@ def left_multiply_word(u: WeylElement, y: WeylElement) -> WeylElement:
     return y
 
 
-def check_double_coset_index(index_max: int = 12) -> CheckResult:
-    with CheckResult("double-coset minimum closed form vs wedge route") as res:
-        for lambda_type in (0, 1):
-            sign = "+" if lambda_type == 0 else "-"
-            for n in range(index_max + 1):
-                tau = coset_element(sign, n)
-                for m in range(index_max + 1):
-                    res.count()
-                    z = bruhat_ideal_min(tau.inverse(), coset_element("+", m))
-                    w = double_coset_min(lambda_type, z, 0)
-                    expected = coset_element(
-                        "+", double_coset_min_index(lambda_type, n, m))
-                    if w != expected:
-                        res.fail("type %d, n=%d, m=%d: %s != %s"
-                                 % (lambda_type, n, m, w, expected))
-    return res
+@check("double-coset minimum closed form vs wedge route")
+def check_double_coset_index(index_max: int):
+    for lambda_type in (0, 1):
+        sign = "+" if lambda_type == 0 else "-"
+        for n in range(index_max + 1):
+            tau = coset_element(sign, n)
+            for m in range(index_max + 1):
+                z = bruhat_ideal_min(tau.inverse(), coset_element("+", m))
+                w = double_coset_min(lambda_type, z, 0)
+                expected = coset_element(
+                    "+", double_coset_min_index(lambda_type, n, m))
+                bad = w != expected
+                yield ("type %d, n=%d, m=%d: %s != %s"
+                       % (lambda_type, n, m, w, expected) if bad else None)
 
 
-def check_signature_closed_form(max_boxes: int = 12) -> CheckResult:
-    with CheckResult("closed-form signatures vs column scan") as res:
-        for cp, i in labelled_partitions(max_boxes):
-            if cp.parts:
-                res.count()
-                if closed_form_signature(cp, i) != signature(cp, i).signs:
-                    res.fail("%s, i=%d" % (cp, i))
-    return res
+@check("closed-form signatures vs column scan")
+def check_signature_closed_form(max_boxes: int):
+    for cp, i in labelled_partitions(max_boxes):
+        if cp.parts:
+            bad = closed_form_signature(cp, i) != signature(cp, i).signs
+            yield "%s, i=%d" % (cp, i) if bad else None
 
 
-def check_reduction_oracle(max_boxes: int = 12) -> CheckResult:
-    with CheckResult("stack cancellation vs reducible-substring deletion") as res:
-        for cp, i in labelled_partitions(max_boxes):
-            res.count()
-            sig = signature(cp, i)
-            reduced = reduce_signature(sig)
-            if reduced != formal_reduction(sig):
-                res.fail("%s, i=%d" % (cp, i))
-            signs = reduced.signs
-            if signs != "+" * signs.count("+") + "-" * signs.count("-"):
-                res.fail("reduced signature %r is not plus-then-minus" % signs)
-            message = kernel_disagreement(cp, i, reduced)
-            if message:
-                res.fail(message)
-    return res
+@check("stack cancellation vs reducible-substring deletion")
+def check_reduction_oracle(max_boxes: int):
+    for cp, i in labelled_partitions(max_boxes):
+        sig = signature(cp, i)
+        reduced = reduce_signature(sig)
+        signs = reduced.signs
+        if reduced != formal_reduction(sig):
+            yield "%s, i=%d" % (cp, i)
+        elif signs != "+" * signs.count("+") + "-" * signs.count("-"):
+            yield "reduced signature %r is not plus-then-minus" % signs
+        else:
+            yield kernel_disagreement(cp, i, reduced)
 
 
 def inverse_disagreement(cp: ChargedPartition, i: int) -> str | None:
@@ -268,26 +260,22 @@ def inverse_disagreement(cp: ChargedPartition, i: int) -> str | None:
     return None
 
 
-def check_operator_inverses(max_boxes: int = 12) -> CheckResult:
-    with CheckResult("raising and lowering operators are partial inverses") as res:
-        for cp, i in labelled_partitions(max_boxes):
-            res.count()
-            message = inverse_disagreement(cp, i)
-            if message:
-                res.fail(message)
-    return res
+@check("raising and lowering operators are partial inverses")
+def check_operator_inverses(max_boxes: int):
+    for cp, i in labelled_partitions(max_boxes):
+        yield inverse_disagreement(cp, i)
 
 
-def check_string_lengths(max_boxes: int = 10) -> CheckResult:
-    with CheckResult("epsilon and phi count the operator string lengths") as res:
-        for cp, i in labelled_partitions(max_boxes):
-            res.count()
-            eps, ph = epsilon(cp, i), phi(cp, i)
-            if string_length(cp, e_op, i, eps) != eps:
-                res.fail("epsilon mismatch at %s, i=%d" % (cp, i))
-            if string_length(cp, f_op, i, ph) != ph:
-                res.fail("phi mismatch at %s, i=%d" % (cp, i))
-    return res
+@check("epsilon and phi count the operator string lengths")
+def check_string_lengths(max_boxes: int):
+    for cp, i in labelled_partitions(max_boxes):
+        eps, ph = epsilon(cp, i), phi(cp, i)
+        if string_length(cp, e_op, i, eps) != eps:
+            yield "epsilon mismatch at %s, i=%d" % (cp, i)
+        elif string_length(cp, f_op, i, ph) != ph:
+            yield "phi mismatch at %s, i=%d" % (cp, i)
+        else:
+            yield None
 
 
 def iso_disagreement(cp: ChargedPartition, i: int) -> str | None:
@@ -306,79 +294,68 @@ def iso_disagreement(cp: ChargedPartition, i: int) -> str | None:
     return None
 
 
-def check_iso_commutation(max_boxes: int = 12) -> CheckResult:
-    with CheckResult("partition/path bijection commutes with the operators") as res:
-        for charge in (0, 1):
-            sign, lam = shape_sign(charge), fundamental(charge)
-            for cp in enumerate_regular(charge, max_boxes):
-                path = partition_to_path(cp)
-                res.count()
-                if path_to_partition(path) != cp:
-                    res.fail("round trip failed at %s" % cp)
-                if path.evaluate(1) != weight_of(cp):
-                    res.fail("weights differ at %s" % cp)
-                if (path.m, path.n) != cp.bounding_rect:
-                    res.fail("directions miss the bounding rectangle at %s" % cp)
-                for k in (path.m, path.n):
-                    if direction_weight(charge, k) != act(coset_element(sign, k), lam):
-                        res.fail("direction weight %d is off at %s" % (k, cp))
-                for i in (0, 1):
-                    message = iso_disagreement(cp, i)
-                    if message:
-                        res.fail(message)
-    return res
+@check("partition/path bijection commutes with the operators")
+def check_iso_commutation(max_boxes: int):
+    for charge in (0, 1):
+        sign, lam = shape_sign(charge), fundamental(charge)
+        for cp in enumerate_regular(charge, max_boxes):
+            path = partition_to_path(cp)
+            off = [k for k in (path.m, path.n) if direction_weight(charge, k)
+                   != act(coset_element(sign, k), lam)]
+            if path_to_partition(path) != cp:
+                yield "round trip failed at %s" % cp
+            elif path.evaluate(1) != weight_of(cp):
+                yield "weights differ at %s" % cp
+            elif (path.m, path.n) != cp.bounding_rect:
+                yield "directions miss the bounding rectangle at %s" % cp
+            elif off:
+                yield "direction weight %d is off at %s" % (off[0], cp)
+            else:
+                yield iso_disagreement(cp, 0) or iso_disagreement(cp, 1)
 
 
-def check_path_bijectivity(m_max: int = 12) -> CheckResult:
-    with CheckResult("every canonical path comes from exactly one partition") as res:
-        for shape in (0, 1):
-            for n in range(m_max + 1):
-                for steps in _box_partitions(n, m_max - n):
-                    res.count()
+@check("every canonical path comes from exactly one partition")
+def check_path_bijectivity(m_max: int):
+    for shape in (0, 1):
+        for n in range(m_max + 1):
+            # weakly decreasing steps in 1..n, at most m_max - n of them
+            for length in range(m_max - n + 1):
+                for steps in combinations_with_replacement(range(n, 0, -1),
+                                                           length):
                     path = LSPath(shape, n, steps)
-                    if partition_to_path(path_to_partition(path)) != path:
-                        res.fail("round trip failed at %s" % path)
-    return res
+                    bad = partition_to_path(path_to_partition(path)) != path
+                    yield "round trip failed at %s" % path if bad else None
 
 
-def _box_partitions(max_part: int, max_len: int):
-    """Weakly decreasing tuples with at most max_len entries in
-    1..max_part (possibly empty), shortest first."""
-    for length in range(max_len + 1):
-        yield from combinations_with_replacement(range(max_part, 0, -1), length)
+@check("path dominance matches the raising-operator test")
+def check_dominance(max_boxes: int):
+    for cp in enumerate_regular(0, max_boxes):
+        path = partition_to_path(cp)
+        for j in (0, 1):
+            by_path = is_lambda_dominant(path, j)
+            by_ops = all(epsilon(cp, i) <= (1 if i == j else 0) for i in (0, 1))
+            wanted = 1 if j == 0 else 0
+            by_parts = all(p % 2 == wanted for p in cp.parts)
+            bad = by_path != by_ops or by_path != by_parts
+            yield "%s, fundamental %d" % (cp, j) if bad else None
 
 
-def check_dominance(max_boxes: int = 12) -> CheckResult:
-    with CheckResult("path dominance matches the raising-operator test") as res:
-        for cp in enumerate_regular(0, max_boxes):
-            path = partition_to_path(cp)
-            for j in (0, 1):
-                res.count()
-                by_path = is_lambda_dominant(path, j)
-                by_ops = all(epsilon(cp, i) <= (1 if i == j else 0) for i in (0, 1))
-                wanted = 1 if j == 0 else 0
-                by_parts = all(p % 2 == wanted for p in cp.parts)
-                if by_path != by_ops or by_path != by_parts:
-                    res.fail("%s, fundamental %d" % (cp, j))
-    return res
-
-
-def check_path_integrality(max_boxes: int = 12) -> CheckResult:
-    with CheckResult("pairing profiles have integer local minima") as res:
-        for cp, i in labelled_partitions(max_boxes):
-            res.count()
-            path = partition_to_path(cp)
-            D = _denominator(path.m)
-            points = h_function(path, i).points
-            scaled = list(zip(*_int_profile(path, i, D)))
-            if scaled != [(t * D, h * D) for t, h in points]:
-                res.fail("scaled profile differs at %s, i=%d" % (cp, i))
-            values = [v for _, v in points]
-            for k in range(1, len(values) - 1):
-                if values[k] < values[k - 1] and values[k] <= values[k + 1]:
-                    if values[k].denominator != 1:
-                        res.fail("%s, i=%d" % (cp, i))
-    return res
+@check("pairing profiles have integer local minima")
+def check_path_integrality(max_boxes: int):
+    for cp, i in labelled_partitions(max_boxes):
+        path = partition_to_path(cp)
+        D = _denominator(path.m)
+        points = h_function(path, i).points
+        scaled = list(zip(*_int_profile(path, i, D)))
+        values = [v for _, v in points]
+        minima = [v for u, v, w in zip(values, values[1:], values[2:])
+                  if v < u and v <= w]
+        if scaled != [(t * D, h * D) for t, h in points]:
+            yield "scaled profile differs at %s, i=%d" % (cp, i)
+        elif any(v.denominator != 1 for v in minima):
+            yield "%s, i=%d" % (cp, i)
+        else:
+            yield None
 
 
 def tensor_rule_disagreement(t: TensorElement, left_path: LSPath,
@@ -396,146 +373,141 @@ def tensor_rule_disagreement(t: TensorElement, left_path: LSPath,
     return None
 
 
-def check_tensor_convention(side_boxes: int = 6) -> CheckResult:
-    with CheckResult("tensor rule vs concatenated-path operators") as res:
-        rights = enumerate_regular(0, side_boxes)
-        for charge in (0, 1):
-            lefts = enumerate_regular(charge, side_boxes)
-            for b1 in lefts:
-                p1 = partition_to_path(b1)
-                for b2 in rights:
-                    p2 = partition_to_path(b2)
-                    t = TensorElement(b1, b2)
-                    for i in (0, 1):
-                        for op in ("f", "e"):
-                            res.count()
-                            message = tensor_rule_disagreement(t, p1, p2, i, op)
-                            if message:
-                                res.fail(message)
-    return res
-
-
-def check_tensor_structure(max_boxes: int = 10) -> CheckResult:
-    with CheckResult("tensor weights, highest-weight law, monotone descent") as res:
-        for charge in (0, 1):
-            wanted = 1 if charge == 0 else 0
-            for t in tensor_pairs(charge, max_boxes):
-                res.count()
-                classified = (not t.left.parts
-                              and all(p % 2 == wanted for p in t.right.parts))
-                if is_highest_weight(t) != classified:
-                    res.fail("highest-weight law fails at %s" % t)
+@check("tensor rule vs concatenated-path operators")
+def check_tensor_convention(side_boxes: int):
+    rights = enumerate_regular(0, side_boxes)
+    for charge in (0, 1):
+        for b1 in enumerate_regular(charge, side_boxes):
+            p1 = partition_to_path(b1)
+            for b2 in rights:
+                p2 = partition_to_path(b2)
+                t = TensorElement(b1, b2)
                 for i in (0, 1):
-                    down = tensor_f(i, t)
-                    if down is not None:
-                        if down.weight() != t.weight() - simple_root(i):
-                            res.fail("f weight step wrong at %s, i=%d" % (t, i))
-                        if tensor_e(i, down) != t:
-                            res.fail("e f != id at %s, i=%d" % (t, i))
-                    up = tensor_e(i, t)
-                    if up is not None and not bruhat_leq(
-                            associated_weyl_element(up),
-                            associated_weyl_element(t)):
-                        res.fail("raising increased the associated element at %s"
-                                 % (t,))
-    return res
+                    for op in ("f", "e"):
+                        yield tensor_rule_disagreement(t, p1, p2, i, op)
 
 
-def check_kk_invariance(p_max: int = 5, max_boxes: int = 10) -> CheckResult:
-    with CheckResult("submodule crystals are stable under the operators") as res:
-        for spec in kk_specs(p_max):
-            for t in kk_crystal_members(spec, max_boxes):
-                for i in (0, 1):
-                    res.count()
-                    for image in (tensor_f(i, t), tensor_e(i, t)):
-                        if image is not None and not in_kk_crystal(spec, image):
-                            res.fail("escaped K(%d, %d) at %s, i=%d"
-                                     % (spec.lambda_type, spec.p, t, i))
-    return res
+def structure_disagreement(t: TensorElement) -> str | None:
+    """Where t breaks the highest-weight law, f_i or e_i steps the weight
+    by other than the simple root or is not undone by the other, or
+    raising increases the associated element; None when all hold."""
+    wanted = 1 if t.left.charge == 0 else 0
+    classified = (not t.left.parts
+                  and all(p % 2 == wanted for p in t.right.parts))
+    if is_highest_weight(t) != classified:
+        return "highest-weight law fails at %s" % t
+    for i in (0, 1):
+        down, up = tensor_f(i, t), tensor_e(i, t)
+        if down is not None and down.weight() != t.weight() - simple_root(i):
+            return "f weight step wrong at %s, i=%d" % (t, i)
+        if down is not None and tensor_e(i, down) != t:
+            return "e f != id at %s, i=%d" % (t, i)
+        if up is not None and not bruhat_leq(associated_weyl_element(up),
+                                             associated_weyl_element(t)):
+            return "raising increased the associated element at %s" % (t,)
+        if up is not None and up.weight() != t.weight() + simple_root(i):
+            return "e weight step wrong at %s, i=%d" % (t, i)
+        if up is not None and tensor_f(i, up) != t:
+            return "f e != id at %s, i=%d" % (t, i)
+    return None
 
 
-def check_kk_membership_routes(p_max: int = 5, max_boxes: int = 10) -> CheckResult:
-    with CheckResult("rectangle membership vs Bruhat-bound membership") as res:
-        for spec in kk_specs(p_max):
-            for t in tensor_pairs(spec.lambda_type, max_boxes):
-                res.count()
-                if in_kk_crystal(spec, t) != in_kk_crystal_by_weyl(spec, t):
-                    res.fail("routes disagree for K(%d, %d) at %s"
-                             % (spec.lambda_type, spec.p, t))
-    return res
+@check("tensor weights, highest-weight law, monotone descent")
+def check_tensor_structure(max_boxes: int):
+    for charge in (0, 1):
+        for t in tensor_pairs(charge, max_boxes):
+            yield structure_disagreement(t)
 
 
-def check_kk_decomposition(p_max: int = 9, cutoff: int = 6) -> CheckResult:
-    with CheckResult("generating-function tables vs highest-weight counts") as res:
-        for spec in kk_specs(p_max):
-            res.count()
-            if (decomposition(spec, cutoff)
-                    != decomposition_via_crystal(spec, cutoff)):
-                res.fail("tables differ for K(%d, %d)" % (spec.lambda_type, spec.p))
-    return res
+@check("submodule crystals are stable under the operators")
+def check_kk_invariance(p_max: int, max_boxes: int):
+    for spec in kk_specs(p_max):
+        for t in kk_crystal_members(spec, max_boxes):
+            for i in (0, 1):
+                escaped = any(
+                    image is not None and not in_kk_crystal(spec, image)
+                    for image in (tensor_f(i, t), tensor_e(i, t)))
+                yield ("escaped K(%d, %d) at %s, i=%d"
+                       % (spec.lambda_type, spec.p, t, i) if escaped else None)
 
 
-def check_kk_stabilization(cutoff: int = 6) -> CheckResult:
-    with CheckResult("large-p tables match the full tensor product") as res:
-        for lambda_type in (0, 1):
-            res.count()
-            # sets of distinct odd (lambda_type 0) or even parts, by sum
-            top = 2 * cutoff + 1
-            coeffs = [0] * (top + 1)
-            for b in dominant_set(lambda_type, top, top):
-                coeffs[b.size] += 1
-            full = MultiplicityTable(coeffs[0::2],
-                                     coeffs[1::2] if lambda_type == 0 else None,
-                                     cutoff)
-            p = 2 * cutoff + 1 if lambda_type == 0 else 2 * cutoff + 2
-            if decomposition(KKSpec(lambda_type, p), cutoff) != full:
-                res.fail("stabilization fails for lambda_type %d" % lambda_type)
-    return res
+@check("rectangle membership vs Bruhat-bound membership")
+def check_kk_membership_routes(p_max: int, max_boxes: int):
+    for spec in kk_specs(p_max):
+        for t in tensor_pairs(spec.lambda_type, max_boxes):
+            bad = in_kk_crystal(spec, t) != in_kk_crystal_by_weyl(spec, t)
+            yield ("routes disagree for K(%d, %d) at %s"
+                   % (spec.lambda_type, spec.p, t) if bad else None)
 
 
-def check_kk_monotone(p_max: int = 9, cutoff: int = 6) -> CheckResult:
-    with CheckResult("tables grow entrywise with p") as res:
-        for lambda_type in (0, 1):
-            ps = _valid_p_values(lambda_type, p_max)
-            for small, large in zip(ps, ps[1:]):
-                res.count()
-                ts = decomposition(KKSpec(lambda_type, small), cutoff)
-                tl = decomposition(KKSpec(lambda_type, large), cutoff)
-                if any(x > y for x, y in zip(ts.a, tl.a)):
-                    res.fail("a-entries drop from p=%d to p=%d" % (small, large))
-                if ts.b is not None and any(x > y for x, y in zip(ts.b, tl.b)):
-                    res.fail("b-entries drop from p=%d to p=%d" % (small, large))
-    return res
+@check("generating-function tables vs highest-weight counts")
+def check_kk_decomposition(p_max: int, cutoff: int):
+    for spec in kk_specs(p_max):
+        bad = (decomposition(spec, cutoff)
+               != decomposition_via_crystal(spec, cutoff))
+        yield ("tables differ for K(%d, %d)" % (spec.lambda_type, spec.p)
+               if bad else None)
 
 
-def suite_bruhat(len_max: int = 8, index_max: int = 12, **_) -> list[CheckResult]:
+@check("large-p tables match the full tensor product")
+def check_kk_stabilization(cutoff: int):
+    for lambda_type in (0, 1):
+        # sets of distinct odd (lambda_type 0) or even parts, by sum
+        top = 2 * cutoff + 1
+        coeffs = [0] * (top + 1)
+        for b in dominant_set(lambda_type, top, top):
+            coeffs[b.size] += 1
+        full = MultiplicityTable(coeffs[0::2],
+                                 coeffs[1::2] if lambda_type == 0 else None,
+                                 cutoff)
+        p = 2 * cutoff + 1 if lambda_type == 0 else 2 * cutoff + 2
+        bad = decomposition(KKSpec(lambda_type, p), cutoff) != full
+        yield ("stabilization fails for lambda_type %d" % lambda_type
+               if bad else None)
+
+
+@check("tables grow entrywise with p")
+def check_kk_monotone(p_max: int, cutoff: int):
+    for lambda_type in (0, 1):
+        ps = _valid_p_values(lambda_type, p_max)
+        for small, large in zip(ps, ps[1:]):
+            ts = decomposition(KKSpec(lambda_type, small), cutoff)
+            tl = decomposition(KKSpec(lambda_type, large), cutoff)
+            if any(x > y for x, y in zip(ts.a, tl.a)):
+                yield "a-entries drop from p=%d to p=%d" % (small, large)
+            elif ts.b is not None and any(x > y for x, y in zip(ts.b, tl.b)):
+                yield "b-entries drop from p=%d to p=%d" % (small, large)
+            else:
+                yield None
+
+
+def suite_bruhat(len_max: int, index_max: int) -> list[CheckResult]:
     return [check_bruhat_subword(len_max),
             check_left_multiply_involution(len_max),
             check_ideal_min(min(len_max, 6)),
             check_double_coset_index(index_max)]
 
 
-def suite_signatures(max_boxes: int = 12, **_) -> list[CheckResult]:
+def suite_signatures(max_boxes: int) -> list[CheckResult]:
     return [check_signature_closed_form(max_boxes),
             check_reduction_oracle(max_boxes),
             check_operator_inverses(max_boxes),
             check_string_lengths(min(max_boxes, 10))]
 
 
-def suite_iso(max_boxes: int = 12, **_) -> list[CheckResult]:
+def suite_iso(max_boxes: int) -> list[CheckResult]:
     return [check_iso_commutation(max_boxes),
             check_path_bijectivity(max_boxes),
             check_dominance(max_boxes),
             check_path_integrality(max_boxes)]
 
 
-def suite_tensor(side_boxes: int = 6, max_boxes: int = 10, **_) -> list[CheckResult]:
+def suite_tensor(side_boxes: int, max_boxes: int) -> list[CheckResult]:
     return [check_tensor_convention(side_boxes),
             check_tensor_structure(max_boxes)]
 
 
-def suite_kk(p_max: int = 5, max_boxes: int = 10, cutoff: int = 6, **_) \
-        -> list[CheckResult]:
+def suite_kk(p_max: int, max_boxes: int, cutoff: int) -> list[CheckResult]:
     return [check_kk_invariance(p_max, max_boxes),
             check_kk_membership_routes(p_max, max_boxes),
             check_kk_decomposition(max(p_max, 2), cutoff),
@@ -553,7 +525,11 @@ SUITES = {
 
 
 def run_suites(names, **sizes) -> list[CheckResult]:
+    """The results of the named suites in order; each suite is passed the
+    sizes its parameters name."""
     results = []
     for name in names:
-        results.extend(SUITES[name](**sizes))
+        suite = SUITES[name]
+        wanted = inspect.signature(suite).parameters
+        results.extend(suite(**{size: sizes[size] for size in wanted}))
     return results

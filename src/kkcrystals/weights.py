@@ -20,9 +20,11 @@ Scalar = Union[int, Fraction]
 
 def _exact(x) -> Scalar:
     """x as an int when it is integral, else as a Fraction; anything
-    Fraction() accepts is read exactly."""
+    Fraction() accepts except a float or a bool is read exactly."""
     if type(x) is int:
         return x
+    if isinstance(x, (float, bool)):
+        raise TypeError("expected an exact number, got %r" % (x,))
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
@@ -61,7 +63,7 @@ class Weight:
 
     @classmethod
     def from_json(cls, data: dict) -> "Weight":
-        return cls(Fraction(data["c0"]), Fraction(data["c1"]), Fraction(data["d"]))
+        return cls(data["c0"], data["c1"], data["d"])
 
     def display(self) -> str:
         """Render as 'aΛ0 + bΛ1 - n0α0 - n1α1' in integers, with a + b the

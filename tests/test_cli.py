@@ -158,6 +158,16 @@ def test_decompose_rejects_bad_parity(capsys):
     assert "even" in err
 
 
+def test_decompose_oracle_has_a_lower_cutoff_limit(capsys):
+    code, out, err = run(["decompose", "--lambda", "0", "--p", "1",
+                          "--cutoff", "26", "--oracle"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "limit 25" in err
+    code, out, _ = run(["decompose", "--lambda", "0", "--p", "1",
+                        "--cutoff", "25", "--oracle"], capsys)
+    assert code == 0 and out.endswith("# oracle agreement: yes\n")
+
+
 def test_decompose_rejects_cutoff_above_the_limit(capsys):
     code, out, err = run(["decompose", "--lambda", "0", "--p", "1",
                           "--cutoff", "1001"], capsys)
@@ -354,13 +364,30 @@ def test_verify_ends_on_an_endless_operator_string():
 
 
 def test_a_check_that_raises_keeps_its_name_and_cases():
-    with CheckResult("demo") as res:
-        res.count()
-        raise ValueError("boom")
-    assert (res.name, res.cases, res.failures) == ("demo", 1, ["ValueError: boom"])
+    @verify.check("demo")
+    def demo(fail_at):
+        yield None
+        yield "second case fails"
+        raise fail_at("boom")
+    # the interrupted third case counts, as a failure of its own
+    assert demo(ValueError) == CheckResult(
+        "demo", 3, ["second case fails", "ValueError: boom"])
     with pytest.raises(KeyboardInterrupt):
-        with CheckResult("interrupted"):
-            raise KeyboardInterrupt
+        demo(KeyboardInterrupt)
+
+
+def test_verify_reports_a_raising_case_source(capsys, monkeypatch):
+    def broken(charge, max_boxes):
+        raise RuntimeError("no partitions today")
+
+    monkeypatch.setattr(verify, "enumerate_regular", broken)
+    code, out, err = run(["verify", "signatures"], capsys)
+    assert code == 1 and "Traceback" not in err
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert all(line.startswith("FAIL ")
+               and line.endswith(": RuntimeError: no partitions today")
+               for line in lines)
 
 
 def test_deterministic_output(capsys):

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from kkcrystals.kk import (KKSpec, MultiplicityTable, decomposition,
-                           dominant_set, in_kk_crystal, kk_crystal_graph,
+                           decomposition_via_crystal, dominant_set,
+                           in_kk_crystal, kk_crystal_graph,
                            kk_crystal_members, weight_of_dominant)
 from kkcrystals.partitions import ChargedPartition
 from kkcrystals.tensor import TensorElement
@@ -35,6 +36,13 @@ def test_spec_validation():
         KKSpec(1, 3)
     with pytest.raises(ValueError):
         KKSpec(0, -1)
+
+
+@pytest.mark.parametrize("route", [decomposition, decomposition_via_crystal])
+@pytest.mark.parametrize("cutoff", [True, 3.0, 2.5])
+def test_cutoff_must_be_an_int(route, cutoff):
+    with pytest.raises(TypeError):
+        route(KKSpec(0, 3), cutoff)
 
 
 def test_membership_examples():

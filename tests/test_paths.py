@@ -43,6 +43,9 @@ def test_evaluate():
     assert LSPath(0, 1, ()).evaluate(1) == LAMBDA0 - ALPHA0
     with pytest.raises(ValueError):
         STRAIGHT0.evaluate(2)
+    for inexact in (0.1, 1.0, True):
+        with pytest.raises(TypeError):
+            STRAIGHT0.evaluate(inexact)
 
 
 def test_turning_points():

@@ -6,11 +6,13 @@ from math import isqrt
 from hypothesis import given, strategies as st
 
 from kkcrystals.iso import partition_to_path
+from kkcrystals.kk import KKSpec, in_kk_crystal, in_kk_crystal_by_weyl
 from kkcrystals.partitions import (ChargedPartition, enumerate_regular,
                                    reduce_signature, signature)
 from kkcrystals.tensor import TensorElement
 from kkcrystals.verify import (inverse_disagreement, iso_disagreement,
-                               kernel_disagreement, tensor_rule_disagreement)
+                               kernel_disagreement, structure_disagreement,
+                               tensor_rule_disagreement)
 
 LABELS = st.sampled_from((0, 1))
 SMALL_RIGHTS = enumerate_regular(0, 6)
@@ -59,3 +61,25 @@ def test_tensor_rule_matches_concatenated_paths(left, right, i, op):
     message = tensor_rule_disagreement(t, partition_to_path(left),
                                        partition_to_path(right), i, op)
     assert message is None
+
+
+def pair_of(left, right):
+    """The tensor pair of left and right, the right factor at charge 0."""
+    return TensorElement(left, ChargedPartition(right.parts, 0))
+
+
+@given(regular_partitions(), regular_partitions())
+def test_tensor_structure_holds(left, right):
+    assert structure_disagreement(pair_of(left, right)) is None
+
+
+@given(regular_partitions(), regular_partitions(), st.integers(-4, 3))
+def test_membership_routes_agree(left, right, shift):
+    # p near the rectangle bound m - n - 1, so members and non-members
+    # both occur; then moved to the parity the left charge allows
+    t = pair_of(left, right)
+    p = max(0, t.right.parts[0] - len(t.left.parts) + shift)
+    if p % 2 != (1 if left.charge == 0 else 0) and p:
+        p += 1
+    spec = KKSpec(left.charge, p)
+    assert in_kk_crystal(spec, t) == in_kk_crystal_by_weyl(spec, t)

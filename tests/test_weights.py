@@ -79,6 +79,16 @@ def test_json_round_trip():
     assert Weight.from_json(data) == lam
 
 
+@pytest.mark.parametrize("inexact", [0.1, 1.0, True, False])
+def test_floats_and_bools_are_refused(inexact):
+    with pytest.raises(TypeError):
+        Weight(inexact, 0, 0)
+    with pytest.raises(TypeError):
+        Weight.from_json({"c0": inexact, "c1": 0, "d": 0})
+    with pytest.raises(TypeError):
+        LAMBDA0 * inexact
+
+
 def test_bad_indices_rejected():
     with pytest.raises(ValueError):
         fundamental(2)
