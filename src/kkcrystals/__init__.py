@@ -22,10 +22,8 @@ from .tensor import (CrystalGraph, TensorElement, associated_weyl_element,
                      crystal_graph, is_highest_weight, tensor_e, tensor_f,
                      tensor_pairs)
 from .weights import (ALPHA0, ALPHA1, DELTA, LAMBDA0, LAMBDA1, Weight, act,
-                      fundamental, is_dominant, pair_coroot, reflect,
-                      simple_root)
+                      fundamental, pair_coroot, reflect, simple_root)
 from .weyl import (IDENTITY, WeylElement, bruhat_leq, coset_element,
-                   double_coset_min_index, generator, left_multiply,
-                   right_multiply)
+                   double_coset_min_index, left_multiply, right_multiply)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -101,8 +101,9 @@ def _cmd_convert(args) -> int:
     if text.startswith("{"):
         try:
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # RecursionError: nested deeper than the decoder can follow
+        except (ValueError, RecursionError) as exc:
+            # ValueError: not JSON, or an integer past Python's digit
+            # limit; RecursionError: nested deeper than the decoder goes
             _fail("malformed JSON: %s" % exc, 2)
         if "parts" in data:
             _convert_partition(data)

@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import ChargedPartition, enumerate_regular
-from .tensor import (CrystalGraph, TensorElement, associated_weyl_element,
-                     crystal_graph, is_highest_weight, tensor_pairs)
+from .tensor import (CrystalGraph, TensorElement, _canonical_key,
+                     associated_weyl_element, crystal_graph,
+                     is_highest_weight, tensor_pairs)
 from .weights import Weight, fundamental, simple_root
 from .weyl import bruhat_leq, coset_element
 
@@ -188,7 +189,7 @@ def kk_crystal_members(spec: KKSpec, max_boxes: int) -> list[TensorElement]:
     order."""
     out = [t for t in tensor_pairs(spec.lambda_type, max_boxes)
            if in_kk_crystal(spec, t)]
-    out.sort(key=lambda t: (t.total_boxes, t.left.parts, t.right.parts))
+    out.sort(key=_canonical_key)
     return out
 
 

@@ -104,14 +104,10 @@ class LSPath:
         t = weights._exact(t)
         if t < 0 or t > 1:
             raise ValueError("time must lie in [0, 1]")
-        ts = self.times
-        total = weights.ZERO
-        for j, k in enumerate(self.direction_indices):
-            v = direction_weight(self.shape, k)
-            if t <= ts[j + 1]:
-                return total + (t - ts[j]) * v
-            total = total + (ts[j + 1] - ts[j]) * v
-        return total
+        ts, points = self.times, self.turning_points()
+        j = next(j for j in range(len(ts) - 1) if t <= ts[j + 1])
+        v = direction_weight(self.shape, self.direction_indices[j])
+        return points[j] + (t - ts[j]) * v
 
     def turning_points(self) -> list[Weight]:
         ts = self.times
@@ -129,21 +125,6 @@ class LSPath:
         if shape_text not in ("L0", "L1"):
             raise ValueError("shape must be 'L0' or 'L1'")
         return cls(int(shape_text[1]), data["n"], tuple(data["steps"]))
-
-    def describe(self) -> str:
-        """Directions and turning times spelled out."""
-        dirs = " > ".join("w%s%d" % (shape_sign(self.shape), k)
-                          for k in self.direction_indices)
-        ts = ", ".join(str(t) for t in self.times)
-        return "%s @ [%s]" % (dirs, ts)
-
-    @classmethod
-    def from_chain(cls, shape: int, indices, times) -> "LSPath":
-        """Validated canonical form of an explicit chain and turning times."""
-        times = [Fraction(t) for t in times]
-        D = lcm(*[t.denominator for t in times])
-        return _int_chain(shape, list(indices),
-                          [t.numerator * (D // t.denominator) for t in times], D)
 
     def __str__(self):
         return "LSPath(L%d, n=%d, steps=%s)" % (self.shape, self.n, list(self.steps))

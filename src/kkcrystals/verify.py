@@ -375,12 +375,12 @@ def tensor_rule_disagreement(t: TensorElement, left_path: LSPath,
 
 @check("tensor rule vs concatenated-path operators")
 def check_tensor_convention(side_boxes: int):
-    rights = enumerate_regular(0, side_boxes)
+    rights = [(b2, partition_to_path(b2))
+              for b2 in enumerate_regular(0, side_boxes)]
     for charge in (0, 1):
         for b1 in enumerate_regular(charge, side_boxes):
             p1 = partition_to_path(b1)
-            for b2 in rights:
-                p2 = partition_to_path(b2)
+            for b2, p2 in rights:
                 t = TensorElement(b1, b2)
                 for i in (0, 1):
                     for op in ("f", "e"):
@@ -396,16 +396,17 @@ def structure_disagreement(t: TensorElement) -> str | None:
                   and all(p % 2 == wanted for p in t.right.parts))
     if is_highest_weight(t) != classified:
         return "highest-weight law fails at %s" % t
+    weight = t.weight()
     for i in (0, 1):
         down, up = tensor_f(i, t), tensor_e(i, t)
-        if down is not None and down.weight() != t.weight() - simple_root(i):
+        if down is not None and down.weight() != weight - simple_root(i):
             return "f weight step wrong at %s, i=%d" % (t, i)
         if down is not None and tensor_e(i, down) != t:
             return "e f != id at %s, i=%d" % (t, i)
         if up is not None and not bruhat_leq(associated_weyl_element(up),
                                              associated_weyl_element(t)):
             return "raising increased the associated element at %s" % (t,)
-        if up is not None and up.weight() != t.weight() + simple_root(i):
+        if up is not None and up.weight() != weight + simple_root(i):
             return "e weight step wrong at %s, i=%d" % (t, i)
         if up is not None and tensor_f(i, up) != t:
             return "f e != id at %s, i=%d" % (t, i)

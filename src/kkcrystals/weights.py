@@ -61,10 +61,6 @@ class Weight:
     def to_json(self) -> dict:
         return {"c0": str(self.c0), "c1": str(self.c1), "d": str(self.dd)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Weight":
-        return cls(data["c0"], data["c1"], data["d"])
-
     def display(self) -> str:
         """Render as 'aΛ0 + bΛ1 - n0α0 - n1α1' in integers, with a + b the
         level and a the largest a <= level with a = c0 mod 2 (a - 2, b + 2
@@ -133,8 +129,3 @@ def act(w: WeylElement, lam: Weight) -> Weight:
     for g in reversed(w.word()):
         lam = reflect(g, lam)
     return lam
-
-
-def is_dominant(w: Weight) -> bool:
-    """Both coroot pairings nonnegative; the d-coordinate is free."""
-    return w.c0 >= 0 and w.c1 >= 0

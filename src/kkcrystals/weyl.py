@@ -58,30 +58,11 @@ class WeylElement:
             return "e"
         return " ".join("s%d" % g for g in self.word())
 
-    @classmethod
-    def from_string(cls, text: str) -> "WeylElement":
-        text = text.strip()
-        if text == "e":
-            return IDENTITY
-        letters = []
-        for token in text.split():
-            if token not in ("s0", "s1"):
-                raise ValueError("bad generator token %r" % token)
-            letters.append(int(token[1]))
-        for a, b in zip(letters, letters[1:]):
-            if a == b:
-                raise ValueError("word %r is not reduced" % text)
-        return cls(len(letters), letters[0])
-
     def __str__(self):
         return self.to_string()
 
 
 IDENTITY = WeylElement(0, None)
-
-
-def generator(i: int) -> WeylElement:
-    return WeylElement(1, i)
 
 
 def left_multiply(i: int, w: WeylElement) -> WeylElement:

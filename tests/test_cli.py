@@ -95,7 +95,9 @@ def test_convert_rejects_non_integers(data, capsys):
     "3000000",
     '{"shape": "L0", "n": 100001, "steps": []}',
     '{"shape": "L1", "n": 99999, "steps": [1, 1]}',
-], ids=["part-over", "part-far-over", "path-n-over", "path-n-plus-steps-over"])
+    '{"parts": [1%s], "charge": 0}' % ("0" * 5000),
+], ids=["part-over", "part-far-over", "path-n-over", "path-n-plus-steps-over",
+        "json-int-past-digit-limit"])
 def test_convert_rejects_oversized_input(data, capsys):
     code, out, err = run(["convert", data], capsys)
     assert code == 2 and out == ""

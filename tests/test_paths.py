@@ -4,9 +4,9 @@ import pytest
 
 from kkcrystals.iso import partition_to_path
 from kkcrystals.partitions import ChargedPartition, enumerate_regular
-from kkcrystals.paths import (LSPath, direction_weight, e_path, f_path,
-                              h_function, is_lambda_dominant, path_epsilon,
-                              path_phi)
+from kkcrystals.paths import (LSPath, _int_chain, direction_weight, e_path,
+                              f_path, h_function, is_lambda_dominant,
+                              path_epsilon, path_phi)
 from kkcrystals.verify import check_path_integrality, string_length
 from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, Weight, act,
                                 fundamental, pair_coroot)
@@ -121,18 +121,15 @@ def test_dominance():
 
 
 def test_from_chain_rejects_junk():
+    # the chain checks f_path and e_path rely on, times scaled by D = 6
     with pytest.raises(ValueError):
-        LSPath.from_chain(0, [3, 1], [0, Fraction(1, 2), 1])
+        _int_chain(0, [3, 1], [0, 3, 6], 6)     # 1/2 is not canonical for 3
     with pytest.raises(ValueError):
-        LSPath.from_chain(0, [2, 1], [0, Fraction(1, 3), 1])
-    assert LSPath.from_chain(0, [2, 1], [0, Fraction(1, 2), 1]) == \
-        LSPath(0, 1, (1,))
+        _int_chain(0, [2, 1], [0, 2, 6], 6)     # 1/3 is not canonical for 2
+    assert _int_chain(0, [2, 1], [0, 3, 6], 6) == LSPath(0, 1, (1,))
 
 
 def test_json_and_describe():
     data = RUNNING_PATH.to_json()
     assert data == {"shape": "L0", "n": 4, "steps": [3, 2, 2, 1]}
     assert LSPath.from_json(data) == RUNNING_PATH
-    text = RUNNING_PATH.describe()
-    assert "w+8 > w+7 > w+6 > w+5 > w+4" in text
-    assert "1/8" in text and "3/5" in text

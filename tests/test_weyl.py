@@ -1,23 +1,20 @@
 from kkcrystals.weyl import (IDENTITY, WeylElement, bruhat_ideal_min,
                              bruhat_leq, coset_element, double_coset_min,
-                             double_coset_min_index, generator,
-                             left_multiply, right_multiply, wedge)
+                             double_coset_min_index, left_multiply,
+                             right_multiply, wedge)
 from kkcrystals.verify import all_elements, check_ideal_min
 
 import pytest
 
-S0 = generator(0)
-S1 = generator(1)
-
-
-def w(text):
-    return WeylElement.from_string(text)
+# elements as WeylElement(length, first letter of the reduced word)
+S0 = WeylElement(1, 0)
+S1 = WeylElement(1, 1)
 
 
 def test_left_multiply_examples():
-    assert left_multiply(0, IDENTITY) == w("s0")
-    assert left_multiply(0, w("s0 s1 s0")) == w("s1 s0")
-    assert left_multiply(1, w("s0 s1")) == w("s1 s0 s1")
+    assert left_multiply(0, IDENTITY) == S0
+    assert left_multiply(0, WeylElement(3, 0)) == WeylElement(2, 1)
+    assert left_multiply(1, WeylElement(2, 0)) == WeylElement(3, 1)
 
 
 def test_left_multiply_changes_length_by_one():
@@ -27,8 +24,8 @@ def test_left_multiply_changes_length_by_one():
 
 
 def test_right_multiply_cancels_on_the_right():
-    assert right_multiply(w("s0 s1"), 1) == w("s0")
-    assert right_multiply(w("s0 s1"), 0) == w("s0 s1 s0")
+    assert right_multiply(WeylElement(2, 0), 1) == S0
+    assert right_multiply(WeylElement(2, 0), 0) == WeylElement(3, 0)
     assert right_multiply(IDENTITY, 1) == S1
 
 
@@ -39,19 +36,19 @@ def test_inverse_reverses_the_word():
 
 
 def test_bruhat_examples():
-    assert bruhat_leq(IDENTITY, w("s0 s1 s0"))
+    assert bruhat_leq(IDENTITY, WeylElement(3, 0))
     assert bruhat_leq(IDENTITY, IDENTITY)
-    assert bruhat_leq(w("s0"), w("s1 s0"))
-    assert not bruhat_leq(w("s0 s1 s0"), w("s1 s0 s1"))
+    assert bruhat_leq(S0, WeylElement(2, 1))
+    assert not bruhat_leq(WeylElement(3, 0), WeylElement(3, 1))
 
 
 
 def test_coset_representatives():
     assert coset_element("+", 0) == IDENTITY
-    assert coset_element("+", 1) == w("s0")
-    assert coset_element("+", 2) == w("s1 s0")
-    assert coset_element("-", 3) == w("s1 s0 s1")
-    assert coset_element("-", 1) == w("s1")
+    assert coset_element("+", 1) == S0
+    assert coset_element("+", 2) == WeylElement(2, 1)
+    assert coset_element("-", 3) == WeylElement(3, 1)
+    assert coset_element("-", 1) == S1
     for sign in "+-":
         for n in range(1, 10):
             elem = coset_element(sign, n)
@@ -61,14 +58,14 @@ def test_coset_representatives():
 
 def test_wedge():
     assert wedge(IDENTITY, 0) == IDENTITY
-    assert wedge(w("s1 s0"), 1) == w("s0")
-    assert wedge(w("s1 s0"), 0) == w("s1 s0")
+    assert wedge(WeylElement(2, 1), 1) == S0
+    assert wedge(WeylElement(2, 1), 0) == WeylElement(2, 1)
 
 
 def test_ideal_min_examples():
-    assert bruhat_ideal_min(IDENTITY, w("s0 s1")) == w("s0 s1")
-    assert bruhat_ideal_min(w("s0"), w("s0 s1 s0")) == w("s1 s0")
-    assert bruhat_ideal_min(w("s1 s0"), w("s0 s1")) == IDENTITY
+    assert bruhat_ideal_min(IDENTITY, WeylElement(2, 0)) == WeylElement(2, 0)
+    assert bruhat_ideal_min(S0, WeylElement(3, 0)) == WeylElement(2, 1)
+    assert bruhat_ideal_min(WeylElement(2, 1), WeylElement(2, 0)) == IDENTITY
 
 
 def test_ideal_min_is_the_orbit_minimum():
@@ -78,8 +75,8 @@ def test_ideal_min_is_the_orbit_minimum():
 
 def test_double_coset_min_examples():
     assert double_coset_min(0, IDENTITY, 0) == IDENTITY
-    assert double_coset_min(0, coset_element("+", 2), 0) == w("s0")
-    assert double_coset_min(1, w("s0"), 0) == IDENTITY
+    assert double_coset_min(0, coset_element("+", 2), 0) == S0
+    assert double_coset_min(1, S0, 0) == IDENTITY
 
 
 def test_double_coset_min_index_examples():
@@ -91,16 +88,17 @@ def test_double_coset_min_index_examples():
 
 
 def test_serialization_round_trip():
-    for u in all_elements(6):
-        assert WeylElement.from_string(u.to_string()) == u
+    elems = all_elements(6)
+    assert len({u.to_string() for u in elems}) == len(elems)
     assert IDENTITY.to_string() == "e"
-    assert w("s1 s0").to_string() == "s1 s0"
+    assert WeylElement(2, 1).to_string() == "s1 s0"
+    assert WeylElement(3, 0).to_string() == "s0 s1 s0"
 
 
 def test_invalid_words_rejected():
     with pytest.raises(ValueError):
-        WeylElement.from_string("s0 s0")
-    with pytest.raises(ValueError):
-        WeylElement.from_string("s2")
-    with pytest.raises(ValueError):
         WeylElement(2, None)
+    with pytest.raises(ValueError):
+        WeylElement(-1, None)
+    with pytest.raises(ValueError):
+        WeylElement(1, 2)
