@@ -94,7 +94,10 @@ def _fail(message: str, code: int):
 
 
 def _cmd_convert(args) -> int:
-    text = sys.stdin.read() if args.data == "-" else args.data
+    try:
+        text = sys.stdin.read() if args.data == "-" else args.data
+    except UnicodeDecodeError as exc:
+        _fail("undecodable input: %s" % exc, 2)
     text = text.strip()
     if not text:
         _fail("empty input", 2)

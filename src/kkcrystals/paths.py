@@ -12,13 +12,14 @@ the minimum of h(t) = <path(t), a_i^vee>: reflect the directions between
 the rightmost minimum of h and the first later time where h returns to
 minimum + 1, merging with the preceding direction when the reflection
 reproduces it and splitting the final segment when the return time falls
-strictly inside it.  The raising operator e_i is the mirror image
-(leftmost minimum, first earlier return), and is the two-sided inverse of
-f_i.
+strictly inside it.  The raising operator e_i is f_i on the reversed
+path t -> path(1 - t) - path(1), reversed back (Littelmann's duality), and
+is the two-sided inverse of f_i.
 
 The operators run on ints, with turning times scaled by D = lcm(1, ...,
 m + 1) (it holds the times of the path and of its images) and integer
-slopes; `times`, `evaluate`, `turning_points` and `h_function` stay exact.
+slopes; `times`, `evaluate`, `turning_points` and `h_function` (the
+profile's breakpoints) stay exact.
 """
 
 from __future__ import annotations
@@ -151,27 +152,10 @@ def _int_chain(shape: int, indices: list[int], times: list[int], D: int) -> LSPa
     return LSPath(shape, indices[-1], tuple(steps[-2::-1]))
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearH:
-    """A coroot-pairing profile t -> <path(t), a_i^vee>: breakpoints with
-    exact rational times and values, affine with integer slope between."""
-
-    points: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        ts = [t for t, _ in self.points]
-        if not self.points or self.points[0] != (0, 0) or ts[-1] != 1:
-            raise ValueError("profile must start at (0, 0) and end at t = 1")
-        if any(a >= b for a, b in zip(ts, ts[1:])):
-            raise ValueError("breakpoint times must strictly increase")
-        for (t0, v0), (t1, v1) in zip(self.points, self.points[1:]):
-            if ((v1 - v0) / (t1 - t0)).denominator != 1:
-                raise ValueError("slopes must be integers")
-
-
-def h_function(path: LSPath, i: int) -> PiecewiseLinearH:
-    return PiecewiseLinearH(tuple(zip(
-        path.times, [pair_coroot(p, i) for p in path.turning_points()])))
+def h_function(path: LSPath, i: int) -> tuple:
+    """The exact breakpoints (t, <path(t), a_i^vee>) of the pairing profile."""
+    return tuple(zip(path.times,
+                     [pair_coroot(p, i) for p in path.turning_points()]))
 
 
 def _denominator(m: int) -> int:
@@ -222,17 +206,18 @@ def path_phi(path: LSPath, i: int) -> int:
     return (values[-1] - _minimum(values, D)) // D
 
 
-def f_path(path: LSPath, i: int) -> LSPath | None:
-    """Path lowering operator; None when the endpoint sits less than one
-    above the minimum of the pairing profile."""
-    D = _denominator(path.m)
-    times, H = _int_profile(path, i, D)
+def _lower(shape: int, i: int, idx, times: list[int], H: list[int],
+           D: int) -> tuple[list[int], list[int]] | None:
+    """The lowering surgery on a chain with direction indices idx and
+    turning times and pairing values H scaled by D: the new chain's
+    (indices, scaled times), or None when the endpoint sits less than one
+    above the minimum.  Only differences of H are read."""
     Q = _minimum(H, D)
     if H[-1] - Q < D:
         return None
     p = len(H) - 1 - H[::-1].index(Q)
     x = next(j for j in range(p + 1, len(H)) if H[j] >= Q + D)
-    idx, sign = path.direction_indices, shape_sign(path.shape)
+    sign = shape_sign(shape)
     reflected = [coset_action(i, k, sign) for k in idx[p:x]]
     merge = p >= 1 and reflected[0] == idx[p - 1]
     new_idx = list(idx[:p - 1] if merge else idx[:p]) + reflected
@@ -241,32 +226,30 @@ def f_path(path: LSPath, i: int) -> LSPath | None:
         new_times.append(_crossing(times[x - 1], H[x - 1], times[x], H[x],
                                    Q + D))
         new_idx.append(idx[x - 1])
-    return _int_chain(path.shape, new_idx + list(idx[x:]),
-                      new_times + times[x:], D)
+    return new_idx + list(idx[x:]), new_times + times[x:]
+
+
+def f_path(path: LSPath, i: int) -> LSPath | None:
+    """Path lowering operator; None when the endpoint sits less than one
+    above the minimum of the pairing profile."""
+    D = _denominator(path.m)
+    times, H = _int_profile(path, i, D)
+    chain = _lower(path.shape, i, path.direction_indices, times, H, D)
+    return None if chain is None else _int_chain(path.shape, *chain, D)
 
 
 def e_path(path: LSPath, i: int) -> LSPath | None:
-    """Path raising operator, the mirror of f_path; None when the pairing
+    """Path raising operator: f_path on the reversed path
+    t -> path(1 - t) - path(1), reversed back; None when the pairing
     profile never goes below zero."""
     D = _denominator(path.m)
     times, H = _int_profile(path, i, D)
-    Q = _minimum(H, D)
-    if Q >= 0:
+    chain = _lower(path.shape, i, path.direction_indices[::-1],
+                   [D - t for t in times[::-1]], H[::-1], D)
+    if chain is None:
         return None
-    q = H.index(Q)
-    y = next(j for j in range(q - 1, -1, -1) if H[j] >= Q + D)
-    idx, sign = path.direction_indices, shape_sign(path.shape)
-    reflected = [coset_action(i, k, sign) for k in idx[y:q]]
-    merge = q < len(idx) and reflected[-1] == idx[q]
-    new_idx = list(idx[:y])
-    new_times = times[:y + 1]
-    if H[y] > Q + D:
-        new_times.append(_crossing(times[y], H[y], times[y + 1], H[y + 1],
-                                   Q + D))
-        new_idx.append(idx[y])
-    new_idx += reflected + list(idx[q + 1:] if merge else idx[q:])
-    new_times += times[y + 1:q] + (times[q + 1:] if merge else times[q:])
-    return _int_chain(path.shape, new_idx, new_times, D)
+    idx, times = chain
+    return _int_chain(path.shape, idx[::-1], [D - t for t in times[::-1]], D)
 
 
 def is_lambda_dominant(path: LSPath, lambda_type: int) -> bool:

@@ -28,9 +28,8 @@ from .paths import (LSPath, _denominator, _int_profile, direction_weight,
 from .tensor import (TensorElement, associated_weyl_element, concat_path_op,
                      is_highest_weight, tensor_e, tensor_f, tensor_pairs)
 from .weights import act, fundamental, simple_root
-from .weyl import (WeylElement, bruhat_ideal, bruhat_ideal_min, bruhat_leq,
-                   coset_element, double_coset_min, double_coset_min_index,
-                   left_multiply)
+from .weyl import (WeylElement, bruhat_ideal_min, bruhat_leq, coset_element,
+                   double_coset_min, double_coset_min_index, left_multiply)
 
 FAILURE_CAP = 5
 
@@ -192,7 +191,7 @@ def check_left_multiply_involution(len_max: int):
 def check_ideal_min(len_max: int):
     elems = all_elements(len_max)
     for x in elems:
-        ideal = bruhat_ideal(x)
+        ideal = [u for u in elems if subword_leq(u, x)]
         for y in elems:
             z = bruhat_ideal_min(x, y)
             orbit = [left_multiply_word(u, y) for u in ideal]
@@ -345,7 +344,7 @@ def check_path_integrality(max_boxes: int):
     for cp, i in labelled_partitions(max_boxes):
         path = partition_to_path(cp)
         D = _denominator(path.m)
-        points = h_function(path, i).points
+        points = h_function(path, i)
         scaled = list(zip(*_int_profile(path, i, D)))
         values = [v for _, v in points]
         minima = [v for u, v, w in zip(values, values[1:], values[2:])
@@ -367,8 +366,13 @@ def tensor_rule_disagreement(t: TensorElement, left_path: LSPath,
     via_paths = concat_path_op(i, left_path, right_path, op)
     if (via_rule is None) != (via_paths is None):
         return "%s kill mismatch at %s, i=%d" % (op, t, i)
-    if via_rule is not None and via_paths != (partition_to_path(via_rule.left),
-                                              partition_to_path(via_rule.right)):
+    if via_rule is None:
+        return None
+    # the rule moves one factor; only a factor that moved is converted
+    left, right = via_rule.left, via_rule.right
+    if via_paths != (left_path if left == t.left else partition_to_path(left),
+                     right_path if right == t.right
+                     else partition_to_path(right)):
         return "%s images differ at %s, i=%d" % (op, t, i)
     return None
 

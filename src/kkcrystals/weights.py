@@ -9,6 +9,7 @@ exactness.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -19,13 +20,14 @@ Scalar = Union[int, Fraction]
 
 
 def _exact(x) -> Scalar:
-    """x as an int when it is integral, else as a Fraction; anything
-    Fraction() accepts except a float or a bool is read exactly."""
+    """x as an int when it is integral, else as a Fraction; an int or any
+    other rational number is read exactly, and anything else (a float, a
+    bool, a str, a Decimal) is refused."""
     if type(x) is int:
         return x
-    if isinstance(x, (float, bool)):
-        raise TypeError("expected an exact number, got %r" % (x,))
     if type(x) is not Fraction:
+        if isinstance(x, bool) or not isinstance(x, numbers.Rational):
+            raise TypeError("expected an exact number, got %r" % (x,))
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 

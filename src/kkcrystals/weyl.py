@@ -4,9 +4,8 @@ Every non-identity element has a unique reduced word, namely the
 alternating word in s0, s1 determined by its length and leftmost letter.
 This makes the group law, Bruhat order, minimal coset representatives and
 double-coset minima all computable in closed form.  The closed forms are
-validated against brute-force oracles (subword characterisation,
-Bruhat-ideal enumeration) in the test suite before anything relies on
-them.
+validated against brute-force oracles (the subword characterisation) in
+the verify suites.
 """
 
 from __future__ import annotations
@@ -79,16 +78,8 @@ def left_multiply(i: int, w: WeylElement) -> WeylElement:
 
 
 def right_multiply(w: WeylElement, i: int) -> WeylElement:
-    """w * s_i; the length changes by exactly one."""
-    if i not in (0, 1):
-        raise ValueError("generator index must be 0 or 1")
-    if w.length == 0:
-        return WeylElement(1, i)
-    if i == w.last:
-        if w.length == 1:
-            return IDENTITY
-        return WeylElement(w.length - 1, w.first)
-    return WeylElement(w.length + 1, w.first)
+    """w * s_i = (s_i * w^-1)^-1; the length changes by exactly one."""
+    return left_multiply(i, w.inverse()).inverse()
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
@@ -101,17 +92,6 @@ def wedge(w: WeylElement, i: int) -> WeylElement:
     """The Bruhat-smaller of w and s_i * w."""
     sw = left_multiply(i, w)
     return sw if sw.length < w.length else w
-
-
-def bruhat_ideal(x: WeylElement) -> list[WeylElement]:
-    """All elements u <= x, enumerated explicitly (for oracle checks)."""
-    out = [IDENTITY]
-    for length in range(1, x.length):
-        out.append(WeylElement(length, 0))
-        out.append(WeylElement(length, 1))
-    if x.length >= 1:
-        out.append(x)
-    return out
 
 
 def bruhat_ideal_min(x: WeylElement, y: WeylElement) -> WeylElement:

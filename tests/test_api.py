@@ -13,7 +13,7 @@ ORACLE_ROUTES = {
                    "closed_form_signature"),
     "kk": ("in_kk_crystal_by_weyl", "decomposition_via_crystal"),
     "tensor": ("concat_path_op",),
-    "weyl": ("bruhat_ideal", "bruhat_ideal_min", "double_coset_min", "wedge"),
+    "weyl": ("bruhat_ideal_min", "double_coset_min", "wedge"),
 }
 
 # every module the benchmark imports, with the names it looks up there

@@ -56,6 +56,15 @@ def test_convert_reads_stdin(capsys, monkeypatch):
     assert json.loads(out) == {"shape": "L0", "n": 1, "steps": []}
 
 
+def test_convert_rejects_undecodable_stdin(capsys, monkeypatch):
+    undecodable = io.BytesIO(b'{"parts": [1]}\xff')
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        undecodable, encoding="utf-8", errors="strict"))
+    code, out, err = run(["convert"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_convert_rejects_non_regular(capsys):
     code, _, err = run(["convert", '{"parts": [2, 2], "charge": 0}'], capsys)
     assert code == 2
@@ -318,11 +327,13 @@ BROKEN_PATH_LAYERS = {
     "crossing time one unit late": (
         paths, "_crossing", "return t0 + dt", "return t0 + dt + 1", "tensor"),
     "leftmost minimum lowered": (
-        paths, "f_path", "p = len(H) - 1 - H[::-1].index(Q)",
+        paths, "_lower", "p = len(H) - 1 - H[::-1].index(Q)",
         "p = H.index(Q)", "iso"),
     "merge test negated": (
-        paths, "f_path", "merge = p >= 1 and reflected[0] == idx[p - 1]",
+        paths, "_lower", "merge = p >= 1 and reflected[0] == idx[p - 1]",
         "merge = not (p >= 1 and reflected[0] == idx[p - 1])", "iso"),
+    "raising result not reversed back": (
+        paths, "e_path", "idx[::-1], [D - t", "idx, [D - t", "iso"),
 }
 
 

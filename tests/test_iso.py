@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from kkcrystals.iso import partition_to_path, path_to_partition
@@ -36,12 +34,6 @@ def test_rejects_non_regular():
 
 
 
-
-
-def test_times_of_the_big_example():
-    path = partition_to_path(cp((8, 6, 3, 1)))
-    assert path.times == (0, Fraction(1, 8), Fraction(2, 7), Fraction(1, 3),
-                          Fraction(3, 5), 1)
 
 
 def test_dominance_equivalence_at_desk_scale():

@@ -14,15 +14,6 @@ EMPTY0 = ChargedPartition((), 0)
 EMPTY1 = ChargedPartition((), 1)
 
 
-def test_signatures_of_the_running_example():
-    sig0 = signature(RUNNING, 0)
-    assert sig0.signs == "++--+"
-    assert sig0.columns == (1, 2, 3, 6, 9)
-    sig1 = signature(RUNNING, 1)
-    assert sig1.signs == "-++-"
-    assert sig1.columns == (1, 4, 7, 8)
-
-
 def test_signatures_of_the_empty_diagram():
     assert signature(EMPTY0, 0).entries == (("+", 1),)
     assert signature(EMPTY0, 1).entries == ()
@@ -43,14 +34,6 @@ def test_epsilon_phi():
     assert epsilon(RUNNING, 1) == 1 and phi(RUNNING, 1) == 1
     assert epsilon(EMPTY0, 0) == 0 and epsilon(EMPTY0, 1) == 0
     assert phi(EMPTY0, 0) == 1 and phi(EMPTY0, 1) == 0
-
-
-def test_root_operator_actions_on_the_running_example():
-    assert f_op(RUNNING, 0) == ChargedPartition((8, 6, 3, 2), 0)
-    assert e_op(RUNNING, 0) == ChargedPartition((8, 6, 2, 1), 0)
-    assert e_op(RUNNING, 1) == ChargedPartition((7, 6, 3, 1), 0)
-    # the rightmost surviving plus of the 1-signature sits in column 7
-    assert f_op(RUNNING, 1) == ChargedPartition((8, 7, 3, 1), 0)
 
 
 def test_operators_kill_at_the_ends():
@@ -87,13 +70,6 @@ def test_reduction_matches_the_substring_definition():
     # also checks that every reduced signature is plus signs then minus signs
     result = check_reduction_oracle(18)
     assert result.ok, result.failures
-
-
-def test_reduced_signature_shape():
-    for cp in enumerate_regular(0, 12):
-        for i in (0, 1):
-            signs = reduce_signature(signature(cp, i)).signs
-            assert signs == "+" * signs.count("+") + "-" * signs.count("-")
 
 
 def test_operators_are_partial_inverses():

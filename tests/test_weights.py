@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -71,7 +72,8 @@ def test_json_round_trip():
     assert data == {"c0": "3/7", "c1": "-2", "d": "5/2"}
 
 
-@pytest.mark.parametrize("inexact", [0.1, 1.0, True, False])
+@pytest.mark.parametrize("inexact",
+                         [0.1, 1.0, True, False, "1/2", Decimal("0.1")])
 def test_floats_and_bools_are_refused(inexact):
     with pytest.raises(TypeError):
         Weight(inexact, 0, 0)
