@@ -55,27 +55,16 @@ class MultiplicityTable:
 
     a: tuple[int, ...]
     b: tuple[int, ...] | None
-    cutoff: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        if self.b is not None:
-            object.__setattr__(self, "b", tuple(self.b))
-        if len(self.a) != self.cutoff + 1:
-            raise ValueError("need one a-entry per degree 0..cutoff")
-        if self.b is not None and len(self.b) != self.cutoff + 1:
-            raise ValueError("need one b-entry per degree 0..cutoff")
-        if any(x < 0 for x in self.a) or (self.b and any(x < 0 for x in self.b)):
-            raise ValueError("multiplicities are nonnegative")
-
-    def rows(self) -> list[tuple]:
-        if self.b is None:
-            return [(n, self.a[n]) for n in range(self.cutoff + 1)]
-        return [(n, self.a[n], self.b[n]) for n in range(self.cutoff + 1)]
+    @property
+    def cutoff(self) -> int:
+        return len(self.a) - 1
 
     def to_tsv(self) -> str:
-        header = "n\ta_n" + ("" if self.b is None else "\tb_n")
-        lines = [header] + ["\t".join(str(x) for x in row) for row in self.rows()]
+        columns = (self.a,) if self.b is None else (self.a, self.b)
+        lines = ["n\ta_n" + ("" if self.b is None else "\tb_n")]
+        lines += ["\t".join(map(str, row))
+                  for row in zip(range(len(self.a)), *columns)]
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
@@ -158,9 +147,8 @@ def decomposition(spec: KKSpec, cutoff: int) -> MultiplicityTable:
     first = 1 if spec.lambda_type == 0 else 2
     factors = range(first, min(spec.p, max_degree) + 1, 2)
     coeffs = _truncated_product(factors, max_degree)
-    return MultiplicityTable(coeffs[0::2],
-                             coeffs[1::2] if spec.lambda_type == 0 else None,
-                             cutoff)
+    b = tuple(coeffs[1::2]) if spec.lambda_type == 0 else None
+    return MultiplicityTable(tuple(coeffs[0::2]), b)
 
 
 def decomposition_via_crystal(spec: KKSpec, cutoff: int) -> MultiplicityTable:
@@ -181,7 +169,7 @@ def decomposition_via_crystal(spec: KKSpec, cutoff: int) -> MultiplicityTable:
             b[k] += 1
         else:
             a[k] += 1
-    return MultiplicityTable(tuple(a), None if b is None else tuple(b), cutoff)
+    return MultiplicityTable(tuple(a), None if b is None else tuple(b))
 
 
 def kk_crystal_members(spec: KKSpec, max_boxes: int) -> list[TensorElement]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .weights import Weight
+from .weights import Weight, _check_label
 
 
 @dataclass(frozen=True)
@@ -79,35 +79,15 @@ class ChargedPartition:
         return self.display()
 
 
-@dataclass(frozen=True)
-class Signature:
-    """A +/- string with the contributing column of each sign."""
-
-    entries: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        cols = [c for _, c in self.entries]
-        if any(a >= b for a, b in zip(cols, cols[1:])):
-            raise ValueError("columns must be strictly increasing")
-
-    @property
-    def signs(self) -> str:
-        return "".join(s for s, _ in self.entries)
-
-    @property
-    def columns(self) -> tuple[int, ...]:
-        return tuple(c for _, c in self.entries)
-
-    def display(self) -> str:
-        return " ".join(s for s, _ in self.entries)
+def signs(entries: tuple[tuple[str, int], ...]) -> str:
+    return "".join(s for s, _ in entries)
 
 
-def signature(cp: ChargedPartition, i: int) -> Signature:
-    """Scan columns 1 .. largest+1 and record '+' for each column where a
-    box labelled i is addable at the bottom, '-' where the bottom box is
-    labelled i and removable."""
-    if i not in (0, 1):
-        raise ValueError("label must be 0 or 1")
+def signature(cp: ChargedPartition, i: int) -> tuple[tuple[str, int], ...]:
+    """The (sign, column) entries from scanning columns 1 .. largest+1:
+    '+' for each column where a box labelled i is addable at the bottom,
+    '-' where the bottom box is labelled i and removable."""
+    _check_label(i)
     parts = cp.parts
     top = parts[0] + 1 if parts else 1
     entries = []
@@ -118,19 +98,20 @@ def signature(cp: ChargedPartition, i: int) -> Signature:
             entries.append(("+", c))
         elif h >= 1 and parts[h - 1] == c and (cp.charge - h + c) % 2 == i:
             entries.append(("-", c))
-    return Signature(tuple(entries))
+    return tuple(entries)
 
 
-def reduce_signature(sig: Signature) -> Signature:
+def reduce_signature(entries: tuple[tuple[str, int], ...]
+                     ) -> tuple[tuple[str, int], ...]:
     """Delete '-' '+' adjacencies until none remain; the survivors are
     always some plus signs followed by some minus signs."""
     stack: list[tuple[str, int]] = []
-    for entry in sig.entries:
+    for entry in entries:
         if entry[0] == "+" and stack and stack[-1][0] == "-":
             stack.pop()
         else:
             stack.append(entry)
-    return Signature(tuple(stack))
+    return tuple(stack)
 
 
 def _reduced(cp: ChargedPartition, i: int) -> tuple[int, int, int, int]:
@@ -145,8 +126,7 @@ def _reduced(cp: ChargedPartition, i: int) -> tuple[int, int, int, int]:
     (column parts[0] + 1).  When the two boxes of a row share a column their
     labels differ, so each column carries at most one sign.  A count of
     unmatched '-' does the cancellation."""
-    if i not in (0, 1):
-        raise ValueError("label must be 0 or 1")
+    _check_label(i)
     parts = cp.parts
     plus = depth = 0
     plus_row = minus_row = -1
@@ -253,6 +233,7 @@ def closed_form_signature(cp: ChargedPartition, i: int) -> str:
     """The i-signature as a block pattern of alternating sign runs whose
     lengths come from the staircase gap data; equals the sign string of
     the direct column scan."""
+    _check_label(i)
     if not cp.parts:
         raise ValueError("closed form needs a nonempty diagram")
     m, n = cp.bounding_rect

@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import weights
-from .weights import Weight, fundamental, pair_coroot
+from .weights import Weight, _check_label, fundamental, pair_coroot
 from .weyl import coset_action
 
 
@@ -167,6 +167,7 @@ def _denominator(m: int) -> int:
 def _int_profile(path: LSPath, i: int, D: int) -> tuple[list[int], list[int]]:
     """Turning times and values of h(t) = <path(t), a_i^vee> scaled by D;
     direction k has slope k + 1 if k + shape + i is even, else -k."""
+    _check_label(i)
     n, steps = path.n, path.steps
     times, values = [0], [0]
     for k in range(path.m, n - 1, -1):
@@ -254,8 +255,6 @@ def e_path(path: LSPath, i: int) -> LSPath | None:
 
 def is_lambda_dominant(path: LSPath, lambda_type: int) -> bool:
     """True iff the chosen fundamental weight plus every turning point
-    stays in the dominant chamber."""
+    stays in the dominant chamber, that is epsilon_i <= <Lambda, a_i^vee>."""
     lam = fundamental(lambda_type)
-    D = _denominator(path.m)
-    return all(min(_int_profile(path, i, D)[1]) >= -D * pair_coroot(lam, i)
-               for i in (0, 1))
+    return all(path_epsilon(path, i) <= pair_coroot(lam, i) for i in (0, 1))

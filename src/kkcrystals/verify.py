@@ -12,7 +12,6 @@ command-line `verify` subcommand and the test suite both drive these.
 from __future__ import annotations
 
 import functools
-import inspect
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -20,9 +19,9 @@ from .iso import partition_to_path, path_to_partition
 from .kk import (KKSpec, MultiplicityTable, decomposition,
                  decomposition_via_crystal, dominant_set, in_kk_crystal,
                  in_kk_crystal_by_weyl, kk_crystal_members)
-from .partitions import (ChargedPartition, Signature, closed_form_signature,
-                         e_op, enumerate_regular, epsilon, f_op, phi,
-                         reduce_signature, signature, weight_of)
+from .partitions import (ChargedPartition, closed_form_signature, e_op,
+                         enumerate_regular, epsilon, f_op, phi,
+                         reduce_signature, signature, signs, weight_of)
 from .paths import (LSPath, _denominator, _int_profile, direction_weight,
                     e_path, f_path, h_function, is_lambda_dominant, shape_sign)
 from .tensor import (TensorElement, associated_weyl_element, concat_path_op,
@@ -91,16 +90,17 @@ def _is_reducible(signs: str) -> bool:
     return balance == 0
 
 
-def formal_reduction(sig: Signature) -> Signature:
+def formal_reduction(entries: tuple[tuple[str, int], ...]
+                     ) -> tuple[tuple[str, int], ...]:
     """Delete the union of all reducible substrings, found by exhaustive
     search over substrings."""
-    signs = sig.signs
+    string = signs(entries)
     drop: set[int] = set()
-    for a in range(len(signs)):
-        for b in range(a + 1, len(signs) + 1):
-            if _is_reducible(signs[a:b]):
+    for a in range(len(string)):
+        for b in range(a + 1, len(string) + 1):
+            if _is_reducible(string[a:b]):
                 drop.update(range(a, b))
-    return Signature(tuple(e for k, e in enumerate(sig.entries) if k not in drop))
+    return tuple(e for k, e in enumerate(entries) if k not in drop)
 
 
 def move_at_column(cp: ChargedPartition, c: int,
@@ -114,13 +114,13 @@ def move_at_column(cp: ChargedPartition, c: int,
 
 
 def kernel_disagreement(cp: ChargedPartition, i: int,
-                        reduced: Signature) -> str | None:
+                        reduced: tuple[tuple[str, int], ...]) -> str | None:
     """Where the one-pass operators part from the reduced column scan:
     phi and epsilon must count its '+' and '-', f_i must add at the column
     of its rightmost '+' and e_i remove at the column of its leftmost
     '-'; None when they agree."""
-    plus = [c for s, c in reduced.entries if s == "+"]
-    minus = [c for s, c in reduced.entries if s == "-"]
+    plus = [c for s, c in reduced if s == "+"]
+    minus = [c for s, c in reduced if s == "-"]
     if (phi(cp, i), epsilon(cp, i)) != (len(plus), len(minus)):
         return "phi/epsilon differ from the scan at %s, i=%d" % (cp, i)
     if f_op(cp, i) != (move_at_column(cp, plus[-1], 1) if plus else None):
@@ -213,7 +213,7 @@ def check_double_coset_index(index_max: int):
             tau = coset_element(sign, n)
             for m in range(index_max + 1):
                 z = bruhat_ideal_min(tau.inverse(), coset_element("+", m))
-                w = double_coset_min(lambda_type, z, 0)
+                w = double_coset_min(lambda_type, z)
                 expected = coset_element(
                     "+", double_coset_min_index(lambda_type, n, m))
                 bad = w != expected
@@ -225,7 +225,7 @@ def check_double_coset_index(index_max: int):
 def check_signature_closed_form(max_boxes: int):
     for cp, i in labelled_partitions(max_boxes):
         if cp.parts:
-            bad = closed_form_signature(cp, i) != signature(cp, i).signs
+            bad = closed_form_signature(cp, i) != signs(signature(cp, i))
             yield "%s, i=%d" % (cp, i) if bad else None
 
 
@@ -234,11 +234,11 @@ def check_reduction_oracle(max_boxes: int):
     for cp, i in labelled_partitions(max_boxes):
         sig = signature(cp, i)
         reduced = reduce_signature(sig)
-        signs = reduced.signs
+        string = signs(reduced)
         if reduced != formal_reduction(sig):
             yield "%s, i=%d" % (cp, i)
-        elif signs != "+" * signs.count("+") + "-" * signs.count("-"):
-            yield "reduced signature %r is not plus-then-minus" % signs
+        elif string != "+" * string.count("+") + "-" * string.count("-"):
+            yield "reduced signature %r is not plus-then-minus" % string
         else:
             yield kernel_disagreement(cp, i, reduced)
 
@@ -460,11 +460,10 @@ def check_kk_stabilization(cutoff: int):
         # sets of distinct odd (lambda_type 0) or even parts, by sum
         top = 2 * cutoff + 1
         coeffs = [0] * (top + 1)
-        for b in dominant_set(lambda_type, top, top):
-            coeffs[b.size] += 1
-        full = MultiplicityTable(coeffs[0::2],
-                                 coeffs[1::2] if lambda_type == 0 else None,
-                                 cutoff)
+        for dominant in dominant_set(lambda_type, top, top):
+            coeffs[dominant.size] += 1
+        odd = tuple(coeffs[1::2]) if lambda_type == 0 else None
+        full = MultiplicityTable(tuple(coeffs[0::2]), odd)
         p = 2 * cutoff + 1 if lambda_type == 0 else 2 * cutoff + 2
         bad = decomposition(KKSpec(lambda_type, p), cutoff) != full
         yield ("stabilization fails for lambda_type %d" % lambda_type
@@ -486,33 +485,34 @@ def check_kk_monotone(p_max: int, cutoff: int):
                 yield None
 
 
-def suite_bruhat(len_max: int, index_max: int) -> list[CheckResult]:
+def suite_bruhat(len_max: int, index_max: int, **_) -> list[CheckResult]:
     return [check_bruhat_subword(len_max),
             check_left_multiply_involution(len_max),
             check_ideal_min(min(len_max, 6)),
             check_double_coset_index(index_max)]
 
 
-def suite_signatures(max_boxes: int) -> list[CheckResult]:
+def suite_signatures(max_boxes: int, **_) -> list[CheckResult]:
     return [check_signature_closed_form(max_boxes),
             check_reduction_oracle(max_boxes),
             check_operator_inverses(max_boxes),
             check_string_lengths(min(max_boxes, 10))]
 
 
-def suite_iso(max_boxes: int) -> list[CheckResult]:
+def suite_iso(max_boxes: int, **_) -> list[CheckResult]:
     return [check_iso_commutation(max_boxes),
             check_path_bijectivity(max_boxes),
             check_dominance(max_boxes),
             check_path_integrality(max_boxes)]
 
 
-def suite_tensor(side_boxes: int, max_boxes: int) -> list[CheckResult]:
+def suite_tensor(side_boxes: int, max_boxes: int, **_) -> list[CheckResult]:
     return [check_tensor_convention(side_boxes),
             check_tensor_structure(max_boxes)]
 
 
-def suite_kk(p_max: int, max_boxes: int, cutoff: int) -> list[CheckResult]:
+def suite_kk(p_max: int, max_boxes: int, cutoff: int,
+             **_) -> list[CheckResult]:
     return [check_kk_invariance(p_max, max_boxes),
             check_kk_membership_routes(p_max, max_boxes),
             check_kk_decomposition(max(p_max, 2), cutoff),
@@ -530,11 +530,6 @@ SUITES = {
 
 
 def run_suites(names, **sizes) -> list[CheckResult]:
-    """The results of the named suites in order; each suite is passed the
-    sizes its parameters name."""
-    results = []
-    for name in names:
-        suite = SUITES[name]
-        wanted = inspect.signature(suite).parameters
-        results.extend(suite(**{size: sizes[size] for size in wanted}))
-    return results
+    """The results of the named suites in order; each suite reads the
+    sizes it names and ignores the rest."""
+    return [result for name in names for result in SUITES[name](**sizes)]

@@ -97,6 +97,11 @@ ALPHA1 = Weight(-2, 2, 0)
 DELTA = ALPHA0 + ALPHA1
 
 
+def _check_label(i) -> None:
+    if type(i) is not int or i not in (0, 1):
+        raise ValueError("label must be 0 or 1, got %r" % (i,))
+
+
 def fundamental(i: int) -> Weight:
     if i == 0:
         return LAMBDA0

@@ -136,12 +136,11 @@ def stabilizer_letter(fundamental: int) -> int:
     return 1 - fundamental
 
 
-def double_coset_min(left_fundamental: int, z: WeylElement,
-                     right_fundamental: int) -> WeylElement:
-    """Bruhat minimum of the double coset W_left * z * W_right, where the
+def double_coset_min(left_fundamental: int, z: WeylElement) -> WeylElement:
+    """Bruhat minimum of the double coset W_left * z * W_0, where the
     parabolics are the two-element stabilizers of fundamental weights."""
     a = stabilizer_letter(left_fundamental)
-    b = stabilizer_letter(right_fundamental)
+    b = stabilizer_letter(0)
     candidates = {z, left_multiply(a, z), right_multiply(z, b),
                   right_multiply(left_multiply(a, z), b)}
     best = min(c.length for c in candidates)

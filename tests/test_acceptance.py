@@ -27,11 +27,11 @@ def test_criterion_2_running_example_fidelity():
     b = ChargedPartition((8, 6, 3, 1), 0)
     assert weight_of(b) == LAMBDA0 - 9 * ALPHA0 - 9 * ALPHA1
     sig0 = signature(b, 0)
-    assert sig0.signs == "++--+" and sig0.columns == (1, 2, 3, 6, 9)
+    assert sig0 == (("+", 1), ("+", 2), ("-", 3), ("-", 6), ("+", 9))
     sig1 = signature(b, 1)
-    assert sig1.signs == "-++-" and sig1.columns == (1, 4, 7, 8)
-    assert reduce_signature(sig0).signs == "++-"
-    assert reduce_signature(sig1).signs == "+-"
+    assert sig1 == (("-", 1), ("+", 4), ("+", 7), ("-", 8))
+    assert reduce_signature(sig0) == (("+", 1), ("+", 2), ("-", 3))
+    assert reduce_signature(sig1) == (("+", 7), ("-", 8))
     assert e_op(b, 0) == ChargedPartition((8, 6, 2, 1), 0)   # third column
     assert e_op(b, 1) == ChargedPartition((7, 6, 3, 1), 0)   # eighth column
     assert f_op(b, 0) == ChargedPartition((8, 6, 3, 2), 0)   # second column

@@ -9,7 +9,7 @@ import kkcrystals
 # oracle routes the verify suites check the library against: importable
 # from their own modules, not re-exported by the package
 ORACLE_ROUTES = {
-    "partitions": ("signature", "Signature", "reduce_signature",
+    "partitions": ("signature", "signs", "reduce_signature",
                    "closed_form_signature"),
     "kk": ("in_kk_crystal_by_weyl", "decomposition_via_crystal"),
     "tensor": ("concat_path_op",),

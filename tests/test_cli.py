@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kkcrystals import partitions, paths, tensor, verify
+from kkcrystals import partitions, paths, verify
 from kkcrystals.cli import main
 from kkcrystals.verify import CheckResult
 
@@ -269,16 +269,8 @@ def test_verify_rejects_negative_sizes(suite, flag, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_verify_all_at_defaults(capsys):
-    code, out, _ = run(["verify", "all", "--json"], capsys)
-    assert code == 0
-    report = json.loads(out)
-    assert len(report) == 19 and all(entry["ok"] for entry in report)
-    assert sum(entry["cases"] for entry in report) == 23006
-
-
 @pytest.mark.parametrize("argv, limit", [
-    (["verify", "all"], 60),
+    (["verify", "all", "--json"], 60),
     (["graph", "--lambda", "0", "--p", "5", "--max-boxes", "20"], 2),
 ], ids=["verify-all", "graph"])
 def test_pair_loops_list_the_factors_once(argv, limit, capsys, monkeypatch):
@@ -294,36 +286,31 @@ def test_pair_loops_list_the_factors_once(argv, limit, capsys, monkeypatch):
         if (name.split(".")[0] == "kkcrystals"
                 and getattr(module, "enumerate_regular", None) is original):
             monkeypatch.setattr(module, "enumerate_regular", counted)
-    code, _, _ = run(argv, capsys)
+    code, out, _ = run(argv, capsys)
     assert code == 0
     assert 0 < len(calls) <= limit
+    if argv[0] == "verify":
+        # verify all at its defaults
+        report = json.loads(out)
+        assert len(report) == 19 and all(entry["ok"] for entry in report)
+        assert sum(entry["cases"] for entry in report) == 23006
 
 
-# one-line edits of the kernel's source: (text, replacement)
-BROKEN_KERNELS = {
-    "rightmost '+' row shifted": ("plus_row = k + 1", "plus_row = k + 2"),
-    "leftmost '-' row shifted": ("minus_row = k\n", "minus_row = k + 1\n"),
-    "top addable '+' dropped": ("range(len(parts) - 1, -2, -1)",
-                                "range(len(parts) - 1, -1, -1)"),
-}
-
-
-@pytest.mark.parametrize("mutation", sorted(BROKEN_KERNELS))
-def test_verify_reports_a_broken_kernel(mutation, capsys, monkeypatch):
-    old, new = BROKEN_KERNELS[mutation]
-    source = textwrap.dedent(inspect.getsource(partitions._reduced))
-    assert source.count(old) == 1
-    namespace = dict(vars(partitions))
-    exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(partitions, "_reduced", namespace["_reduced"])
-    code, out, _ = run(["verify", "signatures"], capsys)
-    assert code == 1
-    assert any(line.startswith("FAIL ") for line in out.splitlines())
-
-
-# one-line edits of the path layer: (module, function, text, replacement,
-# the verify suite that must catch it)
-BROKEN_PATH_LAYERS = {
+# one-line edits of the partition and path kernels: (module, function, text,
+# replacement, the verify suite that must catch it)
+MUTATIONS = {
+    "rightmost '+' row shifted": (
+        partitions, "_reduced", "plus_row = k + 1", "plus_row = k + 2",
+        "signatures"),
+    "leftmost '-' row shifted": (
+        partitions, "_reduced", "minus_row = k\n", "minus_row = k + 1\n",
+        "signatures"),
+    "top addable '+' dropped": (
+        partitions, "_reduced", "range(len(parts) - 1, -2, -1)",
+        "range(len(parts) - 1, -1, -1)", "signatures"),
+    "reduction cancels the wrong pair": (
+        partitions, "reduce_signature", 'stack[-1][0] == "-"',
+        'stack[-1][0] == "+"', "signatures"),
     "crossing time one unit late": (
         paths, "_crossing", "return t0 + dt", "return t0 + dt + 1", "tensor"),
     "leftmost minimum lowered": (
@@ -334,20 +321,23 @@ BROKEN_PATH_LAYERS = {
         "merge = not (p >= 1 and reflected[0] == idx[p - 1])", "iso"),
     "raising result not reversed back": (
         paths, "e_path", "idx[::-1], [D - t", "idx, [D - t", "iso"),
+    "path epsilon one too high": (
+        paths, "path_epsilon", "// D", "// D + 1", "iso"),
 }
 
 
-@pytest.mark.parametrize("mutation", sorted(BROKEN_PATH_LAYERS))
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_verify_reports_a_broken_path_layer(mutation, capsys, monkeypatch):
-    module, name, old, new, suite = BROKEN_PATH_LAYERS[mutation]
+    module, name, old, new, suite = MUTATIONS[mutation]
     original = getattr(module, name)
     source = textwrap.dedent(inspect.getsource(original))
     assert source.count(old) == 1
     namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
     # every module that imported the function by name gets the edit too
-    for user in (paths, tensor, verify):
-        if getattr(user, name, None) is original:
+    for user_name, user in list(sys.modules.items()):
+        if (user_name.split(".")[0] == "kkcrystals"
+                and getattr(user, name, None) is original):
             monkeypatch.setattr(user, name, namespace[name])
     code, out, _ = run(["verify", suite], capsys)
     assert code == 1

@@ -3,17 +3,20 @@ from fractions import Fraction
 import pytest
 
 from kkcrystals.iso import partition_to_path
-from kkcrystals.partitions import ChargedPartition, enumerate_regular
+from kkcrystals.partitions import (ChargedPartition, closed_form_signature,
+                                   e_op, enumerate_regular, epsilon, f_op,
+                                   phi, signature)
 from kkcrystals.paths import (LSPath, _int_chain, direction_weight, e_path,
                               f_path, h_function, is_lambda_dominant,
                               path_epsilon, path_phi)
-from kkcrystals.verify import check_path_integrality, string_length
-from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, Weight, act,
-                                fundamental, pair_coroot)
+from kkcrystals.verify import string_length
+from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, Weight,
+                                fundamental, pair_coroot, reflect)
 from kkcrystals.weyl import coset_element
 
 STRAIGHT0 = LSPath(0, 0, ())
 STRAIGHT1 = LSPath(1, 0, ())
+RUNNING = ChargedPartition((8, 6, 3, 1), 0)
 RUNNING_PATH = LSPath(0, 4, (3, 2, 2, 1))
 
 
@@ -89,6 +92,20 @@ def test_operators_on_the_running_path():
     assert e_path(RUNNING_PATH, 1) == LSPath(0, 4, (3, 2, 2))
 
 
+# the operators on both models, each with its running-example element
+LABELLED = ([(op, RUNNING) for op in (f_op, e_op, phi, epsilon, signature,
+                                     closed_form_signature)]
+            + [(op, RUNNING_PATH)
+               for op in (f_path, e_path, path_phi, path_epsilon)])
+
+
+@pytest.mark.parametrize("label", [2, -1, True, 1.0])
+@pytest.mark.parametrize("op, x", LABELLED,
+                         ids=[op.__name__ for op, _ in LABELLED])
+def test_labels_are_the_ints_0_and_1(op, x, label):
+    with pytest.raises(ValueError, match="label must be 0 or 1, got"):
+        op(x, label)
+
 
 def test_string_lengths_match_profile_extrema():
     for cp in enumerate_regular(0, 10):
@@ -100,15 +117,12 @@ def test_string_lengths_match_profile_extrema():
 
 
 def test_direction_weight_closed_form():
+    # w_{k+1} = s_first w_k, so one reflection steps the orbit point along
     for shape in (0, 1):
-        sign, lam = "+-"[shape], fundamental(shape)
+        sign, point = "+-"[shape], fundamental(shape)
         for k in range(600):
-            assert direction_weight(shape, k) == act(coset_element(sign, k), lam)
-
-
-def test_integer_local_minima():
-    result = check_path_integrality(12)
-    assert result.ok, result.failures
+            assert direction_weight(shape, k) == point
+            point = reflect(coset_element(sign, k + 1).first, point)
 
 
 def test_dominance():
