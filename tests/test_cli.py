@@ -269,8 +269,16 @@ def test_verify_rejects_negative_sizes(suite, flag, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_verify_all_at_defaults(capsys):
+    code, out, _ = run(["verify", "all", "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert len(report) == 19 and all(entry["ok"] for entry in report)
+    assert sum(entry["cases"] for entry in report) == 23006
+
+
 @pytest.mark.parametrize("argv, limit", [
-    (["verify", "all", "--json"], 60),
+    (["verify", "all"], 60),
     (["graph", "--lambda", "0", "--p", "5", "--max-boxes", "20"], 2),
 ], ids=["verify-all", "graph"])
 def test_pair_loops_list_the_factors_once(argv, limit, capsys, monkeypatch):
@@ -286,14 +294,9 @@ def test_pair_loops_list_the_factors_once(argv, limit, capsys, monkeypatch):
         if (name.split(".")[0] == "kkcrystals"
                 and getattr(module, "enumerate_regular", None) is original):
             monkeypatch.setattr(module, "enumerate_regular", counted)
-    code, out, _ = run(argv, capsys)
+    code, _, _ = run(argv, capsys)
     assert code == 0
     assert 0 < len(calls) <= limit
-    if argv[0] == "verify":
-        # verify all at its defaults
-        report = json.loads(out)
-        assert len(report) == 19 and all(entry["ok"] for entry in report)
-        assert sum(entry["cases"] for entry in report) == 23006
 
 
 # one-line edits of the partition and path kernels: (module, function, text,
