@@ -7,7 +7,8 @@ the minimal representative of its double coset) is the extremal-weight
 parameter.  Membership of a pair is a rectangle inequality in the
 bounding rectangles of the two partitions, equivalently a Bruhat bound on
 the associated double-coset element; both routes are implemented and the
-tests compare them.
+tests compare them.  The graph of a submodule crystal is its member
+list, in canonical order, with the f_i arrows among the members.
 
 Multiplicities of the irreducible summands come from truncations of the
 distinct-odd-parts / distinct-even-parts product generating functions,
@@ -20,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import ChargedPartition, enumerate_regular
-from .tensor import (CrystalGraph, TensorElement, _canonical_key,
-                     associated_weyl_element, crystal_graph,
-                     is_highest_weight, tensor_pairs)
+from .tensor import (CrystalGraph, TensorElement, associated_weyl_element,
+                     crystal_graph, is_highest_weight, tensor_pairs)
 from .weights import Weight, fundamental, simple_root
-from .weyl import bruhat_leq, coset_element
+from .weyl import _check_label, bruhat_leq, coset_element
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ class KKSpec:
     def __post_init__(self):
         if type(self.lambda_type) is not int or type(self.p) is not int:
             raise TypeError("lambda_type and p must be integers")
-        if self.lambda_type not in (0, 1):
-            raise ValueError("lambda_type must be 0 or 1")
+        _check_label(self.lambda_type, "lambda_type")
         if self.p < 0:
             raise ValueError("p must be nonnegative")
         if self.lambda_type == 0 and self.p != 0 and self.p % 2 == 0:
@@ -74,11 +73,15 @@ class MultiplicityTable:
         return out
 
 
-def in_kk_crystal(spec: KKSpec, t: TensorElement) -> bool:
-    """Rectangle-inequality membership test."""
+def _check_left_charge(spec: KKSpec, t: TensorElement) -> None:
     if t.left.charge != spec.lambda_type:
         raise ValueError("left charge %d does not match lambda_type %d"
                          % (t.left.charge, spec.lambda_type))
+
+
+def in_kk_crystal(spec: KKSpec, t: TensorElement) -> bool:
+    """Rectangle-inequality membership test."""
+    _check_left_charge(spec, t)
     m = t.right.parts[0] if t.right.parts else 0
     n = len(t.left.parts)
     if spec.lambda_type == 0 and spec.p == 0:
@@ -88,9 +91,7 @@ def in_kk_crystal(spec: KKSpec, t: TensorElement) -> bool:
 
 def in_kk_crystal_by_weyl(spec: KKSpec, t: TensorElement) -> bool:
     """Membership via the Bruhat bound on the associated element."""
-    if t.left.charge != spec.lambda_type:
-        raise ValueError("left charge %d does not match lambda_type %d"
-                         % (t.left.charge, spec.lambda_type))
+    _check_left_charge(spec, t)
     return bruhat_leq(associated_weyl_element(t), coset_element("+", spec.p))
 
 
@@ -98,8 +99,7 @@ def dominant_set(lambda_type: int, m: int, max_size: int) -> list[ChargedPartiti
     """Charge-0 partitions into distinct odd parts (lambda_type 0) or
     distinct even parts (lambda_type 1), largest part at most m, at most
     max_size boxes."""
-    if lambda_type not in (0, 1):
-        raise ValueError("lambda_type must be 0 or 1")
+    _check_label(lambda_type)
     wanted = 1 if lambda_type == 0 else 0
     return [cp for cp in enumerate_regular(0, max_size)
             if (not cp.parts or cp.parts[0] <= m)
@@ -108,6 +108,7 @@ def dominant_set(lambda_type: int, m: int, max_size: int) -> list[ChargedPartiti
 
 def weight_of_dominant(lambda_type: int, b: ChargedPartition) -> Weight:
     """Highest weight of the summand attached to a dominant partition."""
+    _check_label(lambda_type)
     k, rem = divmod(b.size, 2)
     delta = simple_root(0) + simple_root(1)
     if lambda_type == 0:
@@ -172,9 +173,13 @@ def decomposition_via_crystal(spec: KKSpec, cutoff: int) -> MultiplicityTable:
     return MultiplicityTable(tuple(a), None if b is None else tuple(b))
 
 
+def _canonical_key(t: TensorElement):
+    return (t.total_boxes, t.left.parts, t.left.charge, t.right.parts)
+
+
 def kk_crystal_members(spec: KKSpec, max_boxes: int) -> list[TensorElement]:
     """Every member with at most max_boxes boxes in total, in canonical
-    order."""
+    order: by total size, then left parts, left charge, right parts."""
     out = [t for t in tensor_pairs(spec.lambda_type, max_boxes)
            if in_kk_crystal(spec, t)]
     out.sort(key=_canonical_key)
@@ -182,8 +187,4 @@ def kk_crystal_members(spec: KKSpec, max_boxes: int) -> list[TensorElement]:
 
 
 def kk_crystal_graph(spec: KKSpec, max_boxes: int) -> CrystalGraph:
-    members = kk_crystal_members(spec, max_boxes)
-    graph = crystal_graph(members, max_boxes)
-    if len(graph.vertices) != len(members):
-        raise AssertionError("lowering operators escaped the crystal")
-    return graph
+    return crystal_graph(kk_crystal_members(spec, max_boxes), max_boxes)

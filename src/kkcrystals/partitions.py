@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .weights import Weight, _check_label
+from .weights import Weight
+from .weyl import _check_label
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,7 @@ class ChargedPartition:
             if p >= last and repeat is None:
                 repeat = (last, p)
             last = p
-        if self.charge not in (0, 1):
-            raise ValueError("charge must be 0 or 1")
+        _check_label(self.charge, "charge")
         if parts and (last if repeat is None else min(parts)) <= 0:
             raise ValueError("parts must be positive")
         if repeat:

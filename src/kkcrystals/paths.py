@@ -30,13 +30,12 @@ from functools import lru_cache
 from math import lcm
 
 from . import weights
-from .weights import Weight, _check_label, fundamental, pair_coroot
-from .weyl import coset_action
+from .weights import Weight, fundamental, pair_coroot
+from .weyl import _check_label, coset_action
 
 
 def shape_sign(shape: int) -> str:
-    if shape not in (0, 1):
-        raise ValueError("shape must be 0 or 1")
+    _check_label(shape)
     return "+" if shape == 0 else "-"
 
 
@@ -72,8 +71,7 @@ class LSPath:
                 raise TypeError("shape, n and steps must be integers")
             rising = rising or x > last
             last = x
-        if self.shape not in (0, 1):
-            raise ValueError("shape must be 0 or 1")
+        _check_label(self.shape, "shape")
         if n < 0:
             raise ValueError("final index must be nonnegative")
         if steps:

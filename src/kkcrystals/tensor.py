@@ -1,6 +1,6 @@
 """Tensor products of the level-one crystals on pairs of charged
-partitions, the concatenated-path oracle, and the double-coset Weyl
-element attached to a pair.
+partitions, the concatenated-path oracle, the double-coset Weyl element
+attached to a pair, and the f_i arrows among a given list of pairs.
 
 The tensor rule is: f_i acts on the left factor iff phi_i(left) is
 strictly larger than epsilon_i(right), and e_i acts on the left factor
@@ -204,10 +204,6 @@ def concat_path_op(i: int, left_path: LSPath, right_path: LSPath,
 
 # --- crystal graphs -----------------------------------------------------
 
-def _canonical_key(t: TensorElement):
-    return (t.total_boxes, t.left.parts, t.left.charge, t.right.parts)
-
-
 @dataclass
 class CrystalGraph:
     vertices: list[TensorElement]
@@ -234,28 +230,21 @@ class CrystalGraph:
         }
 
 
-def crystal_graph(seeds, max_boxes: int) -> CrystalGraph:
-    """Closure of the seeds under the lowering operators, truncated at the
-    box bound; every edge is validated against the raising operator.
-    Each vertex is lowered once, and its arrows become the edges."""
-    verts = {s for s in seeds if s.total_boxes <= max_boxes}
-    frontier = list(verts)
-    arrows = []
-    while frontier:
-        fresh = []
-        for v in frontier:
-            for i in (0, 1):
-                w = tensor_f(i, v)
-                if w is None or w.total_boxes > max_boxes:
-                    continue
-                if tensor_e(i, w) != v:
-                    raise AssertionError("edge fails the raising check")
-                arrows.append((v, i, w))
-                if w not in verts:
-                    verts.add(w)
-                    fresh.append(w)
-        frontier = fresh
-    vertices = sorted(verts, key=_canonical_key)
+def crystal_graph(vertices: list[TensorElement],
+                  max_boxes: int) -> CrystalGraph:
+    """The vertices, in the order given, and the f_i arrows among them
+    that stay within the box bound; an arrow must pass the raising check
+    and must not leave the vertices."""
     index = {v: k for k, v in enumerate(vertices)}
-    edges = sorted((index[v], i, index[w]) for v, i, w in arrows)
+    edges = []
+    for k, v in enumerate(vertices):
+        for i in (0, 1):
+            w = tensor_f(i, v)
+            if w is None or w.total_boxes > max_boxes:
+                continue
+            if tensor_e(i, w) != v:
+                raise AssertionError("edge fails the raising check")
+            if w not in index:
+                raise AssertionError("lowering operators escaped the crystal")
+            edges.append((k, i, index[w]))
     return CrystalGraph(vertices, edges)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .weyl import WeylElement
+from .weyl import WeylElement, _check_label
 
 Scalar = Union[int, Fraction]
 
@@ -97,33 +97,19 @@ ALPHA1 = Weight(-2, 2, 0)
 DELTA = ALPHA0 + ALPHA1
 
 
-def _check_label(i) -> None:
-    if type(i) is not int or i not in (0, 1):
-        raise ValueError("label must be 0 or 1, got %r" % (i,))
-
-
 def fundamental(i: int) -> Weight:
-    if i == 0:
-        return LAMBDA0
-    if i == 1:
-        return LAMBDA1
-    raise ValueError("fundamental weight index must be 0 or 1")
+    _check_label(i)
+    return (LAMBDA0, LAMBDA1)[i]
 
 
 def simple_root(i: int) -> Weight:
-    if i == 0:
-        return ALPHA0
-    if i == 1:
-        return ALPHA1
-    raise ValueError("simple root index must be 0 or 1")
+    _check_label(i)
+    return (ALPHA0, ALPHA1)[i]
 
 
 def pair_coroot(w: Weight, i: int) -> Scalar:
-    if i == 0:
-        return w.c0
-    if i == 1:
-        return w.c1
-    raise ValueError("coroot index must be 0 or 1")
+    _check_label(i)
+    return w.c1 if i else w.c0
 
 
 def reflect(i: int, w: Weight) -> Weight:

@@ -14,6 +14,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 
+def _check_label(i, name: str = "label") -> None:
+    """Every 0/1 index is the int 0 or 1, never a bool or a float."""
+    if type(i) is not int or i not in (0, 1):
+        raise ValueError("%s must be 0 or 1, got %r" % (name, i))
+
+
 @dataclass(frozen=True)
 class WeylElement:
     """An element of the infinite dihedral group.
@@ -30,8 +36,8 @@ class WeylElement:
             raise ValueError("length must be nonnegative")
         if (self.length == 0) != (self.first is None):
             raise ValueError("identity iff no leftmost generator")
-        if self.first not in (None, 0, 1):
-            raise ValueError("generator index must be 0 or 1")
+        if self.first is not None:
+            _check_label(self.first)
 
     @property
     def last(self) -> Optional[int]:
@@ -66,8 +72,7 @@ IDENTITY = WeylElement(0, None)
 
 def left_multiply(i: int, w: WeylElement) -> WeylElement:
     """s_i * w; the length changes by exactly one."""
-    if i not in (0, 1):
-        raise ValueError("generator index must be 0 or 1")
+    _check_label(i)
     if w.length == 0:
         return WeylElement(1, i)
     if i == w.first:
@@ -131,8 +136,7 @@ def coset_action(i: int, k: int, sign: str) -> int:
 def stabilizer_letter(fundamental: int) -> int:
     """Generator of the stabilizer of the fundamental weight: s1 fixes
     the 0th fundamental weight, s0 the 1st."""
-    if fundamental not in (0, 1):
-        raise ValueError("fundamental weight index must be 0 or 1")
+    _check_label(fundamental)
     return 1 - fundamental
 
 
@@ -154,8 +158,7 @@ def double_coset_min_index(lambda_type: int, n: int, m: int) -> int:
     """Closed form for the index l with
     min W_lambda I(tau^{-1}) w_m^+ W_0 = w_l^+, where tau = w_n^+ for
     lambda_type 0 and tau = w_n^- for lambda_type 1."""
-    if lambda_type not in (0, 1):
-        raise ValueError("lambda_type must be 0 or 1")
+    _check_label(lambda_type)
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
     same_parity = (m - n) % 2 == 0

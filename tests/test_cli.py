@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import io
 import json
@@ -207,12 +208,26 @@ def test_graph_to_file(tmp_path, capsys):
     assert text.startswith("digraph") and text.count("->") == 17
 
 
-def test_graph_second_family_counts(tmp_path, capsys):
-    target = tmp_path / "crystal.dot"
-    code, out, _ = run(["graph", "--lambda", "1", "--p", "2",
-                        "--max-boxes", "4", "--out", str(target)], capsys)
-    assert code == 0
-    assert out.strip() == "vertices 20 edges 18"
+# stdout sha256 pins beside the benchmark's lambda 0, p 5 graph: the
+# second family, and the p = 0 branch of the rectangle inequality
+GRAPH_PINS = [
+    ("1 2 4", 20, 18,
+     "e0114e213123c964c221e51fd281c01d946b17b7458dcbc3f847d23bda3eae2d"),
+    ("1 4 14", 942, 1120,
+     "bb4836ceddd7958d0ae4f524a0c92840bc9632e91453e05681aa178befe00d29"),
+    ("0 0 12", 193, 224,
+     "61b0a9a8a69ea1edbb447d866f34af1badbd38f19bbe009993dbecfaed19849b"),
+]
+
+
+def test_graph_second_family_counts(capsys):
+    for spec, vertices, edges, digest in GRAPH_PINS:
+        lam, p, max_boxes = spec.split()
+        code, out, _ = run(["graph", "--lambda", lam, "--p", p,
+                            "--max-boxes", max_boxes], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "vertices %d edges %d" % (vertices, edges)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, spec
 
 
 def test_graph_unwritable_path(tmp_path, capsys):

@@ -146,7 +146,7 @@ BROKEN_GRAPHS = textwrap.dedent("""
     members = kk.kk_crystal_members
 
     def drop_one(spec, max_boxes):
-        # the closure regenerates f_0 of the vacuum from the vacuum
+        # f_0 of the vacuum is inside the bound but no longer a member
         found = members(spec, max_boxes)
         found.remove(tensor.tensor_f(0, found[0]))
         return found

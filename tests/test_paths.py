@@ -3,16 +3,20 @@ from fractions import Fraction
 import pytest
 
 from kkcrystals.iso import partition_to_path
+from kkcrystals.kk import dominant_set, weight_of_dominant
 from kkcrystals.partitions import (ChargedPartition, closed_form_signature,
                                    e_op, enumerate_regular, epsilon, f_op,
                                    phi, signature)
 from kkcrystals.paths import (LSPath, _int_chain, direction_weight, e_path,
                               f_path, h_function, is_lambda_dominant,
-                              path_epsilon, path_phi)
+                              path_epsilon, path_phi, shape_sign)
 from kkcrystals.verify import string_length
 from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, Weight,
-                                fundamental, pair_coroot, reflect)
-from kkcrystals.weyl import coset_element
+                                fundamental, pair_coroot, reflect,
+                                simple_root)
+from kkcrystals.weyl import (IDENTITY, WeylElement, coset_element,
+                             double_coset_min_index, left_multiply,
+                             stabilizer_letter)
 
 STRAIGHT0 = LSPath(0, 0, ())
 STRAIGHT1 = LSPath(1, 0, ())
@@ -92,11 +96,26 @@ def test_operators_on_the_running_path():
     assert e_path(RUNNING_PATH, 1) == LSPath(0, 4, (3, 2, 2))
 
 
-# the operators on both models, each with its running-example element
+def label_first(f, *rest):
+    """f(label, *rest), called as op(x, label) with x ignored."""
+    def call(_, label):
+        return f(label, *rest)
+    call.__name__ = f.__name__
+    return call
+
+
+# the operators on both models, each with its running-example element,
+# then the weight and Weyl functions that take a 0/1 index
 LABELLED = ([(op, RUNNING) for op in (f_op, e_op, phi, epsilon, signature,
                                      closed_form_signature)]
             + [(op, RUNNING_PATH)
-               for op in (f_path, e_path, path_phi, path_epsilon)])
+               for op in (f_path, e_path, path_phi, path_epsilon)]
+            + [(label_first(f, *rest), None) for f, *rest in (
+                (fundamental,), (simple_root,), (shape_sign,),
+                (stabilizer_letter,), (left_multiply, IDENTITY),
+                (double_coset_min_index, 3, 5), (dominant_set, 3, 5),
+                (weight_of_dominant, ChargedPartition((), 0)))]
+            + [(pair_coroot, LAMBDA0), (WeylElement, 1)])
 
 
 @pytest.mark.parametrize("label", [2, -1, True, 1.0])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kkcrystals.kk import KKSpec, kk_crystal_members
 from kkcrystals.partitions import ChargedPartition, enumerate_regular
 from kkcrystals.paths import LSPath, direction_weight
 from kkcrystals.tensor import (TensorElement, _lspath_from_pieces,
@@ -98,16 +99,23 @@ def test_tensor_pairs_keep_the_nested_order():
             assert list(tensor_pairs(charge, n)) == nested
 
 
+def vacuum_crystal_graph(n):
+    return crystal_graph(kk_crystal_members(KKSpec(0, 0), n), n)
+
+
 def test_crystal_graph_from_the_vacuum():
-    graph = crystal_graph([VACUUM], 1)
+    graph = vacuum_crystal_graph(1)
     assert [v.display() for v in graph.vertices] == \
         ["(∅ | c=0) ⊗ (∅ | c=0)", "(1 | c=0) ⊗ (∅ | c=0)"]
     assert graph.edges == [(0, 0, 1)]
     assert crystal_graph([], 5).vertices == []
+    with pytest.raises(AssertionError,
+                       match="lowering operators escaped the crystal"):
+        crystal_graph([VACUUM], 1)
 
 
 def test_crystal_graph_outputs():
-    graph = crystal_graph([VACUUM], 2)
+    graph = vacuum_crystal_graph(2)
     dot = graph.to_dot()
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
     assert dot.count("->") == len(graph.edges)
