@@ -32,6 +32,15 @@ SIZE_FLAGS = ("max_boxes", "len_max", "index_max", "p_max", "cutoff",
               "side_boxes")
 
 
+def _int(text: str) -> int:
+    """An optional '-' and ASCII digits; int() alone also reads '+3', '1_0',
+    ' 3' and non-ASCII digits, and raises ValueError past its digit limit."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kkcrystals",
@@ -45,25 +54,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_convert.add_argument(
         "data", nargs="?", default="-",
         help="JSON object, or comma-separated parts; '-' reads stdin")
-    p_convert.add_argument("--charge", type=int, choices=(0, 1), default=0,
+    p_convert.add_argument("--charge", type=_int, choices=(0, 1), default=0,
                            help="charge when parts are given bare")
 
     p_dec = sub.add_parser("decompose",
                            help="multiplicity table of a submodule crystal")
-    p_dec.add_argument("--lambda", dest="lam", type=int, choices=(0, 1),
+    p_dec.add_argument("--lambda", dest="lam", type=_int, choices=(0, 1),
                        required=True)
-    p_dec.add_argument("--p", type=int, required=True)
-    p_dec.add_argument("--cutoff", type=int, default=6)
+    p_dec.add_argument("--p", type=_int, required=True)
+    p_dec.add_argument("--cutoff", type=_int, default=6)
     p_dec.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_dec.add_argument("--oracle", action="store_true",
                        help="also count highest-weight elements and compare")
 
     p_graph = sub.add_parser("graph",
                              help="truncated submodule crystal graph in DOT")
-    p_graph.add_argument("--lambda", dest="lam", type=int, choices=(0, 1),
+    p_graph.add_argument("--lambda", dest="lam", type=_int, choices=(0, 1),
                          required=True)
-    p_graph.add_argument("--p", type=int, required=True)
-    p_graph.add_argument("--max-boxes", type=int, default=12)
+    p_graph.add_argument("--p", type=_int, required=True)
+    p_graph.add_argument("--max-boxes", type=_int, default=12)
     p_graph.add_argument("--out", default="-", help="output path; '-' is stdout")
     p_graph.add_argument("--format", choices=("dot", "json"), default="dot")
 
@@ -71,19 +80,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite",
                           choices=("iso", "signatures", "bruhat", "kk",
                                    "tensor", "all"))
-    p_verify.add_argument("--max-boxes", type=int, default=12)
-    p_verify.add_argument("--len-max", type=int, default=8)
-    p_verify.add_argument("--index-max", type=int, default=12)
-    p_verify.add_argument("--p-max", type=int, default=5)
-    p_verify.add_argument("--cutoff", type=int, default=6)
-    p_verify.add_argument("--side-boxes", type=int, default=6)
+    p_verify.add_argument("--max-boxes", type=_int, default=12)
+    p_verify.add_argument("--len-max", type=_int, default=8)
+    p_verify.add_argument("--index-max", type=_int, default=12)
+    p_verify.add_argument("--p-max", type=_int, default=5)
+    p_verify.add_argument("--cutoff", type=_int, default=6)
+    p_verify.add_argument("--side-boxes", type=_int, default=6)
     p_verify.add_argument("--json", action="store_true",
                           help="machine-readable report")
 
     p_enum = sub.add_parser("enumerate",
                             help="list regular charged partitions by size")
-    p_enum.add_argument("--charge", type=int, choices=(0, 1), required=True)
-    p_enum.add_argument("--max-boxes", type=int, default=12)
+    p_enum.add_argument("--charge", type=_int, choices=(0, 1), required=True)
+    p_enum.add_argument("--max-boxes", type=_int, default=12)
     p_enum.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
@@ -108,16 +117,16 @@ def _cmd_convert(args) -> int:
             # ValueError: not JSON, or an integer past Python's digit
             # limit; RecursionError: nested deeper than the decoder goes
             _fail("malformed JSON: %s" % exc, 2)
+        if ("parts" in data) == ("shape" in data):
+            _fail("JSON must carry either 'parts' or 'shape'", 2)
         if "parts" in data:
             _convert_partition(data)
-        elif "shape" in data:
-            _convert_path(data)
         else:
-            _fail("JSON must carry either 'parts' or 'shape'", 2)
+            _convert_path(data)
     else:
         try:
-            parts = tuple(int(tok) for tok in text.split(",") if tok.strip())
-        except ValueError:
+            parts = tuple(_int(tok.strip()) for tok in text.split(","))
+        except (ValueError, argparse.ArgumentTypeError):
             _fail("parts must be comma-separated integers", 2)
         _convert_partition({"parts": list(parts), "charge": args.charge})
     return 0

@@ -2,9 +2,9 @@
 
 A charged partition with bounding rectangle (m, n) maps to the
 path with direction chain w_m > ... > w_n whose step data is the gap
-conjugate of the partition; the charge picks the shape (and with it the
-sign of the coset representatives).  The map intertwines the partition
-and path root operators, which the test suite checks exhaustively.
+conjugate of the partition; the charge is the shape, which picks the
+coset representatives w^+ (0) or w^- (1).  The map intertwines the
+partition and path root operators, as the verify suites check.
 """
 
 from __future__ import annotations

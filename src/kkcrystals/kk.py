@@ -24,7 +24,7 @@ from .partitions import ChargedPartition, enumerate_regular
 from .tensor import (CrystalGraph, TensorElement, associated_weyl_element,
                      crystal_graph, is_highest_weight, tensor_pairs)
 from .weights import Weight, fundamental, simple_root
-from .weyl import _check_label, bruhat_leq, coset_element
+from .weyl import _check_count, _check_label, bruhat_leq, coset_element
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,10 @@ class KKSpec:
     p: int
 
     def __post_init__(self):
-        if type(self.lambda_type) is not int or type(self.p) is not int:
-            raise TypeError("lambda_type and p must be integers")
+        if type(self.lambda_type) is not int:
+            raise TypeError("lambda_type must be an integer")
+        _check_count(self.p, "p")
         _check_label(self.lambda_type, "lambda_type")
-        if self.p < 0:
-            raise ValueError("p must be nonnegative")
         if self.lambda_type == 0 and self.p != 0 and self.p % 2 == 0:
             raise ValueError("for lambda_type 0, p must be 0 or odd")
         if self.lambda_type == 1 and self.p % 2 == 1:
@@ -92,7 +91,7 @@ def in_kk_crystal(spec: KKSpec, t: TensorElement) -> bool:
 def in_kk_crystal_by_weyl(spec: KKSpec, t: TensorElement) -> bool:
     """Membership via the Bruhat bound on the associated element."""
     _check_left_charge(spec, t)
-    return bruhat_leq(associated_weyl_element(t), coset_element("+", spec.p))
+    return bruhat_leq(associated_weyl_element(t), coset_element(0, spec.p))
 
 
 def dominant_set(lambda_type: int, m: int, max_size: int) -> list[ChargedPartition]:
@@ -100,6 +99,7 @@ def dominant_set(lambda_type: int, m: int, max_size: int) -> list[ChargedPartiti
     distinct even parts (lambda_type 1), largest part at most m, at most
     max_size boxes."""
     _check_label(lambda_type)
+    _check_count(m, "m")
     wanted = 1 if lambda_type == 0 else 0
     return [cp for cp in enumerate_regular(0, max_size)
             if (not cp.parts or cp.parts[0] <= m)
@@ -119,13 +119,6 @@ def weight_of_dominant(lambda_type: int, b: ChargedPartition) -> Weight:
     return fundamental(0) + fundamental(1) - k * delta
 
 
-def _check_cutoff(cutoff):
-    if type(cutoff) is not int:
-        raise TypeError("cutoff must be an integer")
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-
-
 def _truncated_product(factors, max_degree: int) -> list[int]:
     coeffs = [0] * (max_degree + 1)
     coeffs[0] = 1
@@ -143,7 +136,7 @@ def decomposition(spec: KKSpec, cutoff: int) -> MultiplicityTable:
     factor with j above that degree cannot reach one, so the product
     stops at min(p, 2*cutoff + 1).  For p past that bound the table is
     the one of the whole tensor product."""
-    _check_cutoff(cutoff)
+    _check_count(cutoff, "cutoff")
     max_degree = 2 * cutoff + 1
     first = 1 if spec.lambda_type == 0 else 2
     factors = range(first, min(spec.p, max_degree) + 1, 2)
@@ -155,7 +148,7 @@ def decomposition(spec: KKSpec, cutoff: int) -> MultiplicityTable:
 def decomposition_via_crystal(spec: KKSpec, cutoff: int) -> MultiplicityTable:
     """Independent oracle: count highest-weight pairs inside the crystal,
     bucketed by the size of the right factor."""
-    _check_cutoff(cutoff)
+    _check_count(cutoff, "cutoff")
     a = [0] * (cutoff + 1)
     b = [0] * (cutoff + 1) if spec.lambda_type == 0 else None
     left = ChargedPartition((), spec.lambda_type)

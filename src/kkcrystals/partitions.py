@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .weights import Weight
-from .weyl import _check_label
+from .weyl import _check_count, _check_label
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,7 @@ def _distinct_partitions(total: int, max_part: int):
 def enumerate_regular(charge: int, max_boxes: int) -> list[ChargedPartition]:
     """All regular charged partitions with at most max_boxes boxes,
     ordered by size and then by decreasing parts."""
-    if max_boxes < 0:
-        raise ValueError("max_boxes must be nonnegative")
+    _check_count(max_boxes, "max_boxes")
     out = []
     for size in range(max_boxes + 1):
         for parts in _distinct_partitions(size, size):

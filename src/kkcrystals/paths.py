@@ -31,23 +31,18 @@ from math import lcm
 
 from . import weights
 from .weights import Weight, fundamental, pair_coroot
-from .weyl import _check_label, coset_action
+from .weyl import _check_count, _check_label, coset_action
 
 
-def shape_sign(shape: int) -> str:
-    _check_label(shape)
-    return "+" if shape == 0 else "-"
-
-
-@lru_cache(maxsize=None)
+# typed, so that a bool index misses the cached entry of its int and is refused
+@lru_cache(maxsize=None, typed=True)
 def direction_weight(shape: int, k: int) -> Weight:
-    """Image of the fundamental weight under the k-th coset representative
-    of the matching sign, in closed form (`weights.act` is the oracle); see
-    `_int_profile` for its pairings, and d = -ceil(k/2)^2 for shape 0 and
-    -floor(k/2)(floor(k/2) + 1) for shape 1."""
-    shape_sign(shape)  # validates the shape
-    if k < 0:
-        raise ValueError("index must be nonnegative")
+    """Image of the fundamental weight of the shape under the coset
+    representative w_k of that shape, in closed form (`weights.act` is the
+    oracle); see `_int_profile` for its pairings, and d = -ceil(k/2)^2 for
+    shape 0 and -floor(k/2)(floor(k/2) + 1) for shape 1."""
+    _check_label(shape)
+    _check_count(k, "index")
     d = -((k + 1 - shape) // 2) * ((k + 1 + shape) // 2)
     return Weight(k + 1, -k, d) if (k + shape) % 2 == 0 else Weight(-k, k + 1, d)
 
@@ -216,8 +211,7 @@ def _lower(shape: int, i: int, idx, times: list[int], H: list[int],
         return None
     p = len(H) - 1 - H[::-1].index(Q)
     x = next(j for j in range(p + 1, len(H)) if H[j] >= Q + D)
-    sign = shape_sign(shape)
-    reflected = [coset_action(i, k, sign) for k in idx[p:x]]
+    reflected = [coset_action(i, k, shape) for k in idx[p:x]]
     merge = p >= 1 and reflected[0] == idx[p - 1]
     new_idx = list(idx[:p - 1] if merge else idx[:p]) + reflected
     new_times = (times[:p] if merge else times[:p + 1]) + times[p + 1:x]

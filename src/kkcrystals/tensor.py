@@ -99,7 +99,7 @@ def associated_weyl_element(t: TensorElement) -> WeylElement:
     wedge route min W_lambda I(tau^{-1}) w_m^+ W_0."""
     n = len(t.left.parts)
     m = t.right.parts[0] if t.right.parts else 0
-    return coset_element("+", double_coset_min_index(t.left.charge, n, m))
+    return coset_element(0, double_coset_min_index(t.left.charge, n, m))
 
 
 # --- concatenated-path oracle ------------------------------------------

@@ -23,7 +23,7 @@ from .partitions import (ChargedPartition, closed_form_signature, e_op,
                          enumerate_regular, epsilon, f_op, phi,
                          reduce_signature, signature, signs, weight_of)
 from .paths import (LSPath, _denominator, _int_profile, direction_weight,
-                    e_path, f_path, h_function, is_lambda_dominant, shape_sign)
+                    e_path, f_path, h_function, is_lambda_dominant)
 from .tensor import (TensorElement, associated_weyl_element, concat_path_op,
                      is_highest_weight, tensor_e, tensor_f, tensor_pairs)
 from .weights import act, fundamental, simple_root
@@ -208,14 +208,13 @@ def left_multiply_word(u: WeylElement, y: WeylElement) -> WeylElement:
 @check("double-coset minimum closed form vs wedge route")
 def check_double_coset_index(index_max: int):
     for lambda_type in (0, 1):
-        sign = "+" if lambda_type == 0 else "-"
         for n in range(index_max + 1):
-            tau = coset_element(sign, n)
+            tau = coset_element(lambda_type, n)
             for m in range(index_max + 1):
-                z = bruhat_ideal_min(tau.inverse(), coset_element("+", m))
+                z = bruhat_ideal_min(tau.inverse(), coset_element(0, m))
                 w = double_coset_min(lambda_type, z)
                 expected = coset_element(
-                    "+", double_coset_min_index(lambda_type, n, m))
+                    0, double_coset_min_index(lambda_type, n, m))
                 bad = w != expected
                 yield ("type %d, n=%d, m=%d: %s != %s"
                        % (lambda_type, n, m, w, expected) if bad else None)
@@ -296,11 +295,11 @@ def iso_disagreement(cp: ChargedPartition, i: int) -> str | None:
 @check("partition/path bijection commutes with the operators")
 def check_iso_commutation(max_boxes: int):
     for charge in (0, 1):
-        sign, lam = shape_sign(charge), fundamental(charge)
+        lam = fundamental(charge)
         for cp in enumerate_regular(charge, max_boxes):
             path = partition_to_path(cp)
             off = [k for k in (path.m, path.n) if direction_weight(charge, k)
-                   != act(coset_element(sign, k), lam)]
+                   != act(coset_element(charge, k), lam)]
             if path_to_partition(path) != cp:
                 yield "round trip failed at %s" % cp
             elif path.evaluate(1) != weight_of(cp):

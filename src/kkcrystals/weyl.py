@@ -5,7 +5,7 @@ alternating word in s0, s1 determined by its length and leftmost letter.
 This makes the group law, Bruhat order, minimal coset representatives and
 double-coset minima all computable in closed form.  The closed forms are
 validated against brute-force oracles (the subword characterisation) in
-the verify suites.
+the verify suites.  Coset representatives take the shape: 0 for w^+, 1 for w^-.
 """
 
 from __future__ import annotations
@@ -20,6 +20,14 @@ def _check_label(i, name: str = "label") -> None:
         raise ValueError("%s must be 0 or 1, got %r" % (name, i))
 
 
+def _check_count(n, name: str) -> None:
+    """Every size and index is a nonnegative int, never a bool or a float."""
+    if type(n) is not int:
+        raise TypeError("%s must be an integer, got %r" % (name, n))
+    if n < 0:
+        raise ValueError("%s must be nonnegative" % name)
+
+
 @dataclass(frozen=True)
 class WeylElement:
     """An element of the infinite dihedral group.
@@ -32,8 +40,7 @@ class WeylElement:
     first: Optional[int] = None
 
     def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("length must be nonnegative")
+        _check_count(self.length, "length")
         if (self.length == 0) != (self.first is None):
             raise ValueError("identity iff no leftmost generator")
         if self.first is not None:
@@ -108,29 +115,18 @@ def bruhat_ideal_min(x: WeylElement, y: WeylElement) -> WeylElement:
     return z
 
 
-def coset_element(sign: str, n: int) -> WeylElement:
-    """The alternating word of length n ending in s0 ('+') or s1 ('-')."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n == 0:
-        return IDENTITY
-    first = (n + 1) % 2 if sign == "+" else n % 2
-    return WeylElement(n, first)
+def coset_element(shape: int, n: int) -> WeylElement:
+    """w_n^+ (shape 0) or w_n^- (shape 1): the alternating word of length
+    n ending in s_shape."""
+    _check_label(shape)
+    _check_count(n, "index")
+    return WeylElement(n, (n + 1 + shape) % 2) if n else IDENTITY
 
 
-def raising_letter(k: int, sign: str) -> int:
-    """The generator whose left action sends w_k^sign up to w_{k+1}^sign."""
-    return k % 2 if sign == "+" else (k + 1) % 2
-
-
-def coset_action(i: int, k: int, sign: str) -> int:
-    """Index of s_i . w_k^sign in the coset order; w_0 is fixed by the
-    stabilizer letter."""
-    if i == raising_letter(k, sign):
-        return k + 1
-    return max(k - 1, 0)
+def coset_action(i: int, k: int, shape: int) -> int:
+    """Index of s_i . w_k in the coset order of the given shape; w_0 is
+    fixed by the stabilizer letter."""
+    return k + 1 if i == (k + shape) % 2 else max(k - 1, 0)
 
 
 def stabilizer_letter(fundamental: int) -> int:
@@ -159,8 +155,8 @@ def double_coset_min_index(lambda_type: int, n: int, m: int) -> int:
     min W_lambda I(tau^{-1}) w_m^+ W_0 = w_l^+, where tau = w_n^+ for
     lambda_type 0 and tau = w_n^- for lambda_type 1."""
     _check_label(lambda_type)
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
+    _check_count(n, "n")
+    _check_count(m, "m")
     same_parity = (m - n) % 2 == 0
     if lambda_type == 0:
         return max(0, m - n - 1) if same_parity else max(0, m - n)

@@ -93,7 +93,12 @@ def test_convert_rejects_json_nested_past_the_decoder(key, capsys):
     '{"parts": ["3", 1], "charge": 0}',
     '{"shape": "L0", "n": 4, "steps": [2.5]}',
     '{"shape": "L0", "n": true, "steps": []}',
-], ids=["float-part", "bool-charge", "string-part", "float-step", "bool-n"])
+    '{"parts": [2], "charge": 0, "shape": "L0", "n": 1, "steps": []}',
+    "1_0", "+3", "\uff13", ",", "3,,1", "3,1,", "1%s" % ("0" * 5000),
+], ids=["float-part", "bool-charge", "string-part", "float-step", "bool-n",
+        "parts-and-shape", "underscore-part", "plus-part", "fullwidth-part",
+        "lone-comma", "empty-middle-part", "empty-last-part",
+        "bare-part-past-digit-limit"])
 def test_convert_rejects_non_integers(data, capsys):
     code, out, err = run(["convert", data], capsys)
     assert code == 2 and out == ""
@@ -282,6 +287,18 @@ def test_verify_rejects_negative_sizes(suite, flag, capsys):
     code, out, err = run(["verify", suite, flag, "-1"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--p", "1_1"), ("--p", "+3"), ("--max-boxes", "\uff13"),
+    ("--max-boxes", " 3"), ("--lambda", "+0"),
+], ids=["underscore", "plus", "fullwidth", "space", "plus-label"])
+def test_integer_flags_take_ascii_digits_only(flag, value, capsys):
+    argv = {"--lambda": "0", "--p": "3", "--max-boxes": "2", flag: value}
+    code, out, err = run(["graph"] + [x for kv in argv.items() for x in kv],
+                         capsys)
+    assert code == 2 and out == ""
+    assert "invalid int value" in err
 
 
 def test_verify_all_at_defaults(capsys):

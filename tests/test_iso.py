@@ -33,9 +33,6 @@ def test_rejects_non_regular():
         partition_to_path(cp((2, 2)))
 
 
-
-
-
 def test_dominance_equivalence_at_desk_scale():
     result = check_dominance(max_boxes=18)
     assert result.ok, result.failures

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,13 @@ import pytest
 from kkcrystals.kk import (KKSpec, decomposition, decomposition_via_crystal,
                            dominant_set, in_kk_crystal, kk_crystal_graph,
                            kk_crystal_members, weight_of_dominant)
-from kkcrystals.partitions import ChargedPartition
+from kkcrystals.partitions import ChargedPartition, enumerate_regular
+from kkcrystals.paths import direction_weight
 from kkcrystals.tensor import TensorElement
 from kkcrystals.verify import (check_kk_decomposition, check_kk_monotone,
                                check_kk_stabilization)
 from kkcrystals.weights import ALPHA0, DELTA, LAMBDA0, LAMBDA1
+from kkcrystals.weyl import WeylElement, coset_element, double_coset_min_index
 
 
 def cp(parts, charge=0):
@@ -37,11 +40,28 @@ def test_spec_validation():
         KKSpec(0, -1)
 
 
-@pytest.mark.parametrize("route", [decomposition, decomposition_via_crystal])
-@pytest.mark.parametrize("cutoff", [True, 3.0, 2.5])
-def test_cutoff_must_be_an_int(route, cutoff):
+# (name, call, size or index): the cutoff of both routes, then every other
+# size and index, each refused as a bool or a float
+COUNTS = ([(route.__name__, partial(route, KKSpec(0, 3)), cutoff)
+           for cutoff in (True, 3.0, 2.5)
+           for route in (decomposition, decomposition_via_crystal)]
+          + [("WeylElement", lambda n: WeylElement(n, 0), True),
+             ("WeylElement", lambda n: WeylElement(n, 0), 2.5),
+             ("coset_element", partial(coset_element, 0), True),
+             ("double_coset_min_index-n",
+              lambda n: double_coset_min_index(0, n, 3), 1.5),
+             ("double_coset_min_index-m",
+              partial(double_coset_min_index, 0, 3), True),
+             ("enumerate_regular", partial(enumerate_regular, 0), True),
+             ("direction_weight", partial(direction_weight, 0), True),
+             ("dominant_set", lambda m: dominant_set(0, m, 3), 2.5)])
+
+
+@pytest.mark.parametrize("call, n", [row[1:] for row in COUNTS],
+                         ids=["%r-%s" % (row[2], row[0]) for row in COUNTS])
+def test_cutoff_must_be_an_int(call, n):
     with pytest.raises(TypeError):
-        route(KKSpec(0, 3), cutoff)
+        call(n)
 
 
 def test_membership_examples():

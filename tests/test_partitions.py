@@ -63,7 +63,6 @@ def test_closed_form_signature_examples():
         closed_form_signature(EMPTY0, 0)
 
 
-
 def test_reduction_matches_the_substring_definition():
     # also checks that every reduced signature is plus signs then minus signs
     result = check_reduction_oracle(18)

@@ -9,14 +9,14 @@ from kkcrystals.partitions import (ChargedPartition, closed_form_signature,
                                    phi, signature)
 from kkcrystals.paths import (LSPath, _int_chain, direction_weight, e_path,
                               f_path, h_function, is_lambda_dominant,
-                              path_epsilon, path_phi, shape_sign)
+                              path_epsilon, path_phi)
 from kkcrystals.verify import string_length
 from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, Weight,
                                 fundamental, pair_coroot, reflect,
                                 simple_root)
-from kkcrystals.weyl import (IDENTITY, WeylElement, coset_element,
-                             double_coset_min_index, left_multiply,
-                             stabilizer_letter)
+from kkcrystals.weyl import (IDENTITY, WeylElement, coset_action,
+                             coset_element, double_coset_min_index,
+                             left_multiply, stabilizer_letter)
 
 STRAIGHT0 = LSPath(0, 0, ())
 STRAIGHT1 = LSPath(1, 0, ())
@@ -111,7 +111,7 @@ LABELLED = ([(op, RUNNING) for op in (f_op, e_op, phi, epsilon, signature,
             + [(op, RUNNING_PATH)
                for op in (f_path, e_path, path_phi, path_epsilon)]
             + [(label_first(f, *rest), None) for f, *rest in (
-                (fundamental,), (simple_root,), (shape_sign,),
+                (fundamental,), (simple_root,), (coset_element, 3),
                 (stabilizer_letter,), (left_multiply, IDENTITY),
                 (double_coset_min_index, 3, 5), (dominant_set, 3, 5),
                 (weight_of_dominant, ChargedPartition((), 0)))]
@@ -136,12 +136,16 @@ def test_string_lengths_match_profile_extrema():
 
 
 def test_direction_weight_closed_form():
-    # w_{k+1} = s_first w_k, so one reflection steps the orbit point along
+    # w_{k+1} = s_first w_k, so one reflection steps the orbit point along;
+    # s_i sends w_k to the representative indexed by coset_action
     for shape in (0, 1):
-        sign, point = "+-"[shape], fundamental(shape)
+        point = fundamental(shape)
         for k in range(600):
             assert direction_weight(shape, k) == point
-            point = reflect(coset_element(sign, k + 1).first, point)
+            for i in (0, 1):
+                assert reflect(i, point) == direction_weight(
+                    shape, coset_action(i, k, shape))
+            point = reflect(coset_element(shape, k + 1).first, point)
 
 
 def test_dominance():
@@ -152,7 +156,7 @@ def test_dominance():
     assert not is_lambda_dominant(two, 0)
 
 
-def test_from_chain_rejects_junk():
+def test_int_chain_rejects_junk():
     # the chain checks f_path and e_path rely on, times scaled by D = 6
     with pytest.raises(ValueError):
         _int_chain(0, [3, 1], [0, 3, 6], 6)     # 1/2 is not canonical for 3
@@ -161,7 +165,7 @@ def test_from_chain_rejects_junk():
     assert _int_chain(0, [2, 1], [0, 3, 6], 6) == LSPath(0, 1, (1,))
 
 
-def test_json_and_describe():
+def test_json_round_trip():
     data = RUNNING_PATH.to_json()
     assert data == {"shape": "L0", "n": 4, "steps": [3, 2, 2, 1]}
     assert LSPath.from_json(data) == RUNNING_PATH

@@ -55,7 +55,6 @@ def test_concat_examples():
     assert concat_path_op(1, LSPath(1, 0, ()), straight, "e") is None
 
 
-
 def test_direction_index_is_read_off_the_weight():
     # no search over the directions before it, however far out it lies
     # (a single piece of duration 1, scaled by D = 1)
@@ -85,9 +84,9 @@ def test_highest_weight_classification():
 
 def test_associated_weyl_element_examples():
     assert associated_weyl_element(VACUUM) == IDENTITY
-    assert associated_weyl_element(pair((1,), (4,))) == coset_element("+", 3)
+    assert associated_weyl_element(pair((1,), (4,))) == coset_element(0, 3)
     assert associated_weyl_element(pair((), (2,), charge=1)) == \
-        coset_element("+", 2)
+        coset_element(0, 2)
 
 
 def test_tensor_pairs_keep_the_nested_order():

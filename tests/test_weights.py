@@ -46,11 +46,11 @@ def test_act_identity_and_group_law():
 def test_act_on_coset_orbit_of_the_level_one_weight():
     # images of the 0th fundamental weight under the plus representatives
     for k in range(7):
-        even = act(coset_element("+", 2 * k), LAMBDA0)
+        even = act(coset_element(0, 2 * k), LAMBDA0)
         assert pair_coroot(even, 0) == 2 * k + 1
         assert pair_coroot(even, 1) == -2 * k
         if k >= 1:
-            odd = act(coset_element("+", 2 * k - 1), LAMBDA0)
+            odd = act(coset_element(0, 2 * k - 1), LAMBDA0)
             assert pair_coroot(odd, 0) == -(2 * k - 1)
             assert pair_coroot(odd, 1) == 2 * k
 

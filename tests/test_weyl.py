@@ -42,18 +42,17 @@ def test_bruhat_examples():
     assert not bruhat_leq(WeylElement(3, 0), WeylElement(3, 1))
 
 
-
 def test_coset_representatives():
-    assert coset_element("+", 0) == IDENTITY
-    assert coset_element("+", 1) == S0
-    assert coset_element("+", 2) == WeylElement(2, 1)
-    assert coset_element("-", 3) == WeylElement(3, 1)
-    assert coset_element("-", 1) == S1
-    for sign in "+-":
+    assert coset_element(0, 0) == IDENTITY
+    assert coset_element(0, 1) == S0
+    assert coset_element(0, 2) == WeylElement(2, 1)
+    assert coset_element(1, 3) == WeylElement(3, 1)
+    assert coset_element(1, 1) == S1
+    for shape in (0, 1):
         for n in range(1, 10):
-            elem = coset_element(sign, n)
-            assert elem.last == (0 if sign == "+" else 1)
-            assert bruhat_leq(coset_element(sign, n - 1), elem)
+            elem = coset_element(shape, n)
+            assert elem.last == shape
+            assert bruhat_leq(coset_element(shape, n - 1), elem)
 
 
 def test_wedge():
@@ -70,7 +69,7 @@ def test_ideal_min_examples():
 
 def test_double_coset_min_examples():
     assert double_coset_min(0, IDENTITY) == IDENTITY
-    assert double_coset_min(0, coset_element("+", 2)) == S0
+    assert double_coset_min(0, coset_element(0, 2)) == S0
     assert double_coset_min(1, S0) == IDENTITY
 
 
@@ -79,7 +78,6 @@ def test_double_coset_min_index_examples():
         assert double_coset_min_index(0, n, n) == 0
     assert double_coset_min_index(0, 2, 5) == 3
     assert double_coset_min_index(1, 2, 6) == 4
-
 
 
 def test_serialization_round_trip():
