@@ -54,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_convert.add_argument(
         "data", nargs="?", default="-",
         help="JSON object, or comma-separated parts; '-' reads stdin")
-    p_convert.add_argument("--charge", type=_int, choices=(0, 1), default=0,
-                           help="charge when parts are given bare")
+    p_convert.add_argument("--charge", type=_int, choices=(0, 1),
+                           help="charge when parts are given bare (default 0)")
 
     p_dec = sub.add_parser("decompose",
                            help="multiplicity table of a submodule crystal")
@@ -117,8 +117,8 @@ def _cmd_convert(args) -> int:
             # ValueError: not JSON, or an integer past Python's digit
             # limit; RecursionError: nested deeper than the decoder goes
             _fail("malformed JSON: %s" % exc, 2)
-        if ("parts" in data) == ("shape" in data):
-            _fail("JSON must carry either 'parts' or 'shape'", 2)
+        if args.charge is not None:
+            _fail("--charge applies to bare parts only", 2)
         if "parts" in data:
             _convert_partition(data)
         else:
@@ -128,14 +128,14 @@ def _cmd_convert(args) -> int:
             parts = tuple(_int(tok.strip()) for tok in text.split(","))
         except (ValueError, argparse.ArgumentTypeError):
             _fail("parts must be comma-separated integers", 2)
-        _convert_partition({"parts": list(parts), "charge": args.charge})
+        _convert_partition({"parts": list(parts), "charge": args.charge or 0})
     return 0
 
 
 def _convert_partition(data: dict):
     try:
         cp = ChargedPartition.from_json(data)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         _fail("bad charged partition: %s" % exc, 2)
     if cp.parts and cp.parts[0] > MAX_CONVERT_SIZE:
         _fail("largest part %d exceeds the limit %d"
@@ -146,7 +146,7 @@ def _convert_partition(data: dict):
 def _convert_path(data: dict):
     try:
         path = LSPath.from_json(data)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         _fail("bad LS path: %s" % exc, 2)
     if path.m > MAX_CONVERT_SIZE:
         _fail("n + len(steps) = %d exceeds the limit %d"

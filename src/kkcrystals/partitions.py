@@ -73,6 +73,8 @@ class ChargedPartition:
 
     @classmethod
     def from_json(cls, data: dict) -> "ChargedPartition":
+        if set(data) != {"parts", "charge"}:
+            raise ValueError("need the keys parts, charge; got %s" % sorted(data))
         return cls(tuple(data["parts"]), data["charge"])
 
     def __str__(self):

@@ -16,10 +16,10 @@ strictly inside it.  The raising operator e_i is f_i on the reversed
 path t -> path(1 - t) - path(1), reversed back (Littelmann's duality), and
 is the two-sided inverse of f_i.
 
-The operators run on ints, with turning times scaled by D = lcm(1, ...,
-m + 1) (it holds the times of the path and of its images) and integer
-slopes; `times`, `evaluate`, `turning_points` and `h_function` (the
-profile's breakpoints) stay exact.
+The operators and the endpoint `LSPath.weight` run on ints, with turning
+times scaled by D = lcm(1, ..., m + 1) (it holds the times of the path
+and of its images) and integer slopes; only `times` and `h_function` (the
+profile's breakpoints) are Fractions.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from . import weights
-from .weights import Weight, fundamental, pair_coroot
+from .weights import ZERO, Weight, fundamental, pair_coroot
 from .weyl import _check_count, _check_label, coset_action
 
 
@@ -94,27 +93,25 @@ class LSPath:
         ts.append(Fraction(1))
         return tuple(ts)
 
-    def evaluate(self, t) -> Weight:
-        t = weights._exact(t)
-        if t < 0 or t > 1:
-            raise ValueError("time must lie in [0, 1]")
-        ts, points = self.times, self.turning_points()
-        j = next(j for j in range(len(ts) - 1) if t <= ts[j + 1])
-        v = direction_weight(self.shape, self.direction_indices[j])
-        return points[j] + (t - ts[j]) * v
-
-    def turning_points(self) -> list[Weight]:
-        ts = self.times
-        out = [weights.ZERO]
+    def weight(self) -> Weight:
+        """The endpoint path(1): the direction weights times their
+        durations, scaled by D, summed and divided by D exactly."""
+        D = _denominator(self.m)
+        times, total = _int_profile(self, 0, D)[0], ZERO
         for j, k in enumerate(self.direction_indices):
-            out.append(out[-1] + (ts[j + 1] - ts[j]) * direction_weight(self.shape, k))
-        return out
+            total += (times[j + 1] - times[j]) * direction_weight(self.shape, k)
+        scaled = (total.c0, total.c1, total.dd)
+        if any(x % D for x in scaled):
+            raise AssertionError("endpoint %s / %d is not integral" % (total, D))
+        return Weight(*(x // D for x in scaled))
 
     def to_json(self) -> dict:
         return {"shape": "L%d" % self.shape, "n": self.n, "steps": list(self.steps)}
 
     @classmethod
     def from_json(cls, data: dict) -> "LSPath":
+        if set(data) != {"shape", "n", "steps"}:
+            raise ValueError("need the keys shape, n, steps; got %s" % sorted(data))
         shape_text = data["shape"]
         if shape_text not in ("L0", "L1"):
             raise ValueError("shape must be 'L0' or 'L1'")
@@ -147,8 +144,11 @@ def _int_chain(shape: int, indices: list[int], times: list[int], D: int) -> LSPa
 
 def h_function(path: LSPath, i: int) -> tuple:
     """The exact breakpoints (t, <path(t), a_i^vee>) of the pairing profile."""
-    return tuple(zip(path.times,
-                     [pair_coroot(p, i) for p in path.turning_points()]))
+    ts, out = path.times, [(0, 0)]
+    for j, k in enumerate(path.direction_indices):
+        slope = pair_coroot(direction_weight(path.shape, k), i)
+        out.append((ts[j + 1], out[-1][1] + (ts[j + 1] - ts[j]) * slope))
+    return tuple(out)
 
 
 def _denominator(m: int) -> int:

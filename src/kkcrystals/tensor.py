@@ -153,7 +153,7 @@ def _direction_index(shape: int, v: Weight) -> int:
     weight pairs to -k with one simple coroot and to k + 1 with the
     other, so k = min(|c0|, |c1|)."""
     k = min(abs(v.c0), abs(v.c1))
-    if type(k) is not int or direction_weight(shape, k) != v:
+    if direction_weight(shape, k) != v:
         raise ValueError("%r is not a direction weight for shape %d" % (v, shape))
     return k
 

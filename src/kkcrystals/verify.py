@@ -302,7 +302,7 @@ def check_iso_commutation(max_boxes: int):
                    != act(coset_element(charge, k), lam)]
             if path_to_partition(path) != cp:
                 yield "round trip failed at %s" % cp
-            elif path.evaluate(1) != weight_of(cp):
+            elif path.weight() != weight_of(cp):
                 yield "weights differ at %s" % cp
             elif (path.m, path.n) != cp.bounding_rect:
                 yield "directions miss the bounding rectangle at %s" % cp

@@ -1,49 +1,31 @@
 """Exact arithmetic in the affine sl2 weight lattice.
 
 A weight is stored by its pairings with the two simple coroots and with
-the scaling element d, as exact rationals: an `int` when the coordinate
-is integral and a `Fraction` otherwise, never a float.  LS-path turning
-times are rationals like 2/7, so everything downstream depends on this
-exactness.
+the scaling element d.  Every weight of the level-one crystals (a charged
+partition, an LS-path endpoint, a Kostant-Kumar crystal vertex) is
+integral, so the three coordinates are ints: a bool, a float, a Decimal
+or a fraction, an integral one included, is refused, never coerced.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
 
 from .weyl import WeylElement, _check_label
-
-Scalar = Union[int, Fraction]
-
-
-def _exact(x) -> Scalar:
-    """x as an int when it is integral, else as a Fraction; an int or any
-    other rational number is read exactly, and anything else (a float, a
-    bool, a str, a Decimal) is refused."""
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        if isinstance(x, bool) or not isinstance(x, numbers.Rational):
-            raise TypeError("expected an exact number, got %r" % (x,))
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
 class Weight:
     """Coroot-pairing coordinates (<w, a0v>, <w, a1v>, <w, d>)."""
 
-    c0: Scalar
-    c1: Scalar
-    dd: Scalar
+    c0: int
+    c1: int
+    dd: int
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", _exact(self.c0))
-        object.__setattr__(self, "c1", _exact(self.c1))
-        object.__setattr__(self, "dd", _exact(self.dd))
+        if not (type(self.c0) is type(self.c1) is type(self.dd) is int):
+            raise TypeError("weight coordinates must be ints, got %r"
+                            % ((self.c0, self.c1, self.dd),))
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.c0 + other.c0, self.c1 + other.c1, self.dd + other.dd)
@@ -54,8 +36,9 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(-self.c0, -self.c1, -self.dd)
 
-    def __mul__(self, scalar: Scalar) -> "Weight":
-        s = _exact(scalar)
+    def __mul__(self, s: int) -> "Weight":
+        if type(s) is not int:
+            return NotImplemented
         return Weight(s * self.c0, s * self.c1, s * self.dd)
 
     __rmul__ = __mul__
@@ -67,11 +50,9 @@ class Weight:
         """Render as 'aΛ0 + bΛ1 - n0α0 - n1α1' in integers, with a + b the
         level and a the largest a <= level with a = c0 mod 2 (a - 2, b + 2
         would fit as well, so the form is not unique); raw coordinates
-        when c0, the level or n0 is not an int, or no such a >= 0
-        exists."""
+        when no such a >= 0 exists."""
         level, n0 = self.c0 + self.c1, -self.dd
-        integral = all(type(x) is int for x in (self.c0, level, n0))
-        a = level - (level - self.c0) % 2 if integral else -1
+        a = level - (level - self.c0) % 2
         if a < 0:
             return "(%s, %s, %s)" % (self.c0, self.c1, self.dd)
         n1 = n0 + (self.c0 - a) // 2
@@ -107,7 +88,7 @@ def simple_root(i: int) -> Weight:
     return (ALPHA0, ALPHA1)[i]
 
 
-def pair_coroot(w: Weight, i: int) -> Scalar:
+def pair_coroot(w: Weight, i: int) -> int:
     _check_label(i)
     return w.c1 if i else w.c0
 

@@ -95,12 +95,17 @@ def test_convert_rejects_json_nested_past_the_decoder(key, capsys):
     '{"shape": "L0", "n": true, "steps": []}',
     '{"parts": [2], "charge": 0, "shape": "L0", "n": 1, "steps": []}',
     "1_0", "+3", "\uff13", ",", "3,,1", "3,1,", "1%s" % ("0" * 5000),
+    '{"parts": [2], "charge": 0, "bogus": 1}',
+    '{"shape": "L0", "n": 1, "steps": [], "extra": [1]}',
+    '{"parts": [2]}', ["--charge", "1", '{"parts": [2], "charge": 0}'],
 ], ids=["float-part", "bool-charge", "string-part", "float-step", "bool-n",
         "parts-and-shape", "underscore-part", "plus-part", "fullwidth-part",
         "lone-comma", "empty-middle-part", "empty-last-part",
-        "bare-part-past-digit-limit"])
+        "bare-part-past-digit-limit", "unknown-partition-key",
+        "unknown-path-key", "missing-key", "charge-flag-with-json"])
 def test_convert_rejects_non_integers(data, capsys):
-    code, out, err = run(["convert", data], capsys)
+    argv = ["convert"] + (data if isinstance(data, list) else [data])
+    code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:")
 

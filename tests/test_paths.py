@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kkcrystals import paths
 from kkcrystals.iso import partition_to_path
 from kkcrystals.kk import dominant_set, weight_of_dominant
 from kkcrystals.partitions import (ChargedPartition, closed_form_signature,
@@ -11,9 +12,8 @@ from kkcrystals.paths import (LSPath, _int_chain, direction_weight, e_path,
                               f_path, h_function, is_lambda_dominant,
                               path_epsilon, path_phi)
 from kkcrystals.verify import string_length
-from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, Weight,
-                                fundamental, pair_coroot, reflect,
-                                simple_root)
+from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, ZERO, fundamental,
+                                pair_coroot, reflect, simple_root)
 from kkcrystals.weyl import (IDENTITY, WeylElement, coset_action,
                              coset_element, double_coset_min_index,
                              left_multiply, stabilizer_letter)
@@ -44,36 +44,28 @@ def test_times_and_directions():
     assert STRAIGHT0.direction_indices == (0,)
 
 
-def test_evaluate():
-    assert STRAIGHT0.evaluate(1) == LAMBDA0
-    assert STRAIGHT0.evaluate(Fraction(1, 2)) == Fraction(1, 2) * LAMBDA0
-    assert LSPath(0, 1, ()).evaluate(1) == LAMBDA0 - ALPHA0
-    with pytest.raises(ValueError):
-        STRAIGHT0.evaluate(2)
-    for inexact in (0.1, 1.0, True, "1/2"):
-        with pytest.raises(TypeError):
-            STRAIGHT0.evaluate(inexact)
-
-
-def test_turning_points():
-    assert STRAIGHT0.turning_points() == [Weight(0, 0, 0), LAMBDA0]
-    assert LSPath(0, 1, ()).turning_points() == [Weight(0, 0, 0), LAMBDA0 - ALPHA0]
-    points = RUNNING_PATH.turning_points()
-    assert len(points) == 6
-    assert points[-1] == LAMBDA0 - 9 * ALPHA0 - 9 * ALPHA1
+def test_weight(monkeypatch):
+    assert STRAIGHT0.weight() == LAMBDA0
+    assert LSPath(0, 1, ()).weight() == LAMBDA0 - ALPHA0
+    assert RUNNING_PATH.weight() == LAMBDA0 - 9 * ALPHA0 - 9 * ALPHA1
+    # keep only the first direction, of duration 1/8: path(1) = Λ0 / 8
+    monkeypatch.setattr(paths, "direction_weight",
+                        lambda shape, k: LAMBDA0 if k == 8 else ZERO)
+    with pytest.raises(AssertionError, match="not integral"):
+        RUNNING_PATH.weight()
 
 
 def test_h_function():
     assert h_function(STRAIGHT0, 0) == ((0, 0), (1, 1))
     assert h_function(LSPath(0, 1, ()), 0)[-1] == (1, -1)
     assert h_function(STRAIGHT1, 0) == ((0, 0), (1, 0))
-    running = h_function(RUNNING_PATH, 0)
-    assert min(v for _, v in running) == -1
-    # breakpoints are the pairings of the path at its turning times
-    for t, v in running:
-        assert v == pair_coroot(RUNNING_PATH.evaluate(t), 0)
-    assert (Fraction(3, 5), -1) in running
-    assert pair_coroot(RUNNING_PATH.evaluate(Fraction(4, 5)), 0) == 0
+    f = Fraction
+    assert h_function(RUNNING_PATH, 0) == (
+        (0, 0), (f(1, 8), f(9, 8)), (f(2, 7), 0), (f(1, 3), f(1, 3)),
+        (f(3, 5), -1), (1, 1))
+    assert h_function(RUNNING_PATH, 1) == (
+        (0, 0), (f(1, 8), -1), (f(2, 7), f(2, 7)), (f(1, 3), 0),
+        (f(3, 5), f(8, 5)), (1, 0))
 
 
 def test_f_path_base_cases():

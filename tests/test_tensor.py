@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from kkcrystals.kk import KKSpec, kk_crystal_members
@@ -9,7 +7,7 @@ from kkcrystals.tensor import (TensorElement, _lspath_from_pieces,
                                associated_weyl_element, concat_path_op,
                                crystal_graph, is_highest_weight, tensor_e,
                                tensor_f, tensor_pairs)
-from kkcrystals.weights import Weight
+from kkcrystals.weights import ALPHA0
 from kkcrystals.weyl import IDENTITY, coset_element
 
 
@@ -60,7 +58,7 @@ def test_direction_index_is_read_off_the_weight():
     # (a single piece of duration 1, scaled by D = 1)
     far = [(direction_weight(0, 5000), 1)]
     assert _lspath_from_pieces(0, far, 1) == LSPath(0, 5000, ())
-    for off_orbit in (direction_weight(1, 3), Weight(Fraction(1, 2), 0, 0)):
+    for off_orbit in (direction_weight(1, 3), ALPHA0):
         with pytest.raises(ValueError):
             _lspath_from_pieces(0, [(off_orbit, 1)], 1)
 

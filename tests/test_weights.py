@@ -2,7 +2,6 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from kkcrystals.weights import (ALPHA0, ALPHA1, DELTA, LAMBDA0, LAMBDA1,
                                 Weight, act, fundamental, pair_coroot,
@@ -30,13 +29,13 @@ def test_cartan_entries():
 def test_reflect():
     assert reflect(0, LAMBDA0) == LAMBDA0 - ALPHA0
     assert reflect(1, LAMBDA0) == LAMBDA0
-    for lam in (LAMBDA0, LAMBDA1, ALPHA0, Weight(3, Fraction(1, 2), -2)):
+    for lam in (LAMBDA0, LAMBDA1, ALPHA0, Weight(3, -5, -2)):
         for i in (0, 1):
             assert reflect(i, reflect(i, lam)) == lam
 
 
 def test_act_identity_and_group_law():
-    lam = Weight(2, -1, Fraction(1, 3))
+    lam = Weight(2, -1, 3)
     assert act(IDENTITY, lam) == lam
     for u in all_elements(5):
         for g in (0, 1):
@@ -60,25 +59,28 @@ def test_display():
     assert LAMBDA1.display() == "Λ1"
     assert (LAMBDA0 + ALPHA1).display() == "Λ0 + 1α1"
     assert (LAMBDA0 - ALPHA0).display() == "Λ0 - 1α0"
-    assert Weight(Fraction(1, 2), 0, 0).display() == "(1/2, 0, 0)"
+    assert Weight(-1, 0, 0).display() == "(-1, 0, 0)"
     # level 0 with c0 odd has no nonnegative a of the right parity
     assert Weight(1, -1, 0).display() == "(1, -1, 0)"
     assert (2 * LAMBDA0 - ALPHA0).display() == "2Λ0 - 1α0"
 
 
 def test_json_round_trip():
-    lam = Weight(Fraction(3, 7), -2, Fraction(5, 2))
+    lam = Weight(3, -2, -5)
     data = lam.to_json()
-    assert data == {"c0": "3/7", "c1": "-2", "d": "5/2"}
+    assert data == {"c0": "3", "c1": "-2", "d": "-5"}
 
 
 @pytest.mark.parametrize("inexact",
-                         [0.1, 1.0, True, False, "1/2", Decimal("0.1")])
+                         [0.1, 1.0, True, False, "1/2", Decimal("0.1"),
+                          Fraction(1, 2), Fraction(2)])
 def test_floats_and_bools_are_refused(inexact):
     with pytest.raises(TypeError):
         Weight(inexact, 0, 0)
     with pytest.raises(TypeError):
         LAMBDA0 * inexact
+    with pytest.raises(TypeError):
+        inexact * LAMBDA0
 
 
 def test_bad_indices_rejected():
@@ -86,24 +88,3 @@ def test_bad_indices_rejected():
         fundamental(2)
     with pytest.raises(ValueError):
         pair_coroot(LAMBDA0, 3)
-
-
-COORDS = st.one_of(st.integers(-40, 40),
-                   st.fractions(min_value=-40, max_value=40,
-                                max_denominator=4))
-
-
-@given(COORDS, COORDS, COORDS, COORDS)
-def test_coordinates_are_int_when_integral_and_fraction_otherwise(c0, c1, dd,
-                                                                   scalar):
-    by_fraction = Weight(Fraction(c0), Fraction(c1), Fraction(dd))
-    by_int = Weight(*(int(x) if Fraction(x).denominator == 1 else x
-                      for x in (c0, c1, dd)))
-    for w in (by_fraction, by_int, by_fraction + by_int, -by_int,
-              scalar * by_int, by_fraction * 2, reflect(0, by_int)):
-        for x in (w.c0, w.c1, w.dd):
-            assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
-    assert by_fraction == by_int and hash(by_fraction) == hash(by_int)
-    assert by_fraction.display() == by_int.display()
-    assert by_fraction.to_json() == by_int.to_json()
-    assert "." not in by_int.display()
