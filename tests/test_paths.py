@@ -44,15 +44,21 @@ def test_times_and_directions():
     assert STRAIGHT0.direction_indices == (0,)
 
 
-def test_weight(monkeypatch):
+def test_evaluate(monkeypatch):
+    # weight() is the endpoint path(1)
     assert STRAIGHT0.weight() == LAMBDA0
     assert LSPath(0, 1, ()).weight() == LAMBDA0 - ALPHA0
-    assert RUNNING_PATH.weight() == LAMBDA0 - 9 * ALPHA0 - 9 * ALPHA1
     # keep only the first direction, of duration 1/8: path(1) = Λ0 / 8
     monkeypatch.setattr(paths, "direction_weight",
                         lambda shape, k: LAMBDA0 if k == 8 else ZERO)
     with pytest.raises(AssertionError, match="not integral"):
         RUNNING_PATH.weight()
+
+
+def test_turning_points():
+    # six turning times 0 < 1/8 < 2/7 < 1/3 < 3/5 < 1; the last is path(1)
+    assert len(RUNNING_PATH.times) == 6
+    assert RUNNING_PATH.weight() == LAMBDA0 - 9 * ALPHA0 - 9 * ALPHA1
 
 
 def test_h_function():
