@@ -10,7 +10,9 @@ lowering operators e_i and f_i.
 
 phi, epsilon, e_i and f_i, and the tensor rule, read the reduced
 signature in one integer pass over the rows (`_reduced`), bottom to top,
-which visits the signature's columns left to right.  The column scan
+which visits the signature's columns left to right.  The pass runs at
+most once per (partition, label): `_kernel` stores its result on the
+partition, as `weight_of` and `display` store theirs.  The column scan
 `signature`, its reduction `reduce_signature` and the block pattern
 `closed_form_signature` serve only as the oracle that the verify suites
 check this pass against.
@@ -18,26 +20,19 @@ check this pass against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .weights import Weight
-from .weyl import _check_count, _check_label
+from .weyl import _check_count, _check_label, _checked_tuple
 
 
-@dataclass(frozen=True)
-class ChargedPartition:
+class ChargedPartition(_checked_tuple("ChargedPartition", "parts charge")):
     """Strictly decreasing positive parts (a 2-regular partition) and a
-    charge in {0, 1}; anything else raises on construction."""
+    charge in {0, 1}; anything else raises on construction.  An immutable
+    tuple (parts, charge) that keeps a memo of values read off it."""
 
-    parts: tuple[int, ...]
-    charge: int
-
-    def __post_init__(self):
-        parts = self.parts
+    def __new__(cls, parts, charge):
         if type(parts) is not tuple:
             parts = tuple(parts)
-            object.__setattr__(self, "parts", parts)
-        if type(self.charge) is not int:
+        if type(charge) is not int:
             raise TypeError("parts and charge must be integers")
         repeat, last = None, parts[0] + 1 if parts and type(parts[0]) is int else 0
         for p in parts:
@@ -46,12 +41,19 @@ class ChargedPartition:
             if p >= last and repeat is None:
                 repeat = (last, p)
             last = p
-        _check_label(self.charge, "charge")
+        _check_label(charge, "charge")
         if parts and (last if repeat is None else min(parts)) <= 0:
             raise ValueError("parts must be positive")
         if repeat:
             raise ValueError("parts must be strictly decreasing "
                              "(2-regular), got %d before %d" % repeat)
+        return tuple.__new__(cls, (parts, charge))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ChargedPartition is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ChargedPartition is immutable")
 
     @property
     def size(self) -> int:
@@ -65,8 +67,12 @@ class ChargedPartition:
         return (self.parts[0], len(self.parts))
 
     def display(self) -> str:
-        inner = ",".join(str(p) for p in self.parts) if self.parts else "∅"
-        return "(%s | c=%d)" % (inner, self.charge)
+        memo = self.__dict__
+        text = memo.get("_display")
+        if text is None:
+            inner = ",".join(str(p) for p in self.parts) if self.parts else "∅"
+            text = memo["_display"] = "(%s | c=%d)" % (inner, self.charge)
+        return text
 
     def to_json(self) -> dict:
         return {"parts": list(self.parts), "charge": self.charge}
@@ -155,6 +161,17 @@ def _reduced(cp: ChargedPartition, i: int) -> tuple[int, int, int, int]:
     return plus, depth, plus_row, minus_row
 
 
+def _kernel(cp: ChargedPartition, i: int) -> tuple[int, int, int, int]:
+    """`_reduced(cp, i)`, scanned at most once per (partition, label): the
+    label is checked first, and the result is stored on the partition."""
+    _check_label(i)
+    memo = cp.__dict__
+    found = memo.get(i)
+    if found is None:
+        found = memo[i] = _reduced(cp, i)
+    return found
+
+
 def _add_box(cp: ChargedPartition, row: int) -> ChargedPartition:
     """cp with a box added at the end of the given (0-based) row."""
     parts = cp.parts
@@ -174,31 +191,35 @@ def _remove_box(cp: ChargedPartition, row: int) -> ChargedPartition:
 
 def epsilon(cp: ChargedPartition, i: int) -> int:
     """Number of minus signs in the reduced i-signature."""
-    return _reduced(cp, i)[1]
+    return _kernel(cp, i)[1]
 
 
 def phi(cp: ChargedPartition, i: int) -> int:
     """Number of plus signs in the reduced i-signature."""
-    return _reduced(cp, i)[0]
+    return _kernel(cp, i)[0]
 
 
 def f_op(cp: ChargedPartition, i: int) -> ChargedPartition | None:
     """Add a box labelled i at the bottom of the column of the rightmost
     '+' in the reduced i-signature; None if there is no '+'."""
-    plus, _, row, _ = _reduced(cp, i)
+    plus, _, row, _ = _kernel(cp, i)
     return _add_box(cp, row) if plus else None
 
 
 def e_op(cp: ChargedPartition, i: int) -> ChargedPartition | None:
     """Remove the bottom box of the column of the leftmost '-' in the
     reduced i-signature; None if there is no '-'."""
-    _, minus, _, row = _reduced(cp, i)
+    _, minus, _, row = _kernel(cp, i)
     return _remove_box(cp, row) if minus else None
 
 
 def weight_of(cp: ChargedPartition) -> Weight:
     """Fundamental weight of the charge minus one simple root per box of
-    the matching label."""
+    the matching label; stored on the partition."""
+    memo = cp.__dict__
+    weight = memo.get("_weight")
+    if weight is not None:
+        return weight
     counts = [0, 0]
     for r, length in enumerate(cp.parts, start=1):
         lead = (cp.charge - r + 1) % 2
@@ -206,7 +227,9 @@ def weight_of(cp: ChargedPartition) -> Weight:
         counts[1 - lead] += length // 2
     # Λ_c - n0 α0 - n1 α1 with α0 = (2, -2, 1) and α1 = (-2, 2, 0)
     step = 2 * (counts[1] - counts[0])
-    return Weight(1 - cp.charge + step, cp.charge - step, -counts[0])
+    weight = memo["_weight"] = Weight(1 - cp.charge + step, cp.charge - step,
+                                     -counts[0])
+    return weight
 
 
 def gap_conjugate(cp: ChargedPartition) -> tuple[int, ...]:

@@ -24,13 +24,12 @@ profile's breakpoints) are Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .weights import ZERO, Weight, fundamental, pair_coroot
-from .weyl import _check_count, _check_label, coset_action
+from .weyl import _check_count, _check_label, _checked_tuple, coset_action
 
 
 # typed, so that a bool index misses the cached entry of its int and is refused
@@ -46,18 +45,15 @@ def direction_weight(shape: int, k: int) -> Weight:
     return Weight(k + 1, -k, d) if (k + shape) % 2 == 0 else Weight(-k, k + 1, d)
 
 
-@dataclass(frozen=True)
-class LSPath:
-    shape: int
-    n: int
-    steps: tuple[int, ...] = ()
+class LSPath(_checked_tuple("LSPath", "shape n steps")):
+    """A canonical chain (shape, n, steps), validated on construction."""
 
-    def __post_init__(self):
-        steps, n = self.steps, self.n
+    __slots__ = ()
+
+    def __new__(cls, shape, n, steps=()):
         if type(steps) is not tuple:
             steps = tuple(steps)
-            object.__setattr__(self, "steps", steps)
-        if type(self.shape) is not int or type(n) is not int:
+        if type(shape) is not int or type(n) is not int:
             raise TypeError("shape, n and steps must be integers")
         rising, last = False, steps[0] if steps else 0
         for x in steps:
@@ -65,7 +61,7 @@ class LSPath:
                 raise TypeError("shape, n and steps must be integers")
             rising = rising or x > last
             last = x
-        _check_label(self.shape, "shape")
+        _check_label(shape, "shape")
         if n < 0:
             raise ValueError("final index must be nonnegative")
         if steps:
@@ -75,6 +71,7 @@ class LSPath:
                 raise ValueError("steps must be weakly decreasing")
             if steps[0] > n:
                 raise ValueError("leading step exceeds the final index")
+        return tuple.__new__(cls, (shape, n, steps))
 
     @property
     def m(self) -> int:

@@ -18,26 +18,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import weights
-from .partitions import (ChargedPartition, _add_box, _reduced, _remove_box,
+from .partitions import (ChargedPartition, _add_box, _kernel, _remove_box,
                          enumerate_regular, weight_of)
 from .paths import (LSPath, _crossing, _denominator, _int_chain, _int_profile,
                     _minimum, direction_weight)
 from .weights import Weight, pair_coroot
-from .weyl import WeylElement, coset_element, double_coset_min_index
+from .weyl import (WeylElement, _checked_tuple, coset_element,
+                   double_coset_min_index)
 
 
-@dataclass(frozen=True)
-class TensorElement:
+class TensorElement(_checked_tuple("TensorElement", "left right")):
     """An ordered pair of charged partitions, each 2-regular by
     construction; the left charge selects the level-one crystal of the
     left factor, the right factor always has charge 0."""
 
-    left: ChargedPartition
-    right: ChargedPartition
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.right.charge != 0:
+    def __new__(cls, left, right):
+        if not (isinstance(left, ChargedPartition)
+                and isinstance(right, ChargedPartition)):
+            raise TypeError("both factors must be ChargedPartitions, got %r"
+                            % ((left, right),))
+        if right.charge != 0:
             raise ValueError("right factor must have charge 0")
+        return tuple.__new__(cls, (left, right))
 
     @property
     def total_boxes(self) -> int:
@@ -69,8 +73,8 @@ def tensor_pairs(charge: int, max_boxes: int):
 
 
 def tensor_f(i: int, t: TensorElement) -> TensorElement | None:
-    left_phi, _, left_row, _ = _reduced(t.left, i)
-    right_phi, right_eps, right_row, _ = _reduced(t.right, i)
+    left_phi, _, left_row, _ = _kernel(t.left, i)
+    right_phi, right_eps, right_row, _ = _kernel(t.right, i)
     if left_phi > right_eps:
         return TensorElement(_add_box(t.left, left_row), t.right)
     if not right_phi:
@@ -79,8 +83,8 @@ def tensor_f(i: int, t: TensorElement) -> TensorElement | None:
 
 
 def tensor_e(i: int, t: TensorElement) -> TensorElement | None:
-    left_phi, left_eps, _, left_row = _reduced(t.left, i)
-    _, right_eps, _, right_row = _reduced(t.right, i)
+    left_phi, left_eps, _, left_row = _kernel(t.left, i)
+    _, right_eps, _, right_row = _kernel(t.right, i)
     if left_phi >= right_eps:
         if not left_eps:
             return None
@@ -233,8 +237,9 @@ class CrystalGraph:
 def crystal_graph(vertices: list[TensorElement],
                   max_boxes: int) -> CrystalGraph:
     """The vertices, in the order given, and the f_i arrows among them
-    that stay within the box bound; an arrow must pass the raising check
-    and must not leave the vertices."""
+    that stay within the box bound; an arrow must not leave the vertices
+    and must pass the raising check, which runs on the member it reaches
+    so that it reads that member's stored kernels."""
     index = {v: k for k, v in enumerate(vertices)}
     edges = []
     for k, v in enumerate(vertices):
@@ -242,9 +247,10 @@ def crystal_graph(vertices: list[TensorElement],
             w = tensor_f(i, v)
             if w is None or w.total_boxes > max_boxes:
                 continue
-            if tensor_e(i, w) != v:
-                raise AssertionError("edge fails the raising check")
-            if w not in index:
+            target = index.get(w)
+            if target is None:
                 raise AssertionError("lowering operators escaped the crystal")
-            edges.append((k, i, index[w]))
+            if tensor_e(i, vertices[target]) != v:
+                raise AssertionError("edge fails the raising check")
+            edges.append((k, i, target))
     return CrystalGraph(vertices, edges)

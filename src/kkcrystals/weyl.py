@@ -10,6 +10,7 @@ the verify suites.  Coset representatives take the shape: 0 for w^+, 1 for w^-.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +27,14 @@ def _check_count(n, name: str) -> None:
         raise TypeError("%s must be an integer, got %r" % (name, n))
     if n < 0:
         raise ValueError("%s must be nonnegative" % name)
+
+
+def _checked_tuple(name: str, fields: str):
+    """A namedtuple base for a value type whose `__new__` validates: its
+    `_make`, and so `_replace`, build through that `__new__` too."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,12 @@ def test_validation():
         TensorElement(cp(()), cp((), 1))
     with pytest.raises(ValueError):
         TensorElement(cp((2, 2)), cp(()))
+    # a factor that is not a ChargedPartition, a plain tuple included
+    for junk in ("junk", None, ((3, 1), 0), LSPath(0, 0)):
+        with pytest.raises(TypeError, match="must be ChargedPartitions"):
+            TensorElement(junk, cp(()))
+        with pytest.raises(TypeError, match="must be ChargedPartitions"):
+            TensorElement(cp(()), junk)
 
 
 def test_tensor_rule_examples():

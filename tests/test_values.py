@@ -1,0 +1,163 @@
+"""The tuple-backed value types (ChargedPartition, TensorElement, LSPath)
+and the kernel, weight and display memo that a charged partition keeps."""
+
+import copy
+import pickle
+
+import pytest
+
+from kkcrystals import partitions
+from kkcrystals.kk import KKSpec, kk_crystal_graph
+from kkcrystals.partitions import (ChargedPartition, e_op, epsilon, f_op, phi,
+                                   weight_of)
+from kkcrystals.paths import LSPath
+from kkcrystals.tensor import TensorElement, tensor_e, tensor_f
+
+
+def running():
+    return ChargedPartition((8, 6, 3, 1), 0)
+
+
+def running_pair():
+    return TensorElement(running(), ChargedPartition((2,), 0))
+
+
+def running_path():
+    return LSPath(0, 4, (3, 2, 2, 1))
+
+
+def test_repr_str_and_json_are_pinned():
+    assert repr(running()) == "ChargedPartition(parts=(8, 6, 3, 1), charge=0)"
+    assert str(running()) == "(8,6,3,1 | c=0)"
+    assert running().to_json() == {"parts": [8, 6, 3, 1], "charge": 0}
+    assert repr(running_pair()) == (
+        "TensorElement(left=ChargedPartition(parts=(8, 6, 3, 1), charge=0), "
+        "right=ChargedPartition(parts=(2,), charge=0))")
+    assert str(running_pair()) == "(8,6,3,1 | c=0) ⊗ (2 | c=0)"
+    assert repr(running_path()) == "LSPath(shape=0, n=4, steps=(3, 2, 2, 1))"
+    assert str(running_path()) == "LSPath(L0, n=4, steps=[3, 2, 2, 1])"
+    assert running_path().to_json() == {"shape": "L0", "n": 4,
+                                        "steps": [3, 2, 2, 1]}
+
+
+def test_hash_is_the_hash_of_the_fields():
+    # as under a frozen dataclass, so set and dict order stay the same
+    cp, t, path = running(), running_pair(), running_path()
+    assert hash(cp) == hash(((8, 6, 3, 1), 0))
+    assert hash(t) == hash((t.left, t.right))
+    assert hash(path) == hash((0, 4, (3, 2, 2, 1)))
+    # a filled memo changes neither equality nor hash
+    phi(cp, 0), weight_of(cp), cp.display()
+    assert cp == running() and hash(cp) == hash(running())
+
+
+def test_equality_between_library_types():
+    empty = ChargedPartition((), 0)
+    assert empty != ChargedPartition((), 1)
+    assert empty != TensorElement(empty, empty)
+    assert ChargedPartition((1,), 0) != LSPath(0, 1)
+    assert LSPath(0, 1) != LSPath(1, 1)
+    assert running_pair() != TensorElement(ChargedPartition((2,), 0), running())
+
+
+def test_an_instance_is_a_plain_tuple_of_its_fields():
+    assert running() == ((8, 6, 3, 1), 0) and len(running()) == 2
+    parts, charge = running()
+    assert (parts, charge) == ((8, 6, 3, 1), 0)
+    assert running_pair() == (running(), ((2,), 0))
+    assert running_path() == (0, 4, (3, 2, 2, 1)) and len(running_path()) == 3
+
+
+BUILDS = [
+    lambda: ChargedPartition._make(((1, 1), 0)),
+    lambda: ChargedPartition._make(((3, 1),)),
+    lambda: running()._replace(charge=2),
+    lambda: running()._replace(parts=(1, 2)),
+    lambda: TensorElement._make((running(), ChargedPartition((), 1))),
+    lambda: running_pair()._replace(right=ChargedPartition((), 1)),
+    lambda: running_pair()._replace(left=((3, 1), 0)),
+    lambda: LSPath._make((0, 1, (5,))),
+    lambda: running_path()._replace(steps=(1, 2)),
+]
+
+
+@pytest.mark.parametrize("build", BUILDS, ids=range(len(BUILDS)))
+def test_every_constructor_is_checked(build):
+    with pytest.raises((TypeError, ValueError)):
+        build()
+
+
+def test_make_and_replace_build_the_type():
+    cp = ChargedPartition._make(((3, 1), 1))
+    assert type(cp) is ChargedPartition and cp == ChargedPartition((3, 1), 1)
+    assert running()._replace(parts=[4, 1]) == ChargedPartition((4, 1), 0)
+    assert type(running()._replace(parts=[4, 1]).parts) is tuple
+    t = running_pair()._replace(right=ChargedPartition((), 0))
+    assert type(t) is TensorElement and t.right == ChargedPartition((), 0)
+    path = LSPath._make((1, 2, [1]))
+    assert type(path) is LSPath and path == LSPath(1, 2, (1,))
+
+
+@pytest.mark.parametrize("make", [running, running_pair, running_path])
+def test_pickle_and_copy_round_trips(make):
+    value = make()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is type(value) and back == value
+    for back in (copy.copy(value), copy.deepcopy(value)):
+        assert type(back) is type(value) and back == value
+
+
+def test_copies_work_after_the_memo_is_filled():
+    cp = running()
+    kept = phi(cp, 0), weight_of(cp), cp.display()
+    for back in (pickle.loads(pickle.dumps(cp)), copy.copy(cp)):
+        assert (phi(back, 0), weight_of(back), back.display()) == kept
+
+
+@pytest.mark.parametrize("make", [running, running_pair, running_path])
+def test_instances_are_immutable(make):
+    value = make()
+    field = value._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+
+
+# each operator with its argument order: the label is always checked,
+# also after the same element has a stored kernel for label 1
+LABELLED = [(op, False) for op in (phi, epsilon, e_op, f_op)] + \
+    [(op, True) for op in (tensor_f, tensor_e)]
+
+
+@pytest.mark.parametrize("label", [True, 1.0, 2, -1])
+@pytest.mark.parametrize("op, on_pairs", LABELLED,
+                         ids=[op.__name__ for op, _ in LABELLED])
+def test_labels_are_checked_before_the_memo(op, on_pairs, label):
+    if on_pairs:
+        t = running_pair()
+        op(1, t)
+        with pytest.raises(ValueError, match="label must be 0 or 1, got"):
+            op(label, t)
+    else:
+        cp = running()
+        op(cp, 1)
+        with pytest.raises(ValueError, match="label must be 0 or 1, got"):
+            op(cp, label)
+
+
+def test_each_factor_is_scanned_at_most_once_per_label(monkeypatch):
+    scans = []
+    original = partitions._reduced
+
+    def counted(cp, i):
+        scans.append((cp, i))
+        return original(cp, i)
+
+    monkeypatch.setattr(partitions, "_reduced", counted)
+    graph = kk_crystal_graph(KKSpec(0, 5), 12)
+    factors = {id(f) for t in graph.vertices for f in t}
+    assert graph.edges and 0 < len(scans) <= 2 * len(factors)
