@@ -7,14 +7,15 @@ as the pair (n, steps) with steps = (i_{n+1}, ..., i_m); the defining
 inequalities are 1 <= i_m <= ... <= i_{n+1} <= n, so the straight path to
 the fundamental weight is (n=0, steps=()).
 
-The lowering operator f_i is the four-case surgery on the chain driven by
-the minimum of h(t) = <path(t), a_i^vee>: reflect the directions between
-the rightmost minimum of h and the first later time where h returns to
-minimum + 1, merging with the preceding direction when the reflection
-reproduces it and splitting the final segment when the return time falls
-strictly inside it.  The raising operator e_i is f_i on the reversed
-path t -> path(1 - t) - path(1), reversed back (Littelmann's duality), and
-is the two-sided inverse of f_i.
+The lowering operator f_i is Littelmann's, driven by the minimum of
+h(t) = <path(t), a_i^vee>: reflect the directions between the last
+minimum of h and the first later time where h returns to minimum + 1,
+cutting the direction in which that return falls.  It works on a list of
+(shape, k) directions and merges nothing, so it also runs on the
+concatenation of two paths (`tensor.concat_path_op`); `_rebuild` merges
+equal neighbours into a canonical chain.  The raising operator e_i is
+f_i on the reversed path t -> path(1 - t) - path(1), reversed back
+(Littelmann's duality), and is the two-sided inverse of f_i.
 
 The operators and the endpoint `LSPath.weight` run on ints, with turning
 times scaled by D = lcm(1, ..., m + 1) (it holds the times of the path
@@ -197,49 +198,67 @@ def path_phi(path: LSPath, i: int) -> int:
     return (values[-1] - _minimum(values, D)) // D
 
 
-def _lower(shape: int, i: int, idx, times: list[int], H: list[int],
-           D: int) -> tuple[list[int], list[int]] | None:
-    """The lowering surgery on a chain with direction indices idx and
-    turning times and pairing values H scaled by D: the new chain's
-    (indices, scaled times), or None when the endpoint sits less than one
-    above the minimum.  Only differences of H are read."""
+def _lower(i: int, dirs: list, times: list[int], H: list[int],
+           D: int) -> tuple[list, list[int]] | None:
+    """Littelmann's f_i on a chain of (shape, k) directions with turning
+    times and pairing values H scaled by D: reflect, through coset_action,
+    the pieces between the last minimum of H and its first return to
+    minimum + 1, cutting the piece in which that return falls, and merge
+    nothing.  The new (dirs, times), or None when the endpoint sits less
+    than one above the minimum.  Only differences of H are read."""
     Q = _minimum(H, D)
     if H[-1] - Q < D:
         return None
     p = len(H) - 1 - H[::-1].index(Q)
     x = next(j for j in range(p + 1, len(H)) if H[j] >= Q + D)
-    reflected = [coset_action(i, k, shape) for k in idx[p:x]]
-    merge = p >= 1 and reflected[0] == idx[p - 1]
-    new_idx = list(idx[:p - 1] if merge else idx[:p]) + reflected
-    new_times = (times[:p] if merge else times[:p + 1]) + times[p + 1:x]
+    new_dirs = dirs[:p] + [(s, coset_action(i, k, s)) for s, k in dirs[p:x]]
+    new_times = times[:x]
     if H[x] > Q + D:
         new_times.append(_crossing(times[x - 1], H[x - 1], times[x], H[x],
                                    Q + D))
-        new_idx.append(idx[x - 1])
-    return new_idx + list(idx[x:]), new_times + times[x:]
+        new_dirs.append(dirs[x - 1])
+    return new_dirs + dirs[x:], new_times + times[x:]
+
+
+def _raise(i: int, dirs: list, times: list[int], H: list[int],
+           D: int) -> tuple[list, list[int]] | None:
+    """e_i: `_lower` on the reversed chain t -> path(end - t) - path(end),
+    reversed back; None when H never goes below its start."""
+    end = times[-1]
+    chain = _lower(i, dirs[::-1], [end - t for t in times[::-1]], H[::-1], D)
+    if chain is None:
+        return None
+    return chain[0][::-1], [end - t for t in chain[1][::-1]]
+
+
+def _rebuild(dirs: list, times: list[int], D: int) -> LSPath:
+    """The validated canonical path of a chain of (shape, k) directions
+    with turning times scaled by D, equal neighbouring pieces merged."""
+    cuts = [j for j in range(1, len(dirs)) if dirs[j] != dirs[j - 1]]
+    kept = dirs[:1] + [dirs[j] for j in cuts]
+    if len({shape for shape, _ in kept}) != 1:
+        raise ValueError("a path has a single shape")
+    return _int_chain(kept[0][0], [k for _, k in kept],
+                      [0] + [times[j] for j in cuts] + times[-1:], D)
+
+
+def _path_op(operator, path: LSPath, i: int) -> LSPath | None:
+    D = _denominator(path.m)
+    dirs = [(path.shape, k) for k in path.direction_indices]
+    chain = operator(i, dirs, *_int_profile(path, i, D), D)
+    return None if chain is None else _rebuild(*chain, D)
 
 
 def f_path(path: LSPath, i: int) -> LSPath | None:
     """Path lowering operator; None when the endpoint sits less than one
     above the minimum of the pairing profile."""
-    D = _denominator(path.m)
-    times, H = _int_profile(path, i, D)
-    chain = _lower(path.shape, i, path.direction_indices, times, H, D)
-    return None if chain is None else _int_chain(path.shape, *chain, D)
+    return _path_op(_lower, path, i)
 
 
 def e_path(path: LSPath, i: int) -> LSPath | None:
-    """Path raising operator: f_path on the reversed path
-    t -> path(1 - t) - path(1), reversed back; None when the pairing
-    profile never goes below zero."""
-    D = _denominator(path.m)
-    times, H = _int_profile(path, i, D)
-    chain = _lower(path.shape, i, path.direction_indices[::-1],
-                   [D - t for t in times[::-1]], H[::-1], D)
-    if chain is None:
-        return None
-    idx, times = chain
-    return _int_chain(path.shape, idx[::-1], [D - t for t in times[::-1]], D)
+    """Path raising operator; None when the pairing profile never goes
+    below zero."""
+    return _path_op(_raise, path, i)
 
 
 def is_lambda_dominant(path: LSPath, lambda_type: int) -> bool:

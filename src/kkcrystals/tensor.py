@@ -9,20 +9,22 @@ factor, and a kill on the chosen factor kills the pair.  The rule is not
 an axiom here: concat_path_op applies the path root operator to the
 concatenation of the two LS paths and re-splits, and the test suite
 checks the two agree on every pair at desk scale.  The oracle scales
-durations to ints by D = lcm(1, ..., M + 1), M the larger initial index,
-and reflects `Weight` velocities, so it shares nothing with the rule.
+durations to ints by D = lcm(1, ..., M + 1), M the larger initial index.
+It runs the path layer's integer root operator, so it shares
+`coset_action` and the slope parity of `_int_profile` with `f_path`
+(checked against `weights.reflect` and `pair_coroot`), but it reads no
+partition kernel, so it shares nothing with the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import weights
 from .partitions import (ChargedPartition, _add_box, _kernel, _remove_box,
                          enumerate_regular, weight_of)
-from .paths import (LSPath, _crossing, _denominator, _int_chain, _int_profile,
-                    _minimum, direction_weight)
-from .weights import Weight, pair_coroot
+from .paths import (LSPath, _denominator, _int_profile, _lower, _raise,
+                    _rebuild)
+from .weights import Weight
 from .weyl import (WeylElement, _checked_tuple, coset_element,
                    double_coset_min_index)
 
@@ -108,99 +110,31 @@ def associated_weyl_element(t: TensorElement) -> WeylElement:
 
 # --- concatenated-path oracle ------------------------------------------
 
-def _cut_at(pieces, tcut: int):
-    out, t = [], 0
-    for v, d in pieces:
-        out += [(v, tcut - t), (v, t + d - tcut)] if t < tcut < t + d else [(v, d)]
-        t += d
-    return out
-
-
-def _apply_root_operator(pieces, i: int, op: str, D: int):
-    """Generic path root operator on a (velocity, duration) list with
-    durations scaled by D: reflect the window between the extreme
-    attainment of the minimum of the pairing profile and its first return
-    to minimum + 1.  Valid for integral paths (all local minima of the
-    profile at integers), which covers LS paths and their concatenations."""
-    times, H = [0], [0]
-    for v, d in pieces:
-        times.append(times[-1] + d)
-        H.append(H[-1] + pair_coroot(v, i) * d)
-    Q = _minimum(H, D)
-    # a return exists: H[-1] >= Q + D for f, and H[0] = 0 >= Q + D for e
-    if op == "f":
-        if H[-1] - Q < D:
-            return None
-        k = max(j for j in range(len(H)) if H[j] == Q)
-        j = next(j for j in range(k + 1, len(H)) if H[j] >= Q + D)
-        lo, hi = times[k], _crossing(times[j - 1], H[j - 1], times[j], H[j], Q + D)
-    elif op == "e":
-        if Q >= 0:
-            return None
-        k = min(j for j in range(len(H)) if H[j] == Q)
-        j = next(j for j in range(k - 1, -1, -1) if H[j] >= Q + D)
-        lo, hi = _crossing(times[j], H[j], times[j + 1], H[j + 1], Q + D), times[k]
-    else:
-        raise ValueError("op must be 'f' or 'e'")
-    pieces = _cut_at(_cut_at(pieces, lo), hi)
-    out = []
-    t = 0
-    for v, d in pieces:
-        inside = lo <= t and t + d <= hi
-        out.append((weights.reflect(i, v), d) if inside else (v, d))
-        t += d
-    return out
-
-
-def _direction_index(shape: int, v: Weight) -> int:
-    """The k with direction_weight(shape, k) == v: the k-th direction
-    weight pairs to -k with one simple coroot and to k + 1 with the
-    other, so k = min(|c0|, |c1|)."""
-    k = min(abs(v.c0), abs(v.c1))
-    if direction_weight(shape, k) != v:
-        raise ValueError("%r is not a direction weight for shape %d" % (v, shape))
-    return k
-
-
-def _lspath_from_pieces(shape: int, pieces, D: int) -> LSPath:
-    velocities, times = [], [0]
-    for v, d in pieces:
-        if velocities and velocities[-1] == v:
-            times[-1] += d
-        else:
-            velocities.append(v)
-            times.append(times[-1] + d)
-    if times[-1] != D:
-        raise ValueError("piece durations must total 1")
-    return _int_chain(shape, [_direction_index(shape, v) for v in velocities],
-                      times, D)
-
-
 def concat_path_op(i: int, left_path: LSPath, right_path: LSPath,
                    op: str) -> tuple[LSPath, LSPath] | None:
     """Apply a root operator to the concatenation of two LS paths and
     split the result back into a pair of LS paths of the same shapes.
-    The operator is reparametrisation-invariant, so the concatenation is
-    taken piecewise with the junction at accumulated duration 1.  Every
-    duration is scaled by one D that holds the turning times of both
-    factors and of their images."""
+    The operator is reparametrisation-invariant, so the concatenation
+    joins the two pairing profiles with the junction at scaled time D,
+    one D that holds the turning times of both factors and of their
+    images; the operator merges no pieces, so D stays a turning time."""
+    operator = {"f": _lower, "e": _raise}.get(op)
+    if operator is None:
+        raise ValueError("op must be 'f' or 'e'")
     D = _denominator(max(left_path.m, right_path.m))
-    pieces = []
-    for path in (left_path, right_path):
-        times = _int_profile(path, 0, D)[0]
-        pieces += [(direction_weight(path.shape, k), times[j + 1] - times[j])
-                   for j, k in enumerate(path.direction_indices)]
-    result = _apply_root_operator(pieces, i, op, D)
-    if result is None:
+    (times, H), (right_times, right_H) = (_int_profile(path, i, D)
+                                          for path in (left_path, right_path))
+    dirs = [(path.shape, k) for path in (left_path, right_path)
+            for k in path.direction_indices]
+    chain = operator(i, dirs, times + [D + t for t in right_times[1:]],
+                     H + [H[-1] + h for h in right_H[1:]], D)
+    if chain is None:
         return None
-    first, second = [], []
-    t = 0
-    for v, d in _cut_at(result, D):
-        (first if t < D else second).append((v, d))
-        t += d
+    dirs, times = chain
+    j = times.index(D)
     try:
-        return (_lspath_from_pieces(left_path.shape, first, D),
-                _lspath_from_pieces(right_path.shape, second, D))
+        return (_rebuild(dirs[:j], times[:j + 1], D),
+                _rebuild(dirs[j:], [t - D for t in times[j:]], D))
     except ValueError as exc:
         raise AssertionError(
             "root operator left the set of path concatenations: %s" % exc)
@@ -237,15 +171,18 @@ class CrystalGraph:
 def crystal_graph(vertices: list[TensorElement],
                   max_boxes: int) -> CrystalGraph:
     """The vertices, in the order given, and the f_i arrows among them
-    that stay within the box bound; an arrow must not leave the vertices
-    and must pass the raising check, which runs on the member it reaches
-    so that it reads that member's stored kernels."""
+    that stay within the box bound: f_i adds one box, so a vertex at the
+    bound has none.  An arrow must not leave the vertices and must pass
+    the raising check, which runs on the member it reaches so that it
+    reads that member's stored kernels."""
     index = {v: k for k, v in enumerate(vertices)}
     edges = []
     for k, v in enumerate(vertices):
+        if v.total_boxes >= max_boxes:
+            continue
         for i in (0, 1):
             w = tensor_f(i, v)
-            if w is None or w.total_boxes > max_boxes:
+            if w is None:
                 continue
             target = index.get(w)
             if target is None:

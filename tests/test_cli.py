@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kkcrystals import partitions, paths, verify
+from kkcrystals import partitions, paths, tensor, verify
 from kkcrystals.cli import main
 from kkcrystals.verify import CheckResult
 
@@ -356,11 +356,15 @@ MUTATIONS = {
     "leftmost minimum lowered": (
         paths, "_lower", "p = len(H) - 1 - H[::-1].index(Q)",
         "p = H.index(Q)", "iso"),
-    "merge test negated": (
-        paths, "_lower", "merge = p >= 1 and reflected[0] == idx[p - 1]",
-        "merge = not (p >= 1 and reflected[0] == idx[p - 1])", "iso"),
-    "raising result not reversed back": (
-        paths, "e_path", "idx[::-1], [D - t", "idx, [D - t", "iso"),
+    "window starts one piece late": (
+        paths, "_lower", "dirs[p:x]", "dirs[p + 1:x]", "iso"),
+    "raising directions not reversed back": (
+        paths, "_raise", "chain[0][::-1]", "chain[0]", "iso"),
+    "neighbour merging disabled": (
+        paths, "_rebuild", "if dirs[j] != dirs[j - 1]", "if True", "iso"),
+    "junction split one piece late": (
+        tensor, "concat_path_op", "times.index(D)", "times.index(D) + 1",
+        "tensor"),
     "path epsilon one too high": (
         paths, "path_epsilon", "// D", "// D + 1", "iso"),
 }

@@ -54,8 +54,13 @@ def test_bijection_commutes_with_the_operators(cp, i):
     assert iso_disagreement(cp, i) is None
 
 
-@given(regular_partitions(), st.sampled_from(SMALL_RIGHTS), LABELS,
-       st.sampled_from(("f", "e")))
+# right factors at desk scale, or at charge 0 past it, so that long
+# right-hand chains meet the junction of the concatenation
+RIGHTS = st.sampled_from(SMALL_RIGHTS) | regular_partitions().map(
+    lambda cp: ChargedPartition(cp.parts, 0))
+
+
+@given(regular_partitions(), RIGHTS, LABELS, st.sampled_from(("f", "e")))
 def test_tensor_rule_matches_concatenated_paths(left, right, i, op):
     t = TensorElement(left, right)
     message = tensor_rule_disagreement(t, partition_to_path(left),

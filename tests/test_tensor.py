@@ -1,13 +1,13 @@
 import pytest
 
-from kkcrystals.kk import KKSpec, kk_crystal_members
+from kkcrystals import tensor
+from kkcrystals.kk import KKSpec, kk_crystal_graph, kk_crystal_members
 from kkcrystals.partitions import ChargedPartition, enumerate_regular
-from kkcrystals.paths import LSPath, direction_weight
-from kkcrystals.tensor import (TensorElement, _lspath_from_pieces,
-                               associated_weyl_element, concat_path_op,
-                               crystal_graph, is_highest_weight, tensor_e,
-                               tensor_f, tensor_pairs)
-from kkcrystals.weights import ALPHA0
+from kkcrystals.paths import LSPath, _rebuild
+from kkcrystals.tensor import (TensorElement, associated_weyl_element,
+                               concat_path_op, crystal_graph,
+                               is_highest_weight, tensor_e, tensor_f,
+                               tensor_pairs)
 from kkcrystals.weyl import IDENTITY, coset_element
 
 
@@ -57,16 +57,20 @@ def test_concat_examples():
     assert concat_path_op(1, straight, straight, "f") is None
     assert concat_path_op(0, straight, straight, "e") is None
     assert concat_path_op(1, LSPath(1, 0, ()), straight, "e") is None
+    with pytest.raises(ValueError, match="op must be"):
+        concat_path_op(0, straight, straight, "g")
 
 
-def test_direction_index_is_read_off_the_weight():
+def test_rebuild_reads_the_index_off_the_piece():
     # no search over the directions before it, however far out it lies
     # (a single piece of duration 1, scaled by D = 1)
-    far = [(direction_weight(0, 5000), 1)]
-    assert _lspath_from_pieces(0, far, 1) == LSPath(0, 5000, ())
-    for off_orbit in (direction_weight(1, 3), ALPHA0):
+    assert _rebuild([(0, 5000)], [0, 1], 1) == LSPath(0, 5000, ())
+    # equal neighbours merge; a gap in the chain or a mixed shape does not
+    assert _rebuild([(0, 2), (0, 2), (0, 1)], [0, 1, 3, 6], 6) == \
+        LSPath(0, 1, (1,))
+    for dirs in ([(0, 3), (0, 1)], [(1, 2), (0, 1)], []):
         with pytest.raises(ValueError):
-            _lspath_from_pieces(0, [(off_orbit, 1)], 1)
+            _rebuild(dirs, [0, 2, 6][:len(dirs) + 1], 6)
 
 
 def test_highest_weight_examples():
@@ -125,3 +129,12 @@ def test_crystal_graph_outputs():
     obj = graph.to_json_obj()
     assert len(obj["vertices"]) == len(graph.vertices)
     assert all(set(e) == {"from", "i", "to"} for e in obj["edges"])
+
+
+def test_crystal_graph_skips_vertices_at_the_bound(monkeypatch):
+    # f_i adds a box, so a member at the bound is not asked for an arrow
+    calls = []
+    monkeypatch.setattr(tensor, "tensor_f",
+                        lambda i, t: calls.append(t) or tensor_f(i, t))
+    graph = kk_crystal_graph(KKSpec(0, 5), 12)
+    assert len(calls) == 2 * sum(v.total_boxes < 12 for v in graph.vertices)
