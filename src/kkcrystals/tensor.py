@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import (ChargedPartition, _add_box, _kernel, _remove_box,
-                         enumerate_regular, weight_of)
+from .partitions import (ChargedPartition, _image, _kernel, enumerate_regular,
+                         weight_of)
 from .paths import (LSPath, _denominator, _int_profile, _lower, _raise,
                     _rebuild)
 from .weights import Weight
@@ -75,23 +75,19 @@ def tensor_pairs(charge: int, max_boxes: int):
 
 
 def tensor_f(i: int, t: TensorElement) -> TensorElement | None:
-    left_phi, _, left_row, _ = _kernel(t.left, i)
-    right_phi, right_eps, right_row, _ = _kernel(t.right, i)
-    if left_phi > right_eps:
-        return TensorElement(_add_box(t.left, left_row), t.right)
-    if not right_phi:
-        return None
-    return TensorElement(t.left, _add_box(t.right, right_row))
+    left, right = t
+    if _kernel(left, i)[0] > _kernel(right, i)[1]:
+        return TensorElement(_image(left, i, 1), right)
+    image = _image(right, i, 1)
+    return None if image is None else TensorElement(left, image)
 
 
 def tensor_e(i: int, t: TensorElement) -> TensorElement | None:
-    left_phi, left_eps, _, left_row = _kernel(t.left, i)
-    _, right_eps, _, right_row = _kernel(t.right, i)
-    if left_phi >= right_eps:
-        if not left_eps:
-            return None
-        return TensorElement(_remove_box(t.left, left_row), t.right)
-    return TensorElement(t.left, _remove_box(t.right, right_row))
+    left, right = t
+    if _kernel(left, i)[0] >= _kernel(right, i)[1]:
+        image = _image(left, i, -1)
+        return None if image is None else TensorElement(image, right)
+    return TensorElement(left, _image(right, i, -1))
 
 
 def is_highest_weight(t: TensorElement) -> bool:
@@ -148,14 +144,21 @@ class CrystalGraph:
     edges: list[tuple[int, int, int]]  # (source, label, target)
 
     def to_dot(self, name: str = "crystal") -> str:
+        """The graph in DOT: each vertex labelled by its pair and its
+        weight, each edge by its label.  Many vertices share a weight, so
+        each distinct weight is rendered once."""
         lines = ["digraph %s {" % name]
+        labels: dict[Weight, str] = {}
         for k, v in enumerate(self.vertices):
-            lines.append('  v%d [label="%s\\n%s"];'
-                         % (k, v.display(), v.weight().display()))
+            weight = v.weight()
+            label = labels.get(weight)
+            if label is None:
+                label = labels[weight] = weight.display()
+            lines.append('  v%d [label="%s\\n%s"];' % (k, v.display(), label))
         for a, i, b in self.edges:
             lines.append('  v%d -> v%d [label="%d"];' % (a, b, i))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines.append("}\n")  # the closing newline, without copying the text
+        return "\n".join(lines)
 
     def to_json_obj(self) -> dict:
         return {

@@ -399,7 +399,7 @@ def structure_disagreement(t: TensorElement) -> str | None:
                   and all(p % 2 == wanted for p in t.right.parts))
     if is_highest_weight(t) != classified:
         return "highest-weight law fails at %s" % t
-    weight = t.weight()
+    weight, element = t.weight(), associated_weyl_element(t)
     for i in (0, 1):
         down, up = tensor_f(i, t), tensor_e(i, t)
         if down is not None and down.weight() != weight - simple_root(i):
@@ -407,7 +407,7 @@ def structure_disagreement(t: TensorElement) -> str | None:
         if down is not None and tensor_e(i, down) != t:
             return "e f != id at %s, i=%d" % (t, i)
         if up is not None and not bruhat_leq(associated_weyl_element(up),
-                                             associated_weyl_element(t)):
+                                             element):
             return "raising increased the associated element at %s" % (t,)
         if up is not None and up.weight() != weight + simple_root(i):
             return "e weight step wrong at %s, i=%d" % (t, i)

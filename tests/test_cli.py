@@ -227,6 +227,8 @@ GRAPH_PINS = [
      "bb4836ceddd7958d0ae4f524a0c92840bc9632e91453e05681aa178befe00d29"),
     ("0 0 12", 193, 224,
      "61b0a9a8a69ea1edbb447d866f34af1badbd38f19bbe009993dbecfaed19849b"),
+    ("0 5 20", 5173, 6415,
+     "d54810659c5ab154c9036cd7c008904cfdd9b2eed57f0bbeeae87596144e1a9e"),
 ]
 
 

@@ -1,5 +1,6 @@
 """The tuple-backed value types (ChargedPartition, TensorElement, LSPath)
-and the kernel, weight and display memo that a charged partition keeps."""
+and the kernel, move, size, weight and display memo that a charged
+partition keeps."""
 
 import copy
 import pickle
@@ -108,11 +109,20 @@ def test_pickle_and_copy_round_trips(make):
         assert type(back) is type(value) and back == value
 
 
+def read_memo(cp):
+    return (phi(cp, 0), f_op(cp, 0), e_op(cp, 0), f_op(cp, 1), e_op(cp, 1),
+            cp.size, weight_of(cp), cp.display())
+
+
 def test_copies_work_after_the_memo_is_filled():
     cp = running()
-    kept = phi(cp, 0), weight_of(cp), cp.display()
+    kept = read_memo(cp)
+    assert kept[1:6] == (ChargedPartition((8, 6, 3, 2), 0),
+                         ChargedPartition((8, 6, 2, 1), 0),
+                         ChargedPartition((8, 7, 3, 1), 0),
+                         ChargedPartition((7, 6, 3, 1), 0), 18)
     for back in (pickle.loads(pickle.dumps(cp)), copy.copy(cp)):
-        assert (phi(back, 0), weight_of(back), back.display()) == kept
+        assert read_memo(back) == kept
 
 
 @pytest.mark.parametrize("make", [running, running_pair, running_path])
@@ -161,3 +171,30 @@ def test_each_factor_is_scanned_at_most_once_per_label(monkeypatch):
     graph = kk_crystal_graph(KKSpec(0, 5), 12)
     factors = {id(f) for t in graph.vertices for f in t}
     assert graph.edges and 0 < len(scans) <= 2 * len(factors)
+
+
+@pytest.mark.parametrize("op, inverse", [(f_op, e_op), (e_op, f_op)],
+                         ids=["f", "e"])
+@pytest.mark.parametrize("i", [0, 1])
+def test_each_move_is_built_once(op, inverse, i):
+    cp = running()
+    image = op(cp, i)
+    assert image is op(cp, i)
+    # the move back is built anew, not read off a memo that holds cp
+    back = inverse(image, i)
+    assert back == cp and back is not cp
+
+
+def test_each_factor_makes_at_most_four_box_moves(monkeypatch):
+    moves = []
+    for name in ("_add_box", "_remove_box"):
+        original = getattr(partitions, name)
+
+        def counted(cp, row, original=original):
+            moves.append(cp)
+            return original(cp, row)
+
+        monkeypatch.setattr(partitions, name, counted)
+    graph = kk_crystal_graph(KKSpec(0, 5), 12)
+    factors = {id(f) for t in graph.vertices for f in t}
+    assert graph.edges and 0 < len(moves) <= 4 * len(factors)
