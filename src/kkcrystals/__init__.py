@@ -15,7 +15,7 @@ from .kk import (KKSpec, MultiplicityTable, decomposition, dominant_set,
                  weight_of_dominant)
 from .partitions import (ChargedPartition, e_op, enumerate_regular, epsilon,
                          f_op, gap_conjugate, phi, weight_of)
-from .paths import (LSPath, direction_weight, e_path, f_path, h_function,
+from .paths import (LSPath, direction_weight, e_path, f_path,
                     is_lambda_dominant, path_epsilon, path_phi)
 from .tensor import (CrystalGraph, TensorElement, associated_weyl_element,
                      crystal_graph, is_highest_weight, tensor_e, tensor_f,

@@ -25,6 +25,8 @@ verify suites check this pass against.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .weights import Weight
 from .weyl import _check_count, _check_label, _checked_tuple
 
@@ -60,13 +62,9 @@ class ChargedPartition(_checked_tuple("ChargedPartition", "parts charge")):
     def __delattr__(self, name):
         raise AttributeError("ChargedPartition is immutable")
 
-    @property
+    @cached_property  # writes __dict__ directly, past __setattr__
     def size(self) -> int:
-        memo = self.__dict__
-        size = memo.get("_size")
-        if size is None:
-            size = memo["_size"] = sum(self.parts)
-        return size
+        return sum(self.parts)
 
     @property
     def bounding_rect(self) -> tuple[int, int]:

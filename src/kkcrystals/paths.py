@@ -7,30 +7,34 @@ as the pair (n, steps) with steps = (i_{n+1}, ..., i_m); the defining
 inequalities are 1 <= i_m <= ... <= i_{n+1} <= n, so the straight path to
 the fundamental weight is (n=0, steps=()).
 
+A direction is stored as one int, its alpha_1-slope x = <w_k Lambda, a_1^vee>
+(k + 1 when k + shape is odd, else -k); its alpha_0-slope is 1 - x, since
+the level is one.  The map is a bijection onto the integers: the shape is
+x mod 2, and k is x - 1 when x > 0 and -x otherwise.  The infinite
+dihedral group acts on it in closed form, s_1: x -> -x and s_0: x -> 2 - x.
+
 The lowering operator f_i is Littelmann's, driven by the minimum of
 h(t) = <path(t), a_i^vee>: reflect the directions between the last
 minimum of h and the first later time where h returns to minimum + 1,
 cutting the direction in which that return falls.  It works on a list of
-(shape, k) directions and merges nothing, so it also runs on the
-concatenation of two paths (`tensor.concat_path_op`); `_rebuild` merges
-equal neighbours into a canonical chain.  The raising operator e_i is
-f_i on the reversed path t -> path(1 - t) - path(1), reversed back
-(Littelmann's duality), and is the two-sided inverse of f_i.
+slopes and merges nothing, so it also runs on the concatenation of two
+paths (`tensor.concat_path_op`); `_rebuild` merges equal neighbours into
+a canonical chain.  The raising operator e_i is f_i on the reversed path
+t -> path(1 - t) - path(1), reversed back (Littelmann's duality), and is
+the two-sided inverse of f_i.
 
-The operators and the endpoint `LSPath.weight` run on ints, with turning
-times scaled by D = lcm(1, ..., m + 1) (it holds the times of the path
-and of its images) and integer slopes; only `times` and `h_function` (the
-profile's breakpoints) are Fractions.
+Everything runs on ints: turning times are scaled by D = lcm(1, ..., m + 1)
+(it holds the times of the path and of its images), and so are the
+values of h.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .weights import ZERO, Weight, fundamental, pair_coroot
-from .weyl import _check_count, _check_label, _checked_tuple, coset_action
+from .weyl import _check_count, _check_label, _checked_tuple
 
 
 # typed, so that a bool index misses the cached entry of its int and is refused
@@ -38,7 +42,8 @@ from .weyl import _check_count, _check_label, _checked_tuple, coset_action
 def direction_weight(shape: int, k: int) -> Weight:
     """Image of the fundamental weight of the shape under the coset
     representative w_k of that shape, in closed form (`weights.act` is the
-    oracle); see `_int_profile` for its pairings, and d = -ceil(k/2)^2 for
+    oracle); its pairing with a_1^vee is the slope that `_int_profile`
+    stores, and d = -ceil(k/2)^2 for
     shape 0 and -floor(k/2)(floor(k/2) + 1) for shape 1."""
     _check_label(shape)
     _check_count(k, "index")
@@ -83,19 +88,11 @@ class LSPath(_checked_tuple("LSPath", "shape n steps")):
     def direction_indices(self) -> tuple[int, ...]:
         return tuple(range(self.m, self.n - 1, -1))
 
-    @property
-    def times(self) -> tuple[Fraction, ...]:
-        ts = [Fraction(0)]
-        for j in range(self.m, self.n, -1):
-            ts.append(Fraction(self.steps[j - self.n - 1], j))
-        ts.append(Fraction(1))
-        return tuple(ts)
-
     def weight(self) -> Weight:
         """The endpoint path(1): the direction weights times their
         durations, scaled by D, summed and divided by D exactly."""
         D = _denominator(self.m)
-        times, total = _int_profile(self, 0, D)[0], ZERO
+        times, total = _int_profile(self, 0, D)[1], ZERO
         for j, k in enumerate(self.direction_indices):
             total += (times[j + 1] - times[j]) * direction_weight(self.shape, k)
         scaled = (total.c0, total.c1, total.dd)
@@ -134,19 +131,10 @@ def _int_chain(shape: int, indices: list[int], times: list[int], D: int) -> LSPa
             raise ValueError("direction chain must descend contiguously")
         step, rest = divmod(t * k, D)
         if rest:
-            raise ValueError("time %s is not canonical for index %d"
-                             % (Fraction(t, D), k))
+            raise ValueError("time %d/%d is not canonical for index %d"
+                             % (t, D, k))
         steps.append(step)
     return LSPath(shape, indices[-1], tuple(steps[-2::-1]))
-
-
-def h_function(path: LSPath, i: int) -> tuple:
-    """The exact breakpoints (t, <path(t), a_i^vee>) of the pairing profile."""
-    ts, out = path.times, [(0, 0)]
-    for j, k in enumerate(path.direction_indices):
-        slope = pair_coroot(direction_weight(path.shape, k), i)
-        out.append((ts[j + 1], out[-1][1] + (ts[j + 1] - ts[j]) * slope))
-    return tuple(out)
 
 
 def _denominator(m: int) -> int:
@@ -155,25 +143,29 @@ def _denominator(m: int) -> int:
     return lcm(*range(1, m + 2))
 
 
-def _int_profile(path: LSPath, i: int, D: int) -> tuple[list[int], list[int]]:
-    """Turning times and values of h(t) = <path(t), a_i^vee> scaled by D;
-    direction k has slope k + 1 if k + shape + i is even, else -k."""
+def _int_profile(path: LSPath, i: int,
+                 D: int) -> tuple[list[int], list[int], list[int]]:
+    """The directions as alpha_1-slopes x, and the turning times and
+    values of h(t) = <path(t), a_i^vee> scaled by D; the slope of h on
+    direction x is x for i = 1 and 1 - x for i = 0."""
     _check_label(i)
-    n, steps = path.n, path.steps
-    times, values = [0], [0]
+    shape, n, steps = path
+    dirs, times, values = [], [0], [0]
     for k in range(path.m, n - 1, -1):
         t = D // k * steps[k - n - 1] if k > n else D
-        slope = k + 1 if (k + path.shape + i) % 2 == 0 else -k
-        values.append(values[-1] + slope * (t - times[-1]))
+        x = k + 1 if (k + shape) % 2 else -k
+        dirs.append(x)
+        values.append(values[-1] + (x if i else 1 - x) * (t - times[-1]))
         times.append(t)
-    return times, values
+    return dirs, times, values
 
 
 def _minimum(values: list[int], D: int) -> int:
     """Least scaled value; LS-path minima are integers, else the model broke."""
     q = min(values)
     if q % D:
-        raise AssertionError("pairing value %s is not an integer" % Fraction(q, D))
+        raise AssertionError("pairing value %d/%d is not an integer"
+                             % (q, D))
     return q
 
 
@@ -188,21 +180,21 @@ def _crossing(t0: int, h0: int, t1: int, h1: int, level: int) -> int:
 def path_epsilon(path: LSPath, i: int) -> int:
     """Negated minimum of the pairing profile."""
     D = _denominator(path.m)
-    return -_minimum(_int_profile(path, i, D)[1], D) // D
+    return -_minimum(_int_profile(path, i, D)[2], D) // D
 
 
 def path_phi(path: LSPath, i: int) -> int:
     """Endpoint value minus minimum of the pairing profile."""
     D = _denominator(path.m)
-    values = _int_profile(path, i, D)[1]
+    values = _int_profile(path, i, D)[2]
     return (values[-1] - _minimum(values, D)) // D
 
 
-def _lower(i: int, dirs: list, times: list[int], H: list[int],
-           D: int) -> tuple[list, list[int]] | None:
-    """Littelmann's f_i on a chain of (shape, k) directions with turning
-    times and pairing values H scaled by D: reflect, through coset_action,
-    the pieces between the last minimum of H and its first return to
+def _lower(i: int, dirs: list[int], times: list[int], H: list[int],
+           D: int) -> tuple[list[int], list[int]] | None:
+    """Littelmann's f_i on a chain of slopes with turning times and
+    pairing values H scaled by D: reflect by s_i (x -> 2 - 2i - x) the
+    pieces between the last minimum of H and its first return to
     minimum + 1, cutting the piece in which that return falls, and merge
     nothing.  The new (dirs, times), or None when the endpoint sits less
     than one above the minimum.  Only differences of H are read."""
@@ -210,18 +202,18 @@ def _lower(i: int, dirs: list, times: list[int], H: list[int],
     if H[-1] - Q < D:
         return None
     p = len(H) - 1 - H[::-1].index(Q)
-    x = next(j for j in range(p + 1, len(H)) if H[j] >= Q + D)
-    new_dirs = dirs[:p] + [(s, coset_action(i, k, s)) for s, k in dirs[p:x]]
-    new_times = times[:x]
-    if H[x] > Q + D:
-        new_times.append(_crossing(times[x - 1], H[x - 1], times[x], H[x],
+    r = next(j for j in range(p + 1, len(H)) if H[j] >= Q + D)
+    new_dirs = dirs[:p] + [2 - 2 * i - x for x in dirs[p:r]]
+    new_times = times[:r]
+    if H[r] > Q + D:
+        new_times.append(_crossing(times[r - 1], H[r - 1], times[r], H[r],
                                    Q + D))
-        new_dirs.append(dirs[x - 1])
-    return new_dirs + dirs[x:], new_times + times[x:]
+        new_dirs.append(dirs[r - 1])
+    return new_dirs + dirs[r:], new_times + times[r:]
 
 
-def _raise(i: int, dirs: list, times: list[int], H: list[int],
-           D: int) -> tuple[list, list[int]] | None:
+def _raise(i: int, dirs: list[int], times: list[int], H: list[int],
+           D: int) -> tuple[list[int], list[int]] | None:
     """e_i: `_lower` on the reversed chain t -> path(end - t) - path(end),
     reversed back; None when H never goes below its start."""
     end = times[-1]
@@ -231,21 +223,20 @@ def _raise(i: int, dirs: list, times: list[int], H: list[int],
     return chain[0][::-1], [end - t for t in chain[1][::-1]]
 
 
-def _rebuild(dirs: list, times: list[int], D: int) -> LSPath:
-    """The validated canonical path of a chain of (shape, k) directions
-    with turning times scaled by D, equal neighbouring pieces merged."""
+def _rebuild(dirs: list[int], times: list[int], D: int) -> LSPath:
+    """The validated canonical path of a chain of slopes with turning
+    times scaled by D, equal neighbouring pieces merged."""
     cuts = [j for j in range(1, len(dirs)) if dirs[j] != dirs[j - 1]]
     kept = dirs[:1] + [dirs[j] for j in cuts]
-    if len({shape for shape, _ in kept}) != 1:
+    if len({x % 2 for x in kept}) != 1:
         raise ValueError("a path has a single shape")
-    return _int_chain(kept[0][0], [k for _, k in kept],
+    return _int_chain(kept[0] % 2, [x - 1 if x > 0 else -x for x in kept],
                       [0] + [times[j] for j in cuts] + times[-1:], D)
 
 
 def _path_op(operator, path: LSPath, i: int) -> LSPath | None:
     D = _denominator(path.m)
-    dirs = [(path.shape, k) for k in path.direction_indices]
-    chain = operator(i, dirs, *_int_profile(path, i, D), D)
+    chain = operator(i, *_int_profile(path, i, D), D)
     return None if chain is None else _rebuild(*chain, D)
 
 

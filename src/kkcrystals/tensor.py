@@ -10,10 +10,11 @@ an axiom here: concat_path_op applies the path root operator to the
 concatenation of the two LS paths and re-splits, and the test suite
 checks the two agree on every pair at desk scale.  The oracle scales
 durations to ints by D = lcm(1, ..., M + 1), M the larger initial index.
-It runs the path layer's integer root operator, so it shares
-`coset_action` and the slope parity of `_int_profile` with `f_path`
-(checked against `weights.reflect` and `pair_coroot`), but it reads no
-partition kernel, so it shares nothing with the rule.
+It runs the path layer's integer root operator on the slopes that
+`_int_profile` reads off each factor, so it shares the slope reflection
+x -> 2 - 2i - x and `_int_profile` with `f_path` (checked against
+`weights.reflect` and `pair_coroot`), but it reads no partition kernel,
+so it shares nothing with the rule.
 """
 
 from __future__ import annotations
@@ -118,11 +119,10 @@ def concat_path_op(i: int, left_path: LSPath, right_path: LSPath,
     if operator is None:
         raise ValueError("op must be 'f' or 'e'")
     D = _denominator(max(left_path.m, right_path.m))
-    (times, H), (right_times, right_H) = (_int_profile(path, i, D)
-                                          for path in (left_path, right_path))
-    dirs = [(path.shape, k) for path in (left_path, right_path)
-            for k in path.direction_indices]
-    chain = operator(i, dirs, times + [D + t for t in right_times[1:]],
+    (dirs, times, H), (right_dirs, right_times, right_H) = (
+        _int_profile(path, i, D) for path in (left_path, right_path))
+    chain = operator(i, dirs + right_dirs,
+                     times + [D + t for t in right_times[1:]],
                      H + [H[-1] + h for h in right_H[1:]], D)
     if chain is None:
         return None

@@ -23,10 +23,10 @@ from .partitions import (ChargedPartition, closed_form_signature, e_op,
                          enumerate_regular, epsilon, f_op, phi,
                          reduce_signature, signature, signs, weight_of)
 from .paths import (LSPath, _denominator, _int_profile, direction_weight,
-                    e_path, f_path, h_function, is_lambda_dominant)
+                    e_path, f_path, is_lambda_dominant)
 from .tensor import (TensorElement, associated_weyl_element, concat_path_op,
                      is_highest_weight, tensor_e, tensor_f, tensor_pairs)
-from .weights import act, fundamental, simple_root
+from .weights import act, fundamental, pair_coroot, simple_root
 from .weyl import (WeylElement, bruhat_ideal_min, bruhat_leq, coset_element,
                    double_coset_min, double_coset_min_index, left_multiply)
 
@@ -343,14 +343,21 @@ def check_path_integrality(max_boxes: int):
     for cp, i in labelled_partitions(max_boxes):
         path = partition_to_path(cp)
         D = _denominator(path.m)
-        points = h_function(path, i)
-        scaled = list(zip(*_int_profile(path, i, D)))
-        values = [v for _, v in points]
+        # the profile scaled by D, rebuilt off the steps (step / k is the
+        # time at which direction k ends) and the direction weights
+        dirs, times, values = [], [0], [0]
+        for j in range(len(path.steps), -1, -1):
+            k = path.n + j
+            t = path.steps[j - 1] * (D // k) if j else D
+            weight = direction_weight(path.shape, k)
+            dirs.append(pair_coroot(weight, 1))
+            values.append(values[-1] + pair_coroot(weight, i) * (t - times[-1]))
+            times.append(t)
         minima = [v for u, v, w in zip(values, values[1:], values[2:])
                   if v < u and v <= w]
-        if scaled != [(t * D, h * D) for t, h in points]:
+        if _int_profile(path, i, D) != (dirs, times, values):
             yield "scaled profile differs at %s, i=%d" % (cp, i)
-        elif any(v.denominator != 1 for v in minima):
+        elif any(v % D for v in minima):
             yield "%s, i=%d" % (cp, i)
         else:
             yield None

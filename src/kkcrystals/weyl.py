@@ -132,12 +132,6 @@ def coset_element(shape: int, n: int) -> WeylElement:
     return WeylElement(n, (n + 1 + shape) % 2) if n else IDENTITY
 
 
-def coset_action(i: int, k: int, shape: int) -> int:
-    """Index of s_i . w_k in the coset order of the given shape; w_0 is
-    fixed by the stabilizer letter."""
-    return k + 1 if i == (k + shape) % 2 else max(k - 1, 0)
-
-
 def stabilizer_letter(fundamental: int) -> int:
     """Generator of the stabilizer of the fundamental weight: s1 fixes
     the 0th fundamental weight, s0 the 1st."""

@@ -2,7 +2,9 @@
 tools outside the library (such as the perfbench tracer and workloads)
 look up on each module."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import kkcrystals
 
@@ -61,3 +63,17 @@ def test_names_reached_by_module_path_resolve():
         for method in METHODS[cls.__name__]:
             assert callable(getattr(cls, method))
     assert hasattr(kkcrystals.paths.direction_weight.cache_info(), "hits")
+
+
+def test_no_module_imports_fractions():
+    # the library is exact in ints; a Fraction anywhere is a regression
+    for path in sorted(Path(kkcrystals.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "fractions"
+                           for name in names), path.name

@@ -359,7 +359,15 @@ MUTATIONS = {
         paths, "_lower", "p = len(H) - 1 - H[::-1].index(Q)",
         "p = H.index(Q)", "iso"),
     "window starts one piece late": (
-        paths, "_lower", "dirs[p:x]", "dirs[p + 1:x]", "iso"),
+        paths, "_lower", "dirs[p:r]", "dirs[p + 1:r]", "iso"),
+    "window reflected by the wrong letter": (
+        paths, "_lower", "2 - 2 * i - x", "2 * i - x", "iso"),
+    "window reflected by the wrong letter, on concatenations": (
+        paths, "_lower", "2 - 2 * i - x", "2 * i - x", "tensor"),
+    "positive slope decoded one index high": (
+        paths, "_rebuild", "x - 1 if x > 0", "x if x > 0", "iso"),
+    "positive slope decoded one index high, on concatenations": (
+        paths, "_rebuild", "x - 1 if x > 0", "x if x > 0", "tensor"),
     "raising directions not reversed back": (
         paths, "_raise", "chain[0][::-1]", "chain[0]", "iso"),
     "neighbour merging disabled": (

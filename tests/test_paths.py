@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from kkcrystals import paths
@@ -8,20 +6,21 @@ from kkcrystals.kk import dominant_set, weight_of_dominant
 from kkcrystals.partitions import (ChargedPartition, closed_form_signature,
                                    e_op, enumerate_regular, epsilon, f_op,
                                    phi, signature)
-from kkcrystals.paths import (LSPath, _int_chain, direction_weight, e_path,
-                              f_path, h_function, is_lambda_dominant,
-                              path_epsilon, path_phi)
+from kkcrystals.paths import (LSPath, _int_chain, _int_profile,
+                              direction_weight, e_path, f_path,
+                              is_lambda_dominant, path_epsilon, path_phi)
 from kkcrystals.verify import string_length
 from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, ZERO, fundamental,
                                 pair_coroot, reflect, simple_root)
-from kkcrystals.weyl import (IDENTITY, WeylElement, coset_action,
-                             coset_element, double_coset_min_index,
-                             left_multiply, stabilizer_letter)
+from kkcrystals.weyl import (IDENTITY, WeylElement, coset_element,
+                             double_coset_min_index, left_multiply,
+                             stabilizer_letter)
 
 STRAIGHT0 = LSPath(0, 0, ())
 STRAIGHT1 = LSPath(1, 0, ())
 RUNNING = ChargedPartition((8, 6, 3, 1), 0)
 RUNNING_PATH = LSPath(0, 4, (3, 2, 2, 1))
+D = 2520  # lcm(1, ..., 9), the running path's scale
 
 
 def test_validation():
@@ -37,8 +36,11 @@ def test_validation():
 
 
 def test_times_and_directions():
-    assert RUNNING_PATH.times == (0, Fraction(1, 8), Fraction(2, 7),
-                                  Fraction(1, 3), Fraction(3, 5), 1)
+    # turning times 0 < 1/8 < 2/7 < 1/3 < 3/5 < 1, scaled by D; directions
+    # w_8, ..., w_4 of shape 0 as their alpha_1-slopes -8, 8, -6, 6, -4
+    dirs, times, _ = _int_profile(RUNNING_PATH, 0, D)
+    assert times == [0, 315, 720, 840, 1512, 2520]
+    assert dirs == [-8, 8, -6, 6, -4]
     assert RUNNING_PATH.direction_indices == (8, 7, 6, 5, 4)
     assert RUNNING_PATH.m == 8
     assert STRAIGHT0.direction_indices == (0,)
@@ -57,21 +59,18 @@ def test_evaluate(monkeypatch):
 
 def test_turning_points():
     # six turning times 0 < 1/8 < 2/7 < 1/3 < 3/5 < 1; the last is path(1)
-    assert len(RUNNING_PATH.times) == 6
+    assert len(_int_profile(RUNNING_PATH, 0, D)[1]) == 6
     assert RUNNING_PATH.weight() == LAMBDA0 - 9 * ALPHA0 - 9 * ALPHA1
 
 
-def test_h_function():
-    assert h_function(STRAIGHT0, 0) == ((0, 0), (1, 1))
-    assert h_function(LSPath(0, 1, ()), 0)[-1] == (1, -1)
-    assert h_function(STRAIGHT1, 0) == ((0, 0), (1, 0))
-    f = Fraction
-    assert h_function(RUNNING_PATH, 0) == (
-        (0, 0), (f(1, 8), f(9, 8)), (f(2, 7), 0), (f(1, 3), f(1, 3)),
-        (f(3, 5), -1), (1, 1))
-    assert h_function(RUNNING_PATH, 1) == (
-        (0, 0), (f(1, 8), -1), (f(2, 7), f(2, 7)), (f(1, 3), 0),
-        (f(3, 5), f(8, 5)), (1, 0))
+def test_pairing_profile():
+    assert _int_profile(STRAIGHT0, 0, 1) == ([0], [0, 1], [0, 1])
+    assert _int_profile(LSPath(0, 1, ()), 0, 1)[2] == [0, -1]
+    assert _int_profile(STRAIGHT1, 0, 1) == ([1], [0, 1], [0, 0])
+    # h at the turning times 0, 1/8, 2/7, 1/3, 3/5, 1, scaled by D
+    assert _int_profile(RUNNING_PATH, 0, D)[2] == \
+        [0, 2835, 0, 840, -2520, 2520]
+    assert _int_profile(RUNNING_PATH, 1, D)[2] == [0, -2520, 720, 0, 4032, 0]
 
 
 def test_f_path_base_cases():
@@ -135,14 +134,19 @@ def test_string_lengths_match_profile_extrema():
 
 def test_direction_weight_closed_form():
     # w_{k+1} = s_first w_k, so one reflection steps the orbit point along;
-    # s_i sends w_k to the representative indexed by coset_action
+    # a direction's alpha_1-slope x is k + 1 when k + shape is odd and -k
+    # otherwise, and s_i sends it to the direction of slope 2 - 2i - x
     for shape in (0, 1):
         point = fundamental(shape)
         for k in range(600):
             assert direction_weight(shape, k) == point
+            x = pair_coroot(point, 1)
+            assert x == (k + 1 if (k + shape) % 2 else -k)
+            assert pair_coroot(point, 0) == 1 - x
             for i in (0, 1):
+                y = 2 - 2 * i - x
                 assert reflect(i, point) == direction_weight(
-                    shape, coset_action(i, k, shape))
+                    y % 2, y - 1 if y > 0 else -y)
             point = reflect(coset_element(shape, k + 1).first, point)
 
 
@@ -160,6 +164,8 @@ def test_int_chain_rejects_junk():
         _int_chain(0, [3, 1], [0, 3, 6], 6)     # 1/2 is not canonical for 3
     with pytest.raises(ValueError):
         _int_chain(0, [2, 1], [0, 2, 6], 6)     # 1/3 is not canonical for 2
+    with pytest.raises(ValueError, match="strictly increase"):
+        _int_chain(0, [2, 1], [0, 6, 6], 6)     # a repeated turning time
     assert _int_chain(0, [2, 1], [0, 3, 6], 6) == LSPath(0, 1, (1,))
 
 

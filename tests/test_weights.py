@@ -63,6 +63,9 @@ def test_display():
     # level 0 with c0 odd has no nonnegative a of the right parity
     assert Weight(1, -1, 0).display() == "(1, -1, 0)"
     assert (2 * LAMBDA0 - ALPHA0).display() == "2Λ0 - 1α0"
+    # a leading negative coefficient keeps its sign
+    assert (-ALPHA0).display() == "-1α0"
+    assert (-DELTA).display() == "-1α0 - 1α1"
 
 
 def test_json_round_trip():
