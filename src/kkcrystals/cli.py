@@ -77,9 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--format", choices=("dot", "json"), default="dot")
 
     p_verify = sub.add_parser("verify", help="run the exhaustive check suites")
-    p_verify.add_argument("suite",
-                          choices=("iso", "signatures", "bruhat", "kk",
-                                   "tensor", "all"))
+    p_verify.add_argument("suite", choices=(*SUITES, "all"))
     p_verify.add_argument("--max-boxes", type=_int, default=12)
     p_verify.add_argument("--len-max", type=_int, default=8)
     p_verify.add_argument("--index-max", type=_int, default=12)

@@ -8,7 +8,7 @@ parameter.  Membership of a pair is a rectangle inequality in the
 bounding rectangles of the two partitions, equivalently a Bruhat bound on
 the associated double-coset element; both routes are implemented and the
 tests compare them.  The graph of a submodule crystal is its member
-list, in canonical order, with the f_i arrows among the members.
+list, by total size and then in tuple order, with the f_i arrows.
 
 Multiplicities of the irreducible summands come from truncations of the
 distinct-odd-parts / distinct-even-parts product generating functions,
@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import ChargedPartition, enumerate_regular
+from .partitions import ChargedPartition, _distinct_parts, enumerate_regular
 from .tensor import (CrystalGraph, TensorElement, associated_weyl_element,
                      crystal_graph, is_highest_weight, tensor_pairs)
-from .weights import Weight, fundamental, simple_root
+from .weights import DELTA, Weight, fundamental, simple_root
 from .weyl import _check_count, _check_label, bruhat_leq, coset_element
 
 
@@ -97,26 +97,26 @@ def in_kk_crystal_by_weyl(spec: KKSpec, t: TensorElement) -> bool:
 def dominant_set(lambda_type: int, m: int, max_size: int) -> list[ChargedPartition]:
     """Charge-0 partitions into distinct odd parts (lambda_type 0) or
     distinct even parts (lambda_type 1), largest part at most m, at most
-    max_size boxes."""
+    max_size boxes, in enumeration order; listed from those parts alone,
+    so the cost follows the answer and not m."""
     _check_label(lambda_type)
     _check_count(m, "m")
-    wanted = 1 if lambda_type == 0 else 0
-    return [cp for cp in enumerate_regular(0, max_size)
-            if (not cp.parts or cp.parts[0] <= m)
-            and all(p % 2 == wanted for p in cp.parts)]
+    _check_count(max_size, "max_size")
+    allowed = range(1 + lambda_type, min(m, max_size) + 1, 2)
+    return [ChargedPartition(parts, 0)
+            for parts in _distinct_parts(allowed, max_size)]
 
 
 def weight_of_dominant(lambda_type: int, b: ChargedPartition) -> Weight:
     """Highest weight of the summand attached to a dominant partition."""
     _check_label(lambda_type)
     k, rem = divmod(b.size, 2)
-    delta = simple_root(0) + simple_root(1)
     if lambda_type == 0:
-        top = 2 * fundamental(0) - k * delta
+        top = 2 * fundamental(0) - k * DELTA
         return top - simple_root(0) if rem else top
     if rem:
         raise ValueError("distinct even parts always have even size")
-    return fundamental(0) + fundamental(1) - k * delta
+    return fundamental(0) + fundamental(1) - k * DELTA
 
 
 def _truncated_product(factors, max_degree: int) -> list[int]:
@@ -166,16 +166,13 @@ def decomposition_via_crystal(spec: KKSpec, cutoff: int) -> MultiplicityTable:
     return MultiplicityTable(tuple(a), None if b is None else tuple(b))
 
 
-def _canonical_key(t: TensorElement):
-    return (t.total_boxes, t.left.parts, t.left.charge, t.right.parts)
-
-
 def kk_crystal_members(spec: KKSpec, max_boxes: int) -> list[TensorElement]:
     """Every member with at most max_boxes boxes in total, in canonical
-    order: by total size, then left parts, left charge, right parts."""
+    order: by total size, then as tuples (left parts, left charge, right
+    parts)."""
     out = [t for t in tensor_pairs(spec.lambda_type, max_boxes)
            if in_kk_crystal(spec, t)]
-    out.sort(key=_canonical_key)
+    out.sort(key=lambda t: (t.total_boxes, t))
     return out
 
 

@@ -299,21 +299,22 @@ def closed_form_signature(cp: ChargedPartition, i: int) -> str:
     return "".join(out)
 
 
-def _distinct_partitions(total: int, max_part: int):
-    if total == 0:
-        yield ()
-        return
-    for p in range(min(total, max_part), 0, -1):
-        for rest in _distinct_partitions(total - p, p - 1):
-            yield (p,) + rest
+def _distinct_parts(allowed, max_size: int) -> list[tuple[int, ...]]:
+    """The sets of distinct parts from the increasing ints `allowed` with
+    at most max_size boxes, as decreasing tuples, by size and then by
+    decreasing parts.  Subset sums, smallest part first: p extends the sets
+    of size s - p, sizes visited downwards so that it is used once, and
+    each size lists its sets increasing, so it is read reversed."""
+    by_size = [[()]] + [[] for _ in range(max_size)]
+    for p in allowed:
+        for s in range(max_size, p - 1, -1):
+            by_size[s] += [(p,) + rest for rest in by_size[s - p]]
+    return [parts for bucket in by_size for parts in reversed(bucket)]
 
 
 def enumerate_regular(charge: int, max_boxes: int) -> list[ChargedPartition]:
-    """All regular charged partitions with at most max_boxes boxes,
-    ordered by size and then by decreasing parts."""
+    """All regular charged partitions with at most max_boxes boxes, one per
+    `_distinct_parts` set: by size and then by decreasing parts."""
     _check_count(max_boxes, "max_boxes")
-    out = []
-    for size in range(max_boxes + 1):
-        for parts in _distinct_partitions(size, size):
-            out.append(ChargedPartition(parts, charge))
-    return out
+    return [ChargedPartition(parts, charge)
+            for parts in _distinct_parts(range(1, max_boxes + 1), max_boxes)]

@@ -64,10 +64,13 @@ def tensor_pairs(charge: int, max_boxes: int):
     """Every pair with at most max_boxes boxes in total, left factor of
     the given charge: left factors in enumeration order, and under each
     the right factors that fit, in enumeration order.  The right factors
-    are listed once; the list is sorted by size, so each left factor
-    stops at the first one that no longer fits."""
-    rights = enumerate_regular(0, max_boxes)
-    for left in enumerate_regular(charge, max_boxes):
+    are listed once, and for charge 0 they are the left factors too (the
+    first left factor has checked that charge is an int); the list is
+    sorted by size, so each left factor stops at the first that no longer
+    fits."""
+    lefts = enumerate_regular(charge, max_boxes)
+    rights = lefts if charge == 0 else enumerate_regular(0, max_boxes)
+    for left in lefts:
         room = max_boxes - left.size
         for right in rights:
             if right.size > room:

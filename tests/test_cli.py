@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import inspect
 import io
@@ -7,8 +8,10 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kkcrystals import partitions, paths, tensor, verify
 from kkcrystals.cli import main
@@ -122,6 +125,16 @@ def test_convert_rejects_oversized_input(data, capsys):
     code, out, err = run(["convert", data], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "limit" in err
+
+
+@pytest.mark.parametrize("data, message", [
+    ("", "empty input"), ("   ", "empty input"),
+    ('{"shape": "L2", "n": 0, "steps": []}', "bad LS path"),
+], ids=["empty", "blank", "unknown-shape"])
+def test_convert_names_what_it_refuses(data, message, capsys):
+    code, out, err = run(["convert", data], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message)
 
 
 def test_convert_accepts_input_at_the_size_limit(capsys):
@@ -308,6 +321,86 @@ def test_integer_flags_take_ascii_digits_only(flag, value, capsys):
     assert "invalid int value" in err
 
 
+def assert_exits_0_or_2(argv):
+    """Exit 0, or 2 with nothing on stdout, and no traceback.  Captures
+    without capsys, which hypothesis does not reset between examples;
+    stdin is empty, so convert '-' reads nothing."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == ""
+
+
+JSON_VALUES = st.recursive(
+    st.integers(-2, 7) | st.booleans() | st.floats() | st.none()
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=7)
+JSON_FIELDS = {"parts": JSON_VALUES, "charge": JSON_VALUES, "n": JSON_VALUES,
+               "steps": JSON_VALUES,
+               "shape": st.sampled_from(("L0", "L1", "L2")) | JSON_VALUES}
+
+
+def json_objects(keys):
+    """Objects with the given keys, and sometimes an unknown one."""
+    return st.fixed_dictionaries({key: JSON_FIELDS[key] for key in keys},
+                                 optional={"bogus": JSON_VALUES})
+
+
+CONVERT_DATA = (
+    st.text(max_size=12)
+    | st.lists(st.integers(-2, 7), max_size=7).map(
+        lambda parts: ",".join(map(str, parts)))
+    | (json_objects(("parts", "charge")) | json_objects(("shape", "n", "steps"))
+       | st.dictionaries(st.sampled_from(sorted(JSON_FIELDS)), JSON_VALUES,
+                         max_size=5)).map(json.dumps))
+# ints from -2 to 7 and ints that _int refuses.  Every size stays at 7 or
+# below: enumerate, graph and verify put no upper limit on --max-boxes and
+# the other sizes, unlike convert and decompose, and their cost grows
+# exponentially in them; a fuzz run that passed a 20-digit --max-boxes
+# allocated memory until the OOM killer stopped it (exit 137).
+FLAG_VALUES = (st.integers(-2, 7).map(str)
+               | st.sampled_from(("1_0", "+1", "1.5", "\u0663", "")))
+# command -> (flags that take an int, flags that take none)
+FUZZED_FLAGS = {
+    "decompose": (("--lambda", "--p", "--cutoff"), ("--oracle",
+                                                    "--format=json")),
+    "graph": (("--lambda", "--p", "--max-boxes"), ("--format=json",)),
+    "verify": (("--max-boxes", "--len-max", "--index-max", "--p-max",
+                "--cutoff", "--side-boxes"), ("--json",)),
+    "enumerate": (("--charge", "--max-boxes"), ("--format=json",)),
+}
+
+
+@st.composite
+def fuzzed_argvs(draw):
+    command = draw(st.sampled_from(sorted(FUZZED_FLAGS)))
+    ints, switches = FUZZED_FLAGS[command]
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from((*verify.SUITES, "all"))))
+    for flag in draw(st.lists(st.sampled_from(ints), max_size=4)):
+        argv += [flag, draw(FLAG_VALUES)]
+    return argv + draw(st.lists(st.sampled_from(switches), unique=True))
+
+
+@given(CONVERT_DATA, st.none() | FLAG_VALUES)
+def test_convert_fuzz_exits_0_or_2(data, charge):
+    assert_exits_0_or_2(
+        ["convert", data] + ([] if charge is None else ["--charge", charge]))
+
+
+@given(fuzzed_argvs())
+def test_size_flag_fuzz_exits_0_or_2(argv):
+    assert_exits_0_or_2(argv)
+
+
 def test_verify_all_at_defaults(capsys):
     code, out, _ = run(["verify", "all", "--json"], capsys)
     assert code == 0
@@ -318,7 +411,7 @@ def test_verify_all_at_defaults(capsys):
 
 @pytest.mark.parametrize("argv, limit", [
     (["verify", "all"], 60),
-    (["graph", "--lambda", "0", "--p", "5", "--max-boxes", "20"], 2),
+    (["graph", "--lambda", "0", "--p", "5", "--max-boxes", "20"], 1),
 ], ids=["verify-all", "graph"])
 def test_pair_loops_list_the_factors_once(argv, limit, capsys, monkeypatch):
     # one enumerate_regular call per factor list, not one per left factor

@@ -38,6 +38,10 @@ def test_spec_validation():
         KKSpec(1, 3)
     with pytest.raises(ValueError):
         KKSpec(0, -1)
+    with pytest.raises(TypeError, match="lambda_type must be an integer"):
+        KKSpec(True, 0)
+    with pytest.raises(TypeError, match="lambda_type must be an integer"):
+        KKSpec(0.0, 1)
 
 
 # (name, call, size or index): the cutoff of both routes, then every other
@@ -54,7 +58,9 @@ COUNTS = ([(route.__name__, partial(route, KKSpec(0, 3)), cutoff)
               partial(double_coset_min_index, 0, 3), True),
              ("enumerate_regular", partial(enumerate_regular, 0), True),
              ("direction_weight", partial(direction_weight, 0), True),
-             ("dominant_set", lambda m: dominant_set(0, m, 3), 2.5)])
+             ("dominant_set", lambda m: dominant_set(0, m, 3), 2.5),
+             ("dominant_set-max_size", partial(dominant_set, 0, 3), True),
+             ("dominant_set-max_size", partial(dominant_set, 0, 3), 4.0)])
 
 
 @pytest.mark.parametrize("call, n", [row[1:] for row in COUNTS],

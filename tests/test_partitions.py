@@ -1,7 +1,11 @@
+from itertools import combinations
+
 import pytest
 
-from kkcrystals.partitions import (ChargedPartition, closed_form_signature,
-                                   e_op, enumerate_regular, epsilon, f_op,
+from kkcrystals.kk import dominant_set
+from kkcrystals.partitions import (ChargedPartition, _distinct_parts,
+                                   closed_form_signature, e_op,
+                                   enumerate_regular, epsilon, f_op,
                                    gap_conjugate, phi, reduce_signature,
                                    signature, signs, weight_of)
 from kkcrystals.verify import check_operator_inverses, check_reduction_oracle
@@ -86,6 +90,34 @@ def test_enumerate_regular():
     assert [cp.parts for cp in enumerate_regular(0, 3)] == \
         [(), (1,), (2,), (3,), (2, 1)]
     assert len(enumerate_regular(0, 10)) == 43
+
+
+def brute_force_parts(allowed, n):
+    """Every subset of the allowed parts of at most n boxes, as a decreasing
+    tuple, by size and then by decreasing parts."""
+    sets = [c[::-1] for k in range(len(allowed) + 1)
+            for c in combinations(allowed, k) if sum(c) <= n]
+    return sorted(sets, key=lambda parts: (-sum(parts), parts), reverse=True)
+
+
+def test_distinct_parts_match_a_brute_force():
+    for n in range(15):
+        for allowed in (range(1, n + 1), range(1, n + 1, 2),
+                        range(2, n + 1, 2), (2, 3, 7, 8, 13)):
+            assert _distinct_parts(allowed, n) == brute_force_parts(allowed, n)
+
+
+def test_dominant_sets_are_the_filtered_partitions():
+    for n in range(17):
+        regular = enumerate_regular(0, n)
+        for lambda_type in (0, 1):
+            for m in range(13):
+                assert dominant_set(lambda_type, m, n) == [
+                    cp for cp in regular
+                    if (not cp.parts or cp.parts[0] <= m)
+                    and all(p % 2 != lambda_type for p in cp.parts)]
+    # parts above max_size never fit, so a huge m costs nothing
+    assert dominant_set(0, 10**9, 12) == dominant_set(0, 12, 12)
 
 
 def test_non_regular_inputs_are_rejected():

@@ -33,6 +33,10 @@ def test_validation():
         LSPath(0, 3, (1, 0))        # steps must be positive
     with pytest.raises(ValueError):
         LSPath(2, 0, ())
+    with pytest.raises(ValueError, match="final index must be nonnegative"):
+        LSPath(0, -1)
+    with pytest.raises(ValueError, match="shape must be"):
+        LSPath.from_json({"shape": "L2", "n": 0, "steps": []})
 
 
 def test_times_and_directions():

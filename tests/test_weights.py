@@ -66,6 +66,7 @@ def test_display():
     # a leading negative coefficient keeps its sign
     assert (-ALPHA0).display() == "-1α0"
     assert (-DELTA).display() == "-1α0 - 1α1"
+    assert Weight(0, 0, 0).display() == "0"
 
 
 def test_json_round_trip():

@@ -86,6 +86,8 @@ def test_serialization_round_trip():
     assert IDENTITY.to_string() == "e"
     assert WeylElement(2, 1).to_string() == "s1 s0"
     assert WeylElement(3, 0).to_string() == "s0 s1 s0"
+    assert str(WeylElement(3, 0)) == "s0 s1 s0"
+    assert IDENTITY.last is None
 
 
 def test_invalid_words_rejected():
