@@ -10,16 +10,15 @@ imported from their own modules.
 """
 
 from .iso import partition_to_path, path_to_partition
-from .kk import (KKSpec, MultiplicityTable, decomposition, dominant_set,
-                 in_kk_crystal, kk_crystal_graph, kk_crystal_members,
-                 weight_of_dominant)
+from .kk import (KKSpec, MultiplicityTable, associated_weyl_element,
+                 decomposition, dominant_set, in_kk_crystal, kk_crystal_graph,
+                 kk_crystal_members, weight_of_dominant)
 from .partitions import (ChargedPartition, e_op, enumerate_regular, epsilon,
                          f_op, gap_conjugate, phi, weight_of)
 from .paths import (LSPath, direction_weight, e_path, f_path,
                     is_lambda_dominant, path_epsilon, path_phi)
-from .tensor import (CrystalGraph, TensorElement, associated_weyl_element,
-                     crystal_graph, is_highest_weight, tensor_e, tensor_f,
-                     tensor_pairs)
+from .tensor import (CrystalGraph, TensorElement, crystal_graph,
+                     is_highest_weight, tensor_e, tensor_f, tensor_pairs)
 from .weights import (ALPHA0, ALPHA1, DELTA, LAMBDA0, LAMBDA1, Weight, act,
                       fundamental, pair_coroot, reflect, simple_root)
 from .weyl import (IDENTITY, WeylElement, bruhat_leq, coset_element,

@@ -3,12 +3,14 @@
 A submodule crystal is named by (lambda_type, p): lambda_type picks which
 level-one module the left tensor factor comes from, and w_p^+ (p zero or
 odd for lambda_type 0, zero or even for lambda_type 1, so that w_p^+ is
-the minimal representative of its double coset) is the extremal-weight
-parameter.  Membership of a pair is a rectangle inequality in the
-bounding rectangles of the two partitions, equivalently a Bruhat bound on
-the associated double-coset element; both routes are implemented and the
-tests compare them.  The graph of a submodule crystal is its member
-list, by total size and then in tuple order, with the f_i arrows.
+the minimal representative of its double coset; `_p_allowed` is the one
+statement of that rule) is the extremal-weight parameter.  Membership of
+a pair is a rectangle inequality in the bounding rectangles of the two
+partitions, equivalently a Bruhat bound on the double-coset Weyl element
+attached to the pair (`associated_weyl_element`, which only that route
+reads); both routes are implemented and the tests compare them.  The
+graph of a submodule crystal is its member list, by total size and then
+in tuple order, with the f_i arrows.
 
 Multiplicities of the irreducible summands come from truncations of the
 distinct-odd-parts / distinct-even-parts product generating functions,
@@ -21,10 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import ChargedPartition, _distinct_parts, enumerate_regular
-from .tensor import (CrystalGraph, TensorElement, associated_weyl_element,
-                     crystal_graph, is_highest_weight, tensor_pairs)
+from .tensor import (CrystalGraph, TensorElement, crystal_graph,
+                     is_highest_weight, tensor_pairs)
 from .weights import DELTA, Weight, fundamental, simple_root
-from .weyl import _check_count, _check_label, bruhat_leq, coset_element
+from .weyl import (WeylElement, _check_count, _check_label, bruhat_leq,
+                   coset_element, double_coset_min_index)
+
+
+def _p_allowed(lambda_type: int, p: int) -> bool:
+    """Whether w_p^+ is the minimal representative of its double coset
+    for the left type: p is 0, odd for lambda_type 0, even for 1."""
+    return p == 0 or p % 2 != lambda_type
 
 
 @dataclass(frozen=True)
@@ -40,10 +49,10 @@ class KKSpec:
             raise TypeError("lambda_type must be an integer")
         _check_count(self.p, "p")
         _check_label(self.lambda_type, "lambda_type")
-        if self.lambda_type == 0 and self.p != 0 and self.p % 2 == 0:
-            raise ValueError("for lambda_type 0, p must be 0 or odd")
-        if self.lambda_type == 1 and self.p % 2 == 1:
-            raise ValueError("for lambda_type 1, p must be 0 or even")
+        if not _p_allowed(self.lambda_type, self.p):
+            raise ValueError("for lambda_type %d, p must be 0 or %s"
+                             % (self.lambda_type,
+                                "even" if self.lambda_type else "odd"))
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,16 @@ def in_kk_crystal(spec: KKSpec, t: TensorElement) -> bool:
     return m - n <= spec.p + 1
 
 
+def associated_weyl_element(t: TensorElement) -> WeylElement:
+    """The minimal double-coset element attached to the pair, in closed
+    form from the bounding rectangles: governs submodule membership.
+    verify.check_double_coset_index checks the closed form against the
+    wedge route min W_lambda I(tau^{-1}) w_m^+ W_0."""
+    n = len(t.left.parts)
+    m = t.right.parts[0] if t.right.parts else 0
+    return coset_element(0, double_coset_min_index(t.left.charge, n, m))
+
+
 def in_kk_crystal_by_weyl(spec: KKSpec, t: TensorElement) -> bool:
     """Membership via the Bruhat bound on the associated element."""
     _check_left_charge(spec, t)
@@ -119,15 +138,6 @@ def weight_of_dominant(lambda_type: int, b: ChargedPartition) -> Weight:
     return fundamental(0) + fundamental(1) - k * DELTA
 
 
-def _truncated_product(factors, max_degree: int) -> list[int]:
-    coeffs = [0] * (max_degree + 1)
-    coeffs[0] = 1
-    for j in factors:
-        for d in range(max_degree, j - 1, -1):
-            coeffs[d] += coeffs[d - j]
-    return coeffs
-
-
 def decomposition(spec: KKSpec, cutoff: int) -> MultiplicityTable:
     """Generating-function route: expand the product of (1 + x^j) over
     odd (lambda_type 0) or even (lambda_type 1) j up to p.
@@ -138,9 +148,10 @@ def decomposition(spec: KKSpec, cutoff: int) -> MultiplicityTable:
     the one of the whole tensor product."""
     _check_count(cutoff, "cutoff")
     max_degree = 2 * cutoff + 1
-    first = 1 if spec.lambda_type == 0 else 2
-    factors = range(first, min(spec.p, max_degree) + 1, 2)
-    coeffs = _truncated_product(factors, max_degree)
+    coeffs = [1] + [0] * max_degree
+    for j in range(1 + spec.lambda_type, min(spec.p, max_degree) + 1, 2):
+        for d in range(max_degree, j - 1, -1):
+            coeffs[d] += coeffs[d - j]
     b = tuple(coeffs[1::2]) if spec.lambda_type == 0 else None
     return MultiplicityTable(tuple(coeffs[0::2]), b)
 

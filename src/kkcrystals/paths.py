@@ -18,10 +18,10 @@ h(t) = <path(t), a_i^vee>: reflect the directions between the last
 minimum of h and the first later time where h returns to minimum + 1,
 cutting the direction in which that return falls.  It works on a list of
 slopes and merges nothing, so it also runs on the concatenation of two
-paths (`tensor.concat_path_op`); `_rebuild` merges equal neighbours into
-a canonical chain.  The raising operator e_i is f_i on the reversed path
-t -> path(1 - t) - path(1), reversed back (Littelmann's duality), and is
-the two-sided inverse of f_i.
+paths (`tensor.concat_path_op`); `_rebuild` merges equal neighbours,
+decodes and validates the chain in one pass.  The raising operator e_i
+is f_i on the reversed path t -> path(1 - t) - path(1), reversed back
+(Littelmann's duality), and is the two-sided inverse of f_i.
 
 Everything runs on ints: turning times are scaled by D = lcm(1, ..., m + 1)
 (it holds the times of the path and of its images), and so are the
@@ -116,27 +116,6 @@ class LSPath(_checked_tuple("LSPath", "shape n steps")):
         return "LSPath(L%d, n=%d, steps=%s)" % (self.shape, self.n, list(self.steps))
 
 
-def _int_chain(shape: int, indices: list[int], times: list[int], D: int) -> LSPath:
-    """Validated canonical path of a chain with turning times scaled by D."""
-    if not indices or len(times) != len(indices) + 1:
-        raise ValueError("need one more time than directions")
-    if times[0] != 0 or times[-1] != D:
-        raise ValueError("times must run from 0 to 1")
-    steps = []
-    for j, k in enumerate(indices):
-        t = times[j + 1]
-        if t <= times[j]:
-            raise ValueError("times must strictly increase")
-        if j and k != indices[j - 1] - 1:
-            raise ValueError("direction chain must descend contiguously")
-        step, rest = divmod(t * k, D)
-        if rest:
-            raise ValueError("time %d/%d is not canonical for index %d"
-                             % (t, D, k))
-        steps.append(step)
-    return LSPath(shape, indices[-1], tuple(steps[-2::-1]))
-
-
 def _denominator(m: int) -> int:
     """lcm(1, ..., m + 1): a common denominator for paths of initial index
     at most m and for their root-operator images."""
@@ -225,13 +204,32 @@ def _raise(i: int, dirs: list[int], times: list[int], H: list[int],
 
 def _rebuild(dirs: list[int], times: list[int], D: int) -> LSPath:
     """The validated canonical path of a chain of slopes with turning
-    times scaled by D, equal neighbouring pieces merged."""
-    cuts = [j for j in range(1, len(dirs)) if dirs[j] != dirs[j - 1]]
-    kept = dirs[:1] + [dirs[j] for j in cuts]
-    if len({x % 2 for x in kept}) != 1:
-        raise ValueError("a path has a single shape")
-    return _int_chain(kept[0] % 2, [x - 1 if x > 0 else -x for x in kept],
-                      [0] + [times[j] for j in cuts] + times[-1:], D)
+    times scaled by D, in one pass: a piece is merged into its next
+    neighbour when the two have the same slope, and each kept piece has
+    its index decoded, checked and turned into a step."""
+    if not dirs or len(times) != len(dirs) + 1:
+        raise ValueError("need one more time than directions")
+    if times[0] != 0 or times[-1] != D:
+        raise ValueError("times must run from 0 to 1")
+    shape, last, steps = dirs[0] % 2, len(dirs) - 1, []
+    for j, x in enumerate(dirs):
+        t = times[j + 1]
+        if t <= times[j]:
+            raise ValueError("times must strictly increase")
+        if j < last and dirs[j + 1] == x:
+            continue
+        if x % 2 != shape:
+            raise ValueError("a path has a single shape")
+        k = x - 1 if x > 0 else -x
+        if steps and k != n - 1:
+            raise ValueError("direction chain must descend contiguously")
+        step, rest = divmod(t * k, D)
+        if rest:
+            raise ValueError("time %d/%d is not canonical for index %d"
+                             % (t, D, k))
+        steps.append(step)
+        n = k
+    return LSPath(shape, n, tuple(steps[-2::-1]))
 
 
 def _path_op(operator, path: LSPath, i: int) -> LSPath | None:

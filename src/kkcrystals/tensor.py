@@ -1,6 +1,6 @@
 """Tensor products of the level-one crystals on pairs of charged
-partitions, the concatenated-path oracle, the double-coset Weyl element
-attached to a pair, and the f_i arrows among a given list of pairs.
+partitions, the concatenated-path oracle, and the f_i arrows among a
+given list of pairs.
 
 The tensor rule is: f_i acts on the left factor iff phi_i(left) is
 strictly larger than epsilon_i(right), and e_i acts on the left factor
@@ -26,8 +26,7 @@ from .partitions import (ChargedPartition, _image, _kernel, enumerate_regular,
 from .paths import (LSPath, _denominator, _int_profile, _lower, _raise,
                     _rebuild)
 from .weights import Weight
-from .weyl import (WeylElement, _checked_tuple, coset_element,
-                   double_coset_min_index)
+from .weyl import _checked_tuple
 
 
 class TensorElement(_checked_tuple("TensorElement", "left right")):
@@ -96,16 +95,6 @@ def tensor_e(i: int, t: TensorElement) -> TensorElement | None:
 
 def is_highest_weight(t: TensorElement) -> bool:
     return tensor_e(0, t) is None and tensor_e(1, t) is None
-
-
-def associated_weyl_element(t: TensorElement) -> WeylElement:
-    """The minimal double-coset element attached to the pair, in closed
-    form from the bounding rectangles: governs submodule membership.
-    verify.check_double_coset_index checks the closed form against the
-    wedge route min W_lambda I(tau^{-1}) w_m^+ W_0."""
-    n = len(t.left.parts)
-    m = t.right.parts[0] if t.right.parts else 0
-    return coset_element(0, double_coset_min_index(t.left.charge, n, m))
 
 
 # --- concatenated-path oracle ------------------------------------------

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .iso import partition_to_path, path_to_partition
-from .kk import (KKSpec, MultiplicityTable, decomposition,
+from .kk import (KKSpec, MultiplicityTable, _p_allowed,
+                 associated_weyl_element, decomposition,
                  decomposition_via_crystal, dominant_set, in_kk_crystal,
                  in_kk_crystal_by_weyl, kk_crystal_members)
 from .partitions import (ChargedPartition, closed_form_signature, e_op,
@@ -24,8 +25,8 @@ from .partitions import (ChargedPartition, closed_form_signature, e_op,
                          reduce_signature, signature, signs, weight_of)
 from .paths import (LSPath, _denominator, _int_profile, direction_weight,
                     e_path, f_path, is_lambda_dominant)
-from .tensor import (TensorElement, associated_weyl_element, concat_path_op,
-                     is_highest_weight, tensor_e, tensor_f, tensor_pairs)
+from .tensor import (TensorElement, concat_path_op, is_highest_weight,
+                     tensor_e, tensor_f, tensor_pairs)
 from .weights import act, fundamental, pair_coroot, simple_root
 from .weyl import (WeylElement, bruhat_ideal_min, bruhat_leq, coset_element,
                    double_coset_min, double_coset_min_index, left_multiply)
@@ -163,9 +164,7 @@ def kk_specs(p_max: int):
 
 
 def _valid_p_values(lambda_type: int, p_max: int) -> list[int]:
-    if lambda_type == 0:
-        return [0] + [p for p in range(1, p_max + 1, 2)]
-    return [p for p in range(0, p_max + 1, 2)]
+    return [p for p in range(p_max + 1) if _p_allowed(lambda_type, p)]
 
 
 # --- suites ---------------------------------------------------------------

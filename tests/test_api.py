@@ -65,6 +65,17 @@ def test_names_reached_by_module_path_resolve():
     assert hasattr(kkcrystals.paths.direction_weight.cache_info(), "hits")
 
 
+def test_tensor_takes_no_weyl_element_from_weyl():
+    # the pair's Weyl element is read only by kk's membership route, so it
+    # lives in kk, and tensor needs nothing from weyl but its tuple base
+    tree = ast.parse(Path(kkcrystals.tensor.__file__).read_text(encoding="utf-8"))
+    from_weyl = [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "weyl"
+                 for alias in node.names]
+    assert from_weyl == ["_checked_tuple"]
+    assert kkcrystals.associated_weyl_element.__module__ == "kkcrystals.kk"
+
+
 def test_no_module_imports_fractions():
     # the library is exact in ints; a Fraction anywhere is a regression
     for path in sorted(Path(kkcrystals.__file__).parent.glob("*.py")):

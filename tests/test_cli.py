@@ -222,13 +222,15 @@ def test_graph_stdout(capsys):
 
 
 def test_graph_to_file(tmp_path, capsys):
-    target = tmp_path / "crystal.dot"
-    code, out, _ = run(["graph", "--lambda", "0", "--p", "3",
-                        "--max-boxes", "4", "--out", str(target)], capsys)
+    argv = ["graph", "--lambda", "0", "--p", "3", "--max-boxes", "4"]
+    target = tmp_path / "ok.dot"
+    code, out, _ = run(argv + ["--out", str(target)], capsys)
     assert code == 0
-    assert out.strip() == "vertices 21 edges 17"
+    assert out == "vertices 21 edges 17\n"
     text = target.read_text(encoding="utf-8")
     assert text.startswith("digraph") and text.count("->") == 17
+    # the file holds exactly what --out - prints before the count line
+    assert run(argv + ["--out", "-"], capsys) == (0, text + out, "")
 
 
 # stdout sha256 pins beside the benchmark's lambda 0, p 5 graph: the
@@ -256,11 +258,13 @@ def test_graph_second_family_counts(capsys):
 
 
 def test_graph_unwritable_path(tmp_path, capsys):
-    code, _, err = run(["graph", "--lambda", "0", "--p", "0",
-                        "--max-boxes", "0",
-                        "--out", str(tmp_path / "missing" / "x.dot")], capsys)
-    assert code == 3
-    assert "cannot write" in err
+    # a file in a missing directory, and a directory itself
+    for target in (tmp_path / "missing" / "x.dot", tmp_path):
+        code, out, err = run(["graph", "--lambda", "0", "--p", "0",
+                              "--max-boxes", "0", "--out", str(target)],
+                             capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
 def test_enumerate(capsys):
@@ -464,7 +468,7 @@ MUTATIONS = {
     "raising directions not reversed back": (
         paths, "_raise", "chain[0][::-1]", "chain[0]", "iso"),
     "neighbour merging disabled": (
-        paths, "_rebuild", "if dirs[j] != dirs[j - 1]", "if True", "iso"),
+        paths, "_rebuild", "dirs[j + 1] == x", "False", "iso"),
     "junction split one piece late": (
         tensor, "concat_path_op", "times.index(D)", "times.index(D) + 1",
         "tensor"),

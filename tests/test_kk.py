@@ -14,7 +14,7 @@ from kkcrystals.partitions import ChargedPartition, enumerate_regular
 from kkcrystals.paths import direction_weight
 from kkcrystals.tensor import TensorElement
 from kkcrystals.verify import (check_kk_decomposition, check_kk_monotone,
-                               check_kk_stabilization)
+                               check_kk_stabilization, kk_specs)
 from kkcrystals.weights import ALPHA0, DELTA, LAMBDA0, LAMBDA1
 from kkcrystals.weyl import WeylElement, coset_element, double_coset_min_index
 
@@ -42,6 +42,21 @@ def test_spec_validation():
         KKSpec(True, 0)
     with pytest.raises(TypeError, match="lambda_type must be an integer"):
         KKSpec(0.0, 1)
+    # the parity rule, stated here apart from the library's own statement
+    allowed = []
+    for lam in (0, 1):
+        for p in range(41):
+            if p == 0 or p % 2 == 1 - lam:
+                KKSpec(lam, p)
+                allowed.append((lam, p))
+            else:
+                with pytest.raises(ValueError) as refused:
+                    KKSpec(lam, p)
+                assert str(refused.value) == (
+                    "for lambda_type 0, p must be 0 or odd" if lam == 0
+                    else "for lambda_type 1, p must be 0 or even")
+    assert [(s.lambda_type, s.p) for s in kk_specs(9)] == \
+        [(lam, p) for lam, p in allowed if p <= 9]
 
 
 # (name, call, size or index): the cutoff of both routes, then every other

@@ -6,7 +6,7 @@ from kkcrystals.kk import dominant_set, weight_of_dominant
 from kkcrystals.partitions import (ChargedPartition, closed_form_signature,
                                    e_op, enumerate_regular, epsilon, f_op,
                                    phi, signature)
-from kkcrystals.paths import (LSPath, _int_chain, _int_profile,
+from kkcrystals.paths import (LSPath, _int_profile, _rebuild,
                               direction_weight, e_path, f_path,
                               is_lambda_dominant, path_epsilon, path_phi)
 from kkcrystals.verify import string_length
@@ -162,15 +162,32 @@ def test_dominance():
     assert not is_lambda_dominant(two, 0)
 
 
-def test_int_chain_rejects_junk():
-    # the chain checks f_path and e_path rely on, times scaled by D = 6
+def test_rebuild_rejects_junk():
+    # the chain checks f_path and e_path rely on, times scaled by D = 6;
+    # slopes 4, -2, 2 are w_3, w_2, w_1 of shape 0
     with pytest.raises(ValueError):
-        _int_chain(0, [3, 1], [0, 3, 6], 6)     # 1/2 is not canonical for 3
+        _rebuild([4, 2], [0, 3, 6], 6)      # 1/2 is not canonical for 3
     with pytest.raises(ValueError):
-        _int_chain(0, [2, 1], [0, 2, 6], 6)     # 1/3 is not canonical for 2
+        _rebuild([-2, 2], [0, 2, 6], 6)     # 1/3 is not canonical for 2
     with pytest.raises(ValueError, match="strictly increase"):
-        _int_chain(0, [2, 1], [0, 6, 6], 6)     # a repeated turning time
-    assert _int_chain(0, [2, 1], [0, 3, 6], 6) == LSPath(0, 1, (1,))
+        _rebuild([-2, 2], [0, 6, 6], 6)     # a repeated turning time
+    assert _rebuild([-2, 2], [0, 3, 6], 6) == LSPath(0, 1, (1,))
+
+
+# each row is a chain that only its own check refuses: without that
+# check, _rebuild returns LSPath(0, 1, (1,)) for it
+REBUILD_JUNK = [
+    ([-2, 2], [0, 3, 6, 6], "one more time than directions"),
+    ([-2, 2], [1, 3, 6], "from 0 to 1"),
+    ([-2, 2], [0, 3, 12], "from 0 to 1"),
+    ([4, 2], [0, 2, 6], "descend contiguously"),   # w_3 at 1/3, then w_1
+]
+
+
+@pytest.mark.parametrize("dirs, times, message", REBUILD_JUNK)
+def test_rebuild_refuses_a_malformed_chain(dirs, times, message):
+    with pytest.raises(ValueError, match=message):
+        _rebuild(dirs, times, 6)
 
 
 def test_json_round_trip():

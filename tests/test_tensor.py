@@ -1,11 +1,11 @@
 import pytest
 
 from kkcrystals import tensor
-from kkcrystals.kk import KKSpec, kk_crystal_graph, kk_crystal_members
+from kkcrystals.kk import (KKSpec, associated_weyl_element, kk_crystal_graph,
+                           kk_crystal_members)
 from kkcrystals.partitions import ChargedPartition, enumerate_regular
 from kkcrystals.paths import LSPath, _rebuild
-from kkcrystals.tensor import (TensorElement, associated_weyl_element,
-                               concat_path_op, crystal_graph,
+from kkcrystals.tensor import (TensorElement, concat_path_op, crystal_graph,
                                is_highest_weight, tensor_e, tensor_f,
                                tensor_pairs)
 from kkcrystals.weyl import IDENTITY, coset_element
