@@ -11,12 +11,12 @@ lowering operators e_i and f_i.
 phi, epsilon, e_i and f_i, and the tensor rule, read the reduced
 signature in one integer pass over the rows (`_reduced`), bottom to top,
 which visits the signature's columns left to right.  The pass runs at
-most once per (partition, label): `_kernel` stores its result on the
-partition.  Each move is built from it at most once: `_image` stores
-f_i(cp) and e_i(cp), or None, on cp, as `size`, `weight_of` and
-`display` store theirs.  A move is stored only on the partition it
-starts from, never as the inverse move of its image, so the inverse
-laws still compare two moves built apart.
+most once per (partition, label), and everything read off it is stored
+on the partition as one record: `_kernel` keeps (phi, epsilon, f_i(cp),
+e_i(cp)), with None for a move that kills cp, just as `size`,
+`weight_of` and `display` store theirs.  A move is stored only on the
+partition it starts from, never as the inverse move of its image, so
+the inverse laws still compare two moves built apart.
 
 The column scan `signature`, its reduction `reduce_signature` and the
 block pattern `closed_form_signature` serve only as the oracle that the
@@ -168,35 +168,24 @@ def _reduced(cp: ChargedPartition, i: int) -> tuple[int, int, int, int]:
     return plus, depth, plus_row, minus_row
 
 
-def _kernel(cp: ChargedPartition, i: int) -> tuple[int, int, int, int]:
-    """`_reduced(cp, i)`, scanned at most once per (partition, label) and
-    stored on the partition under the key i.  The memo is read for an
-    int label only, since True and 1.0 hash as 1; 0 and 1 are the only int
-    keys stored, and any other label reaches `_reduced`, which checks it."""
+def _kernel(cp: ChargedPartition, i: int) -> tuple[
+        int, int, ChargedPartition | None, ChargedPartition | None]:
+    """(phi, epsilon, f_i(cp), e_i(cp)) from one `_reduced(cp, i)` scan, a
+    move None when the operator kills cp; built at most once per
+    (partition, label) and stored on the partition under the key i.  The
+    memo is read for an int label only, since True and 1.0 hash as 1; 0
+    and 1 are the only int keys stored, and any other label reaches
+    `_reduced`, which checks it."""
     memo = cp.__dict__
     if type(i) is int:
         found = memo.get(i)
         if found is not None:
             return found
-    found = memo[i] = _reduced(cp, i)
+    plus, minus, plus_row, minus_row = _reduced(cp, i)
+    found = memo[i] = (plus, minus,
+                       _add_box(cp, plus_row) if plus else None,
+                       _remove_box(cp, minus_row) if minus else None)
     return found
-
-
-def _image(cp: ChargedPartition, i: int, step: int) -> ChargedPartition | None:
-    """f_i(cp) for step 1 and e_i(cp) for step -1, or None when the
-    operator kills cp: built from the kernel at most once per (partition,
-    label, step) and stored on the partition under the key (step, i)."""
-    memo = cp.__dict__
-    key = (step, i)
-    if type(i) is int and key in memo:
-        return memo[key]
-    plus, minus, plus_row, minus_row = _kernel(cp, i)
-    if step == 1:
-        image = _add_box(cp, plus_row) if plus else None
-    else:
-        image = _remove_box(cp, minus_row) if minus else None
-    memo[key] = image
-    return image
 
 
 def _add_box(cp: ChargedPartition, row: int) -> ChargedPartition:
@@ -229,13 +218,13 @@ def phi(cp: ChargedPartition, i: int) -> int:
 def f_op(cp: ChargedPartition, i: int) -> ChargedPartition | None:
     """Add a box labelled i at the bottom of the column of the rightmost
     '+' in the reduced i-signature; None if there is no '+'."""
-    return _image(cp, i, 1)
+    return _kernel(cp, i)[2]
 
 
 def e_op(cp: ChargedPartition, i: int) -> ChargedPartition | None:
     """Remove the bottom box of the column of the leftmost '-' in the
     reduced i-signature; None if there is no '-'."""
-    return _image(cp, i, -1)
+    return _kernel(cp, i)[3]
 
 
 def weight_of(cp: ChargedPartition) -> Weight:

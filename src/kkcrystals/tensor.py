@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import (ChargedPartition, _image, _kernel, enumerate_regular,
-                         weight_of)
+from .partitions import ChargedPartition, _kernel, enumerate_regular, weight_of
 from .paths import (LSPath, _denominator, _int_profile, _lower, _raise,
                     _rebuild)
 from .weights import Weight
@@ -79,18 +78,20 @@ def tensor_pairs(charge: int, max_boxes: int):
 
 def tensor_f(i: int, t: TensorElement) -> TensorElement | None:
     left, right = t
-    if _kernel(left, i)[0] > _kernel(right, i)[1]:
-        return TensorElement(_image(left, i, 1), right)
-    image = _image(right, i, 1)
+    moves, right_moves = _kernel(left, i), _kernel(right, i)
+    if moves[0] > right_moves[1]:
+        return TensorElement(moves[2], right)
+    image = right_moves[2]
     return None if image is None else TensorElement(left, image)
 
 
 def tensor_e(i: int, t: TensorElement) -> TensorElement | None:
     left, right = t
-    if _kernel(left, i)[0] >= _kernel(right, i)[1]:
-        image = _image(left, i, -1)
+    moves, right_moves = _kernel(left, i), _kernel(right, i)
+    if moves[0] >= right_moves[1]:
+        image = moves[3]
         return None if image is None else TensorElement(image, right)
-    return TensorElement(left, _image(right, i, -1))
+    return TensorElement(left, right_moves[3])
 
 
 def is_highest_weight(t: TensorElement) -> bool:

@@ -65,15 +65,26 @@ def test_names_reached_by_module_path_resolve():
     assert hasattr(kkcrystals.paths.direction_weight.cache_info(), "hits")
 
 
+def imported_from(module, source):
+    """The names that `module` imports from its sibling module `source`."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return sorted(alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == source
+                  for alias in node.names)
+
+
 def test_tensor_takes_no_weyl_element_from_weyl():
     # the pair's Weyl element is read only by kk's membership route, so it
     # lives in kk, and tensor needs nothing from weyl but its tuple base
-    tree = ast.parse(Path(kkcrystals.tensor.__file__).read_text(encoding="utf-8"))
-    from_weyl = [alias.name for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.module == "weyl"
-                 for alias in node.names]
-    assert from_weyl == ["_checked_tuple"]
+    assert imported_from(kkcrystals.tensor, "weyl") == ["_checked_tuple"]
     assert kkcrystals.associated_weyl_element.__module__ == "kkcrystals.kk"
+
+
+def test_tensor_reads_each_factor_through_its_record():
+    # the rule compares phi and epsilon and takes the move from the same
+    # stored record, so no second memo or operator is imported
+    assert imported_from(kkcrystals.tensor, "partitions") == [
+        "ChargedPartition", "_kernel", "enumerate_regular", "weight_of"]
 
 
 def test_no_module_imports_fractions():

@@ -435,8 +435,8 @@ def test_pair_loops_list_the_factors_once(argv, limit, capsys, monkeypatch):
     assert 0 < len(calls) <= limit
 
 
-# one-line edits of the partition and path kernels: (module, function, text,
-# replacement, the verify suite that must catch it)
+# one-line edits of the partition, path and tensor kernels: (module,
+# function, text, replacement, the verify suite that must catch it)
 MUTATIONS = {
     "rightmost '+' row shifted": (
         partitions, "_reduced", "plus_row = k + 1", "plus_row = k + 2",
@@ -447,6 +447,12 @@ MUTATIONS = {
     "top addable '+' dropped": (
         partitions, "_reduced", "range(len(parts) - 1, -2, -1)",
         "range(len(parts) - 1, -1, -1)", "signatures"),
+    "f_i adds a box at the leftmost '-' row": (
+        partitions, "_kernel", "_add_box(cp, plus_row)",
+        "_add_box(cp, minus_row)", "signatures"),
+    "e_i gated on phi instead of epsilon": (
+        partitions, "_kernel", "if minus else None", "if plus else None",
+        "signatures"),
     "reduction cancels the wrong pair": (
         partitions, "reduce_signature", 'stack[-1][0] == "-"',
         'stack[-1][0] == "+"', "signatures"),
@@ -472,6 +478,9 @@ MUTATIONS = {
     "junction split one piece late": (
         tensor, "concat_path_op", "times.index(D)", "times.index(D) + 1",
         "tensor"),
+    "f_i acts on the left factor when phi equals epsilon": (
+        tensor, "tensor_f", "moves[0] > right_moves[1]",
+        "moves[0] >= right_moves[1]", "tensor"),
     "path epsilon one too high": (
         paths, "path_epsilon", "// D", "// D + 1", "iso"),
 }

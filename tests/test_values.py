@@ -1,6 +1,6 @@
 """The tuple-backed value types (ChargedPartition, TensorElement, LSPath)
-and the kernel, move, size, weight and display memo that a charged
-partition keeps."""
+and the memo that a charged partition keeps: one (phi, epsilon, f_i, e_i)
+record per label, its size, weight and display string."""
 
 import copy
 import pickle
@@ -125,6 +125,18 @@ def test_copies_work_after_the_memo_is_filled():
         assert read_memo(back) == kept
 
 
+def test_a_partition_stores_one_record_per_label():
+    cp = running()
+    read = [(phi(cp, i), epsilon(cp, i), f_op(cp, i), e_op(cp, i))
+            for i in (0, 1)]
+    cp.size, weight_of(cp), cp.display()
+    assert set(cp.__dict__) == {0, 1, "size", "_weight", "_display"}
+    for i in (0, 1):
+        record = cp.__dict__[i]
+        assert record == read[i] and None not in record
+        assert record[2] is f_op(cp, i) and record[3] is e_op(cp, i)
+
+
 @pytest.mark.parametrize("make", [running, running_pair, running_path])
 def test_instances_are_immutable(make):
     value = make()
@@ -159,15 +171,23 @@ def test_labels_are_checked_before_the_memo(op, on_pairs, label):
             op(cp, label)
 
 
+def count_calls(monkeypatch, *names):
+    """A list that gains the partition argument of each call of the named
+    two-argument partition kernels."""
+    calls = []
+    for name in names:
+        original = getattr(partitions, name)
+
+        def counted(cp, arg, original=original):
+            calls.append(cp)
+            return original(cp, arg)
+
+        monkeypatch.setattr(partitions, name, counted)
+    return calls
+
+
 def test_each_factor_is_scanned_at_most_once_per_label(monkeypatch):
-    scans = []
-    original = partitions._reduced
-
-    def counted(cp, i):
-        scans.append((cp, i))
-        return original(cp, i)
-
-    monkeypatch.setattr(partitions, "_reduced", counted)
+    scans = count_calls(monkeypatch, "_reduced")
     graph = kk_crystal_graph(KKSpec(0, 5), 12)
     factors = {id(f) for t in graph.vertices for f in t}
     assert graph.edges and 0 < len(scans) <= 2 * len(factors)
@@ -186,15 +206,10 @@ def test_each_move_is_built_once(op, inverse, i):
 
 
 def test_each_factor_makes_at_most_four_box_moves(monkeypatch):
-    moves = []
-    for name in ("_add_box", "_remove_box"):
-        original = getattr(partitions, name)
-
-        def counted(cp, row, original=original):
-            moves.append(cp)
-            return original(cp, row)
-
-        monkeypatch.setattr(partitions, name, counted)
+    scans = count_calls(monkeypatch, "_reduced")
+    moves = count_calls(monkeypatch, "_add_box", "_remove_box")
     graph = kk_crystal_graph(KKSpec(0, 5), 12)
     factors = {id(f) for t in graph.vertices for f in t}
     assert graph.edges and 0 < len(moves) <= 4 * len(factors)
+    # each scan builds at most its two moves, and none is built apart
+    assert len(moves) <= 2 * len(scans)
