@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import ChargedPartition, _distinct_parts, enumerate_regular
-from .tensor import (CrystalGraph, TensorElement, crystal_graph,
-                     is_highest_weight, tensor_pairs)
+from .tensor import (CrystalGraph, TensorElement, _pair, crystal_graph,
+                     is_highest_weight)
 from .weights import DELTA, Weight, fundamental, simple_root
 from .weyl import (WeylElement, _check_count, _check_label, bruhat_leq,
                    coset_element, double_coset_min_index)
@@ -87,14 +87,17 @@ def _check_left_charge(spec: KKSpec, t: TensorElement) -> None:
                          % (t.left.charge, spec.lambda_type))
 
 
+def _largest_right_part(spec: KKSpec, n: int) -> int:
+    """The rectangle inequality: the largest part that a member's right
+    factor may have when its left factor has n parts."""
+    return n if spec.lambda_type == 0 and spec.p == 0 else n + spec.p + 1
+
+
 def in_kk_crystal(spec: KKSpec, t: TensorElement) -> bool:
     """Rectangle-inequality membership test."""
     _check_left_charge(spec, t)
     m = t.right.parts[0] if t.right.parts else 0
-    n = len(t.left.parts)
-    if spec.lambda_type == 0 and spec.p == 0:
-        return m <= n
-    return m - n <= spec.p + 1
+    return m <= _largest_right_part(spec, len(t.left.parts))
 
 
 def associated_weyl_element(t: TensorElement) -> WeylElement:
@@ -180,11 +183,22 @@ def decomposition_via_crystal(spec: KKSpec, cutoff: int) -> MultiplicityTable:
 def kk_crystal_members(spec: KKSpec, max_boxes: int) -> list[TensorElement]:
     """Every member with at most max_boxes boxes in total, in canonical
     order: by total size, then as tuples (left parts, left charge, right
-    parts)."""
-    out = [t for t in tensor_pairs(spec.lambda_type, max_boxes)
-           if in_kk_crystal(spec, t)]
-    out.sort(key=lambda t: (t.total_boxes, t))
-    return out
+    parts).  Each left factor lists only the right factors within its
+    rectangle bound and room, into buckets by size sorted as plain tuples."""
+    lefts = enumerate_regular(spec.lambda_type, max_boxes)
+    rights = lefts if spec.lambda_type == 0 else enumerate_regular(0, max_boxes)
+    by_top = [[] for _ in range(max_boxes + 1)]
+    for right in rights:
+        by_top[right.parts[0] if right.parts else 0].append(right)
+    buckets = [[] for _ in range(max_boxes + 1)]
+    for left in lefts:
+        size, room = left.size, max_boxes - left.size
+        for group in by_top[:_largest_right_part(spec, len(left.parts)) + 1]:
+            for right in group:
+                if right.size > room:
+                    break
+                buckets[size + right.size].append(_pair(left, right))
+    return [t for bucket in buckets for t in sorted(bucket)]
 
 
 def kk_crystal_graph(spec: KKSpec, max_boxes: int) -> CrystalGraph:

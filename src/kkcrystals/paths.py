@@ -95,10 +95,9 @@ class LSPath(_checked_tuple("LSPath", "shape n steps")):
         times, total = _int_profile(self, 0, D)[1], ZERO
         for j, k in enumerate(self.direction_indices):
             total += (times[j + 1] - times[j]) * direction_weight(self.shape, k)
-        scaled = (total.c0, total.c1, total.dd)
-        if any(x % D for x in scaled):
+        if any(x % D for x in total):
             raise AssertionError("endpoint %s / %d is not integral" % (total, D))
-        return Weight(*(x // D for x in scaled))
+        return Weight(*(x // D for x in total))
 
     def to_json(self) -> dict:
         return {"shape": "L%d" % self.shape, "n": self.n, "steps": list(self.steps)}

@@ -58,6 +58,11 @@ class TensorElement(_checked_tuple("TensorElement", "left right")):
         return self.display()
 
 
+def _pair(left: ChargedPartition, right: ChargedPartition) -> TensorElement:
+    """A pair of library-built factors, unchecked (moves keep the charge)."""
+    return tuple.__new__(TensorElement, (left, right))
+
+
 def tensor_pairs(charge: int, max_boxes: int):
     """Every pair with at most max_boxes boxes in total, left factor of
     the given charge: left factors in enumeration order, and under each
@@ -65,7 +70,7 @@ def tensor_pairs(charge: int, max_boxes: int):
     are listed once, and for charge 0 they are the left factors too (the
     first left factor has checked that charge is an int); the list is
     sorted by size, so each left factor stops at the first that no longer
-    fits."""
+    fits.  The factors are the enumeration's, so pairs are built unchecked."""
     lefts = enumerate_regular(charge, max_boxes)
     rights = lefts if charge == 0 else enumerate_regular(0, max_boxes)
     for left in lefts:
@@ -73,16 +78,16 @@ def tensor_pairs(charge: int, max_boxes: int):
         for right in rights:
             if right.size > room:
                 break
-            yield TensorElement(left, right)
+            yield _pair(left, right)
 
 
 def tensor_f(i: int, t: TensorElement) -> TensorElement | None:
     left, right = t
     moves, right_moves = _kernel(left, i), _kernel(right, i)
     if moves[0] > right_moves[1]:
-        return TensorElement(moves[2], right)
+        return _pair(moves[2], right)
     image = right_moves[2]
-    return None if image is None else TensorElement(left, image)
+    return None if image is None else _pair(left, image)
 
 
 def tensor_e(i: int, t: TensorElement) -> TensorElement | None:
@@ -90,8 +95,8 @@ def tensor_e(i: int, t: TensorElement) -> TensorElement | None:
     moves, right_moves = _kernel(left, i), _kernel(right, i)
     if moves[0] >= right_moves[1]:
         image = moves[3]
-        return None if image is None else TensorElement(image, right)
-    return TensorElement(left, right_moves[3])
+        return None if image is None else _pair(image, right)
+    return _pair(left, right_moves[3])
 
 
 def is_highest_weight(t: TensorElement) -> bool:
@@ -138,16 +143,17 @@ class CrystalGraph:
 
     def to_dot(self, name: str = "crystal") -> str:
         """The graph in DOT: each vertex labelled by its pair and its
-        weight, each edge by its label.  Many vertices share a weight, so
-        each distinct weight is rendered once."""
+        weight, each edge by its label, read off the factors' stored weights
+        and displays.  Each distinct weight is rendered once."""
         lines = ["digraph %s {" % name]
         labels: dict[Weight, str] = {}
-        for k, v in enumerate(self.vertices):
-            weight = v.weight()
+        for k, (left, right) in enumerate(self.vertices):
+            weight = weight_of(left) + weight_of(right)
             label = labels.get(weight)
             if label is None:
                 label = labels[weight] = weight.display()
-            lines.append('  v%d [label="%s\\n%s"];' % (k, v.display(), label))
+            lines.append('  v%d [label="%s ⊗ %s\\n%s"];'
+                         % (k, left.display(), right.display(), label))
         for a, i, b in self.edges:
             lines.append('  v%d -> v%d [label="%d"];' % (a, b, i))
         lines.append("}\n")  # the closing newline, without copying the text

@@ -9,18 +9,22 @@ or a fraction, an integral one included, is refused, never coerced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import add, neg, sub
 
-from .weyl import WeylElement, _check_label
+from .weyl import WeylElement, _check_label, _checked_tuple
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Coroot-pairing coordinates (<w, a0v>, <w, a1v>, <w, d>)."""
+class Weight(_checked_tuple("Weight", "c0 c1 dd")):
+    """Coroot-pairing coordinates (<w, a0v>, <w, a1v>, <w, d>): a tuple
+    checked on construction.  Int arithmetic keeps ints, so its results
+    are built unchecked; it raises on a plain tuple, on either side."""
 
-    c0: int
-    c1: int
-    dd: int
+    __slots__ = ()
+
+    def __new__(cls, c0, c1, dd):
+        self = tuple.__new__(cls, (c0, c1, dd))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if not (type(self.c0) is type(self.c1) is type(self.dd) is int):
@@ -28,18 +32,24 @@ class Weight:
                             % ((self.c0, self.c1, self.dd),))
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(self.c0 + other.c0, self.c1 + other.c1, self.dd + other.dd)
+        if type(other) is not Weight:
+            raise TypeError("a Weight takes only a Weight, got %r" % (other,))
+        return tuple.__new__(Weight, map(add, self, other))
+
+    __radd__ = __add__  # refuses a tuple on the left, which would concatenate
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(self.c0 - other.c0, self.c1 - other.c1, self.dd - other.dd)
+        if type(other) is not Weight:
+            raise TypeError("a Weight takes only a Weight, got %r" % (other,))
+        return tuple.__new__(Weight, map(sub, self, other))
 
     def __neg__(self) -> "Weight":
-        return Weight(-self.c0, -self.c1, -self.dd)
+        return tuple.__new__(Weight, map(neg, self))
 
     def __mul__(self, s: int) -> "Weight":
         if type(s) is not int:
             return NotImplemented
-        return Weight(s * self.c0, s * self.c1, s * self.dd)
+        return tuple.__new__(Weight, map(s.__mul__, self))
 
     __rmul__ = __mul__
 

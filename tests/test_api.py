@@ -61,7 +61,8 @@ def test_names_reached_by_module_path_resolve():
             assert getattr(module, name).__module__ == module.__name__, name
     for cls in (kkcrystals.weights.Weight, kkcrystals.tensor.CrystalGraph):
         for method in METHODS[cls.__name__]:
-            assert callable(getattr(cls, method))
+            # as perfbench's tracer reads it: defined on the class itself
+            assert method in vars(cls), method
     assert hasattr(kkcrystals.paths.direction_weight.cache_info(), "hits")
 
 

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from kkcrystals import partitions, paths, tensor, verify
+from kkcrystals import kk, partitions, paths, tensor, verify
 from kkcrystals.cli import main
 from kkcrystals.verify import CheckResult
 
@@ -435,8 +435,9 @@ def test_pair_loops_list_the_factors_once(argv, limit, capsys, monkeypatch):
     assert 0 < len(calls) <= limit
 
 
-# one-line edits of the partition, path and tensor kernels: (module,
-# function, text, replacement, the verify suite that must catch it)
+# one-line edits of the partition, path and tensor kernels and of the
+# membership rule: (module, function, text, replacement, the verify suite
+# that must catch it)
 MUTATIONS = {
     "rightmost '+' row shifted": (
         partitions, "_reduced", "plus_row = k + 1", "plus_row = k + 2",
@@ -483,6 +484,10 @@ MUTATIONS = {
         "moves[0] >= right_moves[1]", "tensor"),
     "path epsilon one too high": (
         paths, "path_epsilon", "// D", "// D + 1", "iso"),
+    "rectangle bound one part short": (
+        kk, "_largest_right_part", "n + spec.p + 1", "n + spec.p", "kk"),
+    "K(0, 0) bound one part long": (
+        kk, "_largest_right_part", "n if spec", "n + 1 if spec", "kk"),
 }
 
 

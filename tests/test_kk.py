@@ -12,7 +12,7 @@ from kkcrystals.kk import (KKSpec, decomposition, decomposition_via_crystal,
                            kk_crystal_members, weight_of_dominant)
 from kkcrystals.partitions import ChargedPartition, enumerate_regular
 from kkcrystals.paths import direction_weight
-from kkcrystals.tensor import TensorElement
+from kkcrystals.tensor import TensorElement, tensor_pairs
 from kkcrystals.verify import (check_kk_decomposition, check_kk_monotone,
                                check_kk_stabilization, kk_specs)
 from kkcrystals.weights import ALPHA0, DELTA, LAMBDA0, LAMBDA1
@@ -152,6 +152,16 @@ def test_stabilization():
 def test_monotone_in_p():
     result = check_kk_monotone(7, 6)
     assert result.ok, result.failures
+
+
+@pytest.mark.parametrize("spec", list(kk_specs(7)), ids=str)
+def test_members_are_the_pairs_that_pass_the_membership_test(spec):
+    # the listing within the rectangle bound against the filtered route
+    members = kk_crystal_members(spec, 14)
+    pairs = tensor_pairs(spec.lambda_type, 14)
+    assert members == sorted((t for t in pairs if in_kk_crystal(spec, t)),
+                             key=lambda t: (t.total_boxes, t))
+    assert all(type(t) is TensorElement for t in members)
 
 
 def test_members_and_graph_counts():

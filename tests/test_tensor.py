@@ -35,6 +35,19 @@ def test_validation():
             TensorElement(cp(()), junk)
 
 
+def test_library_built_pairs_pass_the_public_checks():
+    # pairs from the enumeration and the operators skip the constructor's
+    # checks, which test_validation keeps on the public constructor
+    for charge in (0, 1):
+        for t in tensor_pairs(charge, 10):
+            assert type(t) is TensorElement and t == TensorElement(*t)
+            for i in (0, 1):
+                for image in (tensor_f(i, t), tensor_e(i, t)):
+                    if image is not None:
+                        assert type(image) is TensorElement
+                        assert image == TensorElement(*image)
+
+
 def test_tensor_rule_examples():
     assert tensor_f(0, VACUUM) == pair((1,), ())
     assert tensor_f(1, VACUUM) is None

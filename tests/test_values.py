@@ -1,9 +1,11 @@
-"""The tuple-backed value types (ChargedPartition, TensorElement, LSPath)
-and the memo that a charged partition keeps: one (phi, epsilon, f_i, e_i)
-record per label, its size, weight and display string."""
+"""The tuple-backed value types (ChargedPartition, TensorElement, LSPath,
+Weight) and the memo that a charged partition keeps: one (phi, epsilon,
+f_i, e_i) record per label, its size, weight and display string."""
 
 import copy
+import operator
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +15,7 @@ from kkcrystals.partitions import (ChargedPartition, e_op, epsilon, f_op, phi,
                                    weight_of)
 from kkcrystals.paths import LSPath
 from kkcrystals.tensor import TensorElement, tensor_e, tensor_f
+from kkcrystals.weights import ALPHA0, DELTA, LAMBDA0, LAMBDA1, Weight
 
 
 def running():
@@ -27,6 +30,10 @@ def running_path():
     return LSPath(0, 4, (3, 2, 2, 1))
 
 
+def running_weight():
+    return 2 * LAMBDA0 - ALPHA0 - 3 * DELTA
+
+
 def test_repr_str_and_json_are_pinned():
     assert repr(running()) == "ChargedPartition(parts=(8, 6, 3, 1), charge=0)"
     assert str(running()) == "(8,6,3,1 | c=0)"
@@ -39,6 +46,9 @@ def test_repr_str_and_json_are_pinned():
     assert str(running_path()) == "LSPath(L0, n=4, steps=[3, 2, 2, 1])"
     assert running_path().to_json() == {"shape": "L0", "n": 4,
                                         "steps": [3, 2, 2, 1]}
+    assert repr(running_weight()) == "Weight(c0=0, c1=2, dd=-4)"
+    assert str(running_weight()) == "2Λ0 - 4α0 - 3α1"
+    assert running_weight().to_json() == {"c0": "0", "c1": "2", "d": "-4"}
 
 
 def test_hash_is_the_hash_of_the_fields():
@@ -47,6 +57,7 @@ def test_hash_is_the_hash_of_the_fields():
     assert hash(cp) == hash(((8, 6, 3, 1), 0))
     assert hash(t) == hash((t.left, t.right))
     assert hash(path) == hash((0, 4, (3, 2, 2, 1)))
+    assert hash(running_weight()) == hash((0, 2, -4))
     # a filled memo changes neither equality nor hash
     phi(cp, 0), weight_of(cp), cp.display()
     assert cp == running() and hash(cp) == hash(running())
@@ -67,6 +78,10 @@ def test_an_instance_is_a_plain_tuple_of_its_fields():
     assert (parts, charge) == ((8, 6, 3, 1), 0)
     assert running_pair() == (running(), ((2,), 0))
     assert running_path() == (0, 4, (3, 2, 2, 1)) and len(running_path()) == 3
+    assert Weight(1, 0, 0) == (1, 0, 0) and len(LAMBDA0) == 3
+    # and orders like one
+    assert sorted([LAMBDA0, LAMBDA1, running_weight()]) == [
+        (0, 1, 0), (0, 2, -4), (1, 0, 0)]
 
 
 BUILDS = [
@@ -79,6 +94,8 @@ BUILDS = [
     lambda: running_pair()._replace(left=((3, 1), 0)),
     lambda: LSPath._make((0, 1, (5,))),
     lambda: running_path()._replace(steps=(1, 2)),
+    lambda: Weight._make((1, 0, True)),
+    lambda: running_weight()._replace(dd=1.0),
 ]
 
 
@@ -97,9 +114,14 @@ def test_make_and_replace_build_the_type():
     assert type(t) is TensorElement and t.right == ChargedPartition((), 0)
     path = LSPath._make((1, 2, [1]))
     assert type(path) is LSPath and path == LSPath(1, 2, (1,))
+    w = running_weight()._replace(c0=5)
+    assert type(w) is Weight and w == Weight(5, 2, -4)
 
 
-@pytest.mark.parametrize("make", [running, running_pair, running_path])
+VALUES = [running, running_pair, running_path, running_weight]
+
+
+@pytest.mark.parametrize("make", VALUES)
 def test_pickle_and_copy_round_trips(make):
     value = make()
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -107,6 +129,36 @@ def test_pickle_and_copy_round_trips(make):
         assert type(back) is type(value) and back == value
     for back in (copy.copy(value), copy.deepcopy(value)):
         assert type(back) is type(value) and back == value
+
+
+def test_weight_arithmetic_builds_weights():
+    w = running_weight()
+    for result in (w + ALPHA0, w - ALPHA0, -w, 3 * w, w * -2, 0 * w):
+        assert type(result) is Weight and result == Weight(*result)
+    assert (w + ALPHA0, w - ALPHA0, -w, 3 * w) == (
+        (2, 0, -3), (-2, 4, -5), (0, -2, 4), (0, 6, -12))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_weight_arithmetic_refuses_a_plain_tuple(op):
+    # a tuple subclass would otherwise add coordinates of any tuple on the
+    # right, and concatenate with a tuple on the left
+    with pytest.raises(TypeError):
+        op(LAMBDA0, (1, 2, 3))
+    with pytest.raises(TypeError):
+        op((1, 2, 3), LAMBDA0)
+
+
+@pytest.mark.parametrize("build", [lambda: True * LAMBDA0,
+                                   lambda: LAMBDA0 * True,
+                                   lambda: LAMBDA0 * 0.5,
+                                   lambda: LAMBDA0 * LAMBDA0,
+                                   lambda: Weight(Fraction(2), 0, 0)],
+                         ids=["bool-left", "bool-right", "float", "weight",
+                              "fraction"])
+def test_weights_stay_int_only(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def read_memo(cp):
@@ -137,7 +189,7 @@ def test_a_partition_stores_one_record_per_label():
         assert record[2] is f_op(cp, i) and record[3] is e_op(cp, i)
 
 
-@pytest.mark.parametrize("make", [running, running_pair, running_path])
+@pytest.mark.parametrize("make", VALUES)
 def test_instances_are_immutable(make):
     value = make()
     field = value._fields[0]
