@@ -88,8 +88,7 @@ def _check_left_charge(spec: KKSpec, t: TensorElement) -> None:
 
 
 def _largest_right_part(spec: KKSpec, n: int) -> int:
-    """The rectangle inequality: the largest part that a member's right
-    factor may have when its left factor has n parts."""
+    """The rectangle bound: largest right part when the left has n parts."""
     return n if spec.lambda_type == 0 and spec.p == 0 else n + spec.p + 1
 
 
@@ -181,22 +180,17 @@ def decomposition_via_crystal(spec: KKSpec, cutoff: int) -> MultiplicityTable:
 
 
 def kk_crystal_members(spec: KKSpec, max_boxes: int) -> list[TensorElement]:
-    """Every member with at most max_boxes boxes in total, in canonical
-    order: by total size, then as tuples (left parts, left charge, right
-    parts).  Each left factor lists only the right factors within its
-    rectangle bound and room, into buckets by size sorted as plain tuples."""
+    """Every member with at most max_boxes boxes, by total size then as
+    tuples: listed within each left factor's rectangle bound, in size buckets."""
     lefts = enumerate_regular(spec.lambda_type, max_boxes)
     rights = lefts if spec.lambda_type == 0 else enumerate_regular(0, max_boxes)
-    by_top = [[] for _ in range(max_boxes + 1)]
-    for right in rights:
-        by_top[right.parts[0] if right.parts else 0].append(right)
     buckets = [[] for _ in range(max_boxes + 1)]
     for left in lefts:
-        size, room = left.size, max_boxes - left.size
-        for group in by_top[:_largest_right_part(spec, len(left.parts)) + 1]:
-            for right in group:
-                if right.size > room:
-                    break
+        size, bound = left.size, _largest_right_part(spec, len(left.parts))
+        for right in rights:
+            if size + right.size > max_boxes:
+                break
+            if not right.parts or right.parts[0] <= bound:
                 buckets[size + right.size].append(_pair(left, right))
     return [t for bucket in buckets for t in sorted(bucket)]
 

@@ -143,17 +143,16 @@ class CrystalGraph:
 
     def to_dot(self, name: str = "crystal") -> str:
         """The graph in DOT: each vertex labelled by its pair and its
-        weight, each edge by its label, read off the factors' stored weights
-        and displays.  Each distinct weight is rendered once."""
+        weight, each edge by its label.  Many vertices share a weight, so
+        each distinct weight is rendered once."""
         lines = ["digraph %s {" % name]
         labels: dict[Weight, str] = {}
-        for k, (left, right) in enumerate(self.vertices):
-            weight = weight_of(left) + weight_of(right)
+        for k, v in enumerate(self.vertices):
+            weight = v.weight()
             label = labels.get(weight)
             if label is None:
                 label = labels[weight] = weight.display()
-            lines.append('  v%d [label="%s ⊗ %s\\n%s"];'
-                         % (k, left.display(), right.display(), label))
+            lines.append('  v%d [label="%s\\n%s"];' % (k, v.display(), label))
         for a, i, b in self.edges:
             lines.append('  v%d -> v%d [label="%d"];' % (a, b, i))
         lines.append("}\n")  # the closing newline, without copying the text

@@ -15,9 +15,8 @@ from .weyl import WeylElement, _check_label, _checked_tuple
 
 
 class Weight(_checked_tuple("Weight", "c0 c1 dd")):
-    """Coroot-pairing coordinates (<w, a0v>, <w, a1v>, <w, d>): a tuple
-    checked on construction.  Int arithmetic keeps ints, so its results
-    are built unchecked; it raises on a plain tuple, on either side."""
+    """Coroot-pairing coordinates (<w, a0v>, <w, a1v>, <w, d>), checked on
+    construction.  + and - take only Weights; results stay int, unchecked."""
 
     __slots__ = ()
 
@@ -28,8 +27,7 @@ class Weight(_checked_tuple("Weight", "c0 c1 dd")):
 
     def __post_init__(self):
         if not (type(self.c0) is type(self.c1) is type(self.dd) is int):
-            raise TypeError("weight coordinates must be ints, got %r"
-                            % ((self.c0, self.c1, self.dd),))
+            raise TypeError("weight coordinates must be ints, got %r" % (self,))
 
     def __add__(self, other: "Weight") -> "Weight":
         if type(other) is not Weight:
