@@ -19,9 +19,9 @@ from .paths import (LSPath, direction_weight, e_path, f_path,
                     is_lambda_dominant, path_epsilon, path_phi)
 from .tensor import (CrystalGraph, TensorElement, crystal_graph,
                      is_highest_weight, tensor_e, tensor_f, tensor_pairs)
-from .weights import (ALPHA0, ALPHA1, DELTA, LAMBDA0, LAMBDA1, Weight, act,
+from .weights import (ALPHA0, ALPHA1, DELTA, LAMBDA0, LAMBDA1, Weight,
                       fundamental, pair_coroot, reflect, simple_root)
-from .weyl import (IDENTITY, WeylElement, bruhat_leq, coset_element,
+from .weyl import (IDENTITY, WeylElement, act, bruhat_leq, coset_element,
                    double_coset_min_index, left_multiply, right_multiply)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

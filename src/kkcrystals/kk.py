@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from .partitions import ChargedPartition, _distinct_parts, enumerate_regular
 from .tensor import (CrystalGraph, TensorElement, _pair, crystal_graph,
                      is_highest_weight)
-from .weights import DELTA, Weight, fundamental, simple_root
-from .weyl import (WeylElement, _check_count, _check_label, bruhat_leq,
-                   coset_element, double_coset_min_index)
+from .weights import (DELTA, Weight, _check_count, _check_label, fundamental,
+                      simple_root)
+from .weyl import (WeylElement, bruhat_leq, coset_element,
+                   double_coset_min_index)
 
 
 def _p_allowed(lambda_type: int, p: int) -> bool:

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .weights import Weight
-from .weyl import _check_count, _check_label, _checked_tuple
+from .weights import Weight, _check_count, _check_label, _checked_tuple
 
 
 class ChargedPartition(_checked_tuple("ChargedPartition", "parts charge")):

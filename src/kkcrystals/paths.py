@@ -33,15 +33,15 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .weights import ZERO, Weight, fundamental, pair_coroot
-from .weyl import _check_count, _check_label, _checked_tuple
+from .weights import (ZERO, Weight, _check_count, _check_label,
+                      _checked_tuple, fundamental, pair_coroot)
 
 
 # typed, so that a bool index misses the cached entry of its int and is refused
 @lru_cache(maxsize=None, typed=True)
 def direction_weight(shape: int, k: int) -> Weight:
     """Image of the fundamental weight of the shape under the coset
-    representative w_k of that shape, in closed form (`weights.act` is the
+    representative w_k of that shape, in closed form (`weyl.act` is the
     oracle); its pairing with a_1^vee is the slope that `_int_profile`
     stores, and d = -ceil(k/2)^2 for
     shape 0 and -floor(k/2)(floor(k/2) + 1) for shape 1."""

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from .partitions import ChargedPartition, _kernel, enumerate_regular, weight_of
 from .paths import (LSPath, _denominator, _int_profile, _lower, _raise,
                     _rebuild)
-from .weights import Weight
-from .weyl import _checked_tuple
+from .weights import Weight, _checked_tuple
 
 
 class TensorElement(_checked_tuple("TensorElement", "left right")):

@@ -27,9 +27,10 @@ from .paths import (LSPath, _denominator, _int_profile, direction_weight,
                     e_path, f_path, is_lambda_dominant)
 from .tensor import (TensorElement, concat_path_op, is_highest_weight,
                      tensor_e, tensor_f, tensor_pairs)
-from .weights import act, fundamental, pair_coroot, simple_root
-from .weyl import (WeylElement, bruhat_ideal_min, bruhat_leq, coset_element,
-                   double_coset_min, double_coset_min_index, left_multiply)
+from .weights import fundamental, pair_coroot, simple_root
+from .weyl import (WeylElement, act, bruhat_ideal_min, bruhat_leq,
+                   coset_element, double_coset_min, double_coset_min_index,
+                   left_multiply)
 
 FAILURE_CAP = 5
 

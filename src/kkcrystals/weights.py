@@ -4,14 +4,37 @@ A weight is stored by its pairings with the two simple coroots and with
 the scaling element d.  Every weight of the level-one crystals (a charged
 partition, an LS-path endpoint, a Kostant-Kumar crystal vertex) is
 integral, so the three coordinates are ints: a bool, a float, a Decimal
-or a fraction, an integral one included, is refused, never coerced.
+or a fraction, an integral one included, is refused, never coerced.  This
+is the bottom layer: it imports nothing from the package, and holds the
+boundary checks (labels, counts, the validated tuple base) all layers share.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import add, neg, sub
 
-from .weyl import WeylElement, _check_label, _checked_tuple
+
+def _check_label(i, name: str = "label") -> None:
+    """Every 0/1 index is the int 0 or 1, never a bool or a float."""
+    if type(i) is not int or i not in (0, 1):
+        raise ValueError("%s must be 0 or 1, got %r" % (name, i))
+
+
+def _check_count(n, name: str) -> None:
+    """Every size and index is a nonnegative int, never a bool or a float."""
+    if type(n) is not int:
+        raise TypeError("%s must be an integer, got %r" % (name, n))
+    if n < 0:
+        raise ValueError("%s must be nonnegative" % name)
+
+
+def _checked_tuple(name: str, fields: str):
+    """A namedtuple base for a value type whose `__new__` validates: its
+    `_make`, and so `_replace`, build through that `__new__` too."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
 
 class Weight(_checked_tuple("Weight", "c0 c1 dd")):
@@ -104,10 +127,3 @@ def pair_coroot(w: Weight, i: int) -> int:
 def reflect(i: int, w: Weight) -> Weight:
     """Simple reflection: w - <w, a_i^vee> a_i."""
     return w - pair_coroot(w, i) * simple_root(i)
-
-
-def act(w: WeylElement, lam: Weight) -> Weight:
-    """Apply the reduced word of w to lam, rightmost letter first."""
-    for g in reversed(w.word()):
-        lam = reflect(g, lam)
-    return lam

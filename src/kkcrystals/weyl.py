@@ -6,57 +6,33 @@ This makes the group law, Bruhat order, minimal coset representatives and
 double-coset minima all computable in closed form.  The closed forms are
 validated against brute-force oracles (the subword characterisation) in
 the verify suites.  Coset representatives take the shape: 0 for w^+, 1 for w^-.
+The group sits on the weight lattice of `weights`: `act` applies w to a weight.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from dataclasses import dataclass
-from typing import Optional
+from .weights import Weight, _check_count, _check_label, _checked_tuple, reflect
 
 
-def _check_label(i, name: str = "label") -> None:
-    """Every 0/1 index is the int 0 or 1, never a bool or a float."""
-    if type(i) is not int or i not in (0, 1):
-        raise ValueError("%s must be 0 or 1, got %r" % (name, i))
-
-
-def _check_count(n, name: str) -> None:
-    """Every size and index is a nonnegative int, never a bool or a float."""
-    if type(n) is not int:
-        raise TypeError("%s must be an integer, got %r" % (name, n))
-    if n < 0:
-        raise ValueError("%s must be nonnegative" % name)
-
-
-def _checked_tuple(name: str, fields: str):
-    """A namedtuple base for a value type whose `__new__` validates: its
-    `_make`, and so `_replace`, build through that `__new__` too."""
-    base = namedtuple(name, fields)
-    base._make = classmethod(lambda cls, iterable: cls(*iterable))
-    return base
-
-
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(_checked_tuple("WeylElement", "length first")):
     """An element of the infinite dihedral group.
 
     ``length`` is the Coxeter length; ``first`` is the leftmost generator
     of the reduced word (None exactly for the identity).
     """
 
-    length: int
-    first: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_count(self.length, "length")
-        if (self.length == 0) != (self.first is None):
+    def __new__(cls, length: int, first: int | None = None):
+        _check_count(length, "length")
+        if (length == 0) != (first is None):
             raise ValueError("identity iff no leftmost generator")
-        if self.first is not None:
-            _check_label(self.first)
+        if first is not None:
+            _check_label(first)
+        return tuple.__new__(cls, (length, first))
 
     @property
-    def last(self) -> Optional[int]:
+    def last(self) -> int | None:
         """Rightmost generator of the reduced word (None for the identity)."""
         if self.first is None:
             return None
@@ -84,6 +60,13 @@ class WeylElement:
 
 
 IDENTITY = WeylElement(0, None)
+
+
+def act(w: WeylElement, lam: Weight) -> Weight:
+    """Apply the reduced word of w to lam, rightmost letter first."""
+    for g in reversed(w.word()):
+        lam = reflect(g, lam)
+    return lam
 
 
 def left_multiply(i: int, w: WeylElement) -> WeylElement:

@@ -1,6 +1,7 @@
 """The tuple-backed value types (ChargedPartition, TensorElement, LSPath,
-Weight) and the memo that a charged partition keeps: one (phi, epsilon,
-f_i, e_i) record per label, its size, weight and display string."""
+Weight, WeylElement) and the memo that a charged partition keeps: one
+(phi, epsilon, f_i, e_i) record per label, its size, weight and display
+string."""
 
 import copy
 import operator
@@ -16,6 +17,7 @@ from kkcrystals.partitions import (ChargedPartition, e_op, epsilon, f_op, phi,
 from kkcrystals.paths import LSPath
 from kkcrystals.tensor import TensorElement, tensor_e, tensor_f
 from kkcrystals.weights import ALPHA0, DELTA, LAMBDA0, Weight
+from kkcrystals.weyl import WeylElement
 
 
 def running():
@@ -34,6 +36,10 @@ def running_weight():
     return 2 * LAMBDA0 - ALPHA0 - 3 * DELTA
 
 
+def running_weyl():
+    return WeylElement(3, 0)
+
+
 def test_repr_str_and_json_are_pinned():
     assert repr(running()) == "ChargedPartition(parts=(8, 6, 3, 1), charge=0)"
     assert str(running()) == "(8,6,3,1 | c=0)"
@@ -49,6 +55,8 @@ def test_repr_str_and_json_are_pinned():
     assert repr(running_weight()) == "Weight(c0=0, c1=2, dd=-4)"
     assert str(running_weight()) == "2Λ0 - 4α0 - 3α1"
     assert running_weight().to_json() == {"c0": "0", "c1": "2", "d": "-4"}
+    assert repr(running_weyl()) == "WeylElement(length=3, first=0)"
+    assert str(running_weyl()) == "s0 s1 s0"
 
 
 def test_hash_is_the_hash_of_the_fields():
@@ -58,6 +66,7 @@ def test_hash_is_the_hash_of_the_fields():
     assert hash(t) == hash((t.left, t.right))
     assert hash(path) == hash((0, 4, (3, 2, 2, 1)))
     assert hash(running_weight()) == hash((0, 2, -4))
+    assert hash(running_weyl()) == hash((3, 0))
     # a filled memo changes neither equality nor hash
     phi(cp, 0), weight_of(cp), cp.display()
     assert cp == running() and hash(cp) == hash(running())
@@ -81,6 +90,7 @@ def test_an_instance_is_a_plain_tuple_of_its_fields():
     # (a Weight also orders like a tuple; that order is inherited, and no
     # part of the type's contract)
     assert Weight(1, 0, 0) == (1, 0, 0) and len(LAMBDA0) == 3
+    assert WeylElement(1, 0) == (1, 0)
 
 
 BUILDS = [
@@ -95,6 +105,9 @@ BUILDS = [
     lambda: running_path()._replace(steps=(1, 2)),
     lambda: Weight._make((1, 0, True)),
     lambda: running_weight()._replace(dd=1.0),
+    lambda: WeylElement._make((2, None)),
+    lambda: running_weyl()._replace(first=2),
+    lambda: running_weyl()._replace(length=True),
 ]
 
 
@@ -117,7 +130,7 @@ def test_make_and_replace_build_the_type():
     assert type(w) is Weight and w == Weight(5, 2, -4)
 
 
-VALUES = [running, running_pair, running_path, running_weight]
+VALUES = [running, running_pair, running_path, running_weight, running_weyl]
 
 
 @pytest.mark.parametrize("make", VALUES)

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from kkcrystals.weights import (ALPHA0, ALPHA1, DELTA, LAMBDA0, LAMBDA1,
-                                Weight, act, fundamental, pair_coroot,
-                                reflect)
-from kkcrystals.weyl import IDENTITY, coset_element, left_multiply
+                                Weight, fundamental, pair_coroot, reflect)
+from kkcrystals.weyl import IDENTITY, act, coset_element, left_multiply
 from kkcrystals.verify import all_elements
 
 
