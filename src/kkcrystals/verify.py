@@ -19,7 +19,7 @@ from .iso import partition_to_path, path_to_partition
 from .kk import (KKSpec, MultiplicityTable, _p_allowed,
                  associated_weyl_element, decomposition,
                  decomposition_via_crystal, dominant_set, in_kk_crystal,
-                 in_kk_crystal_by_weyl, kk_crystal_members)
+                 in_kk_crystal_by_weyl, kk_crystal_graph)
 from .partitions import (ChargedPartition, closed_form_signature, e_op,
                          enumerate_regular, epsilon, f_op, phi,
                          reduce_signature, signature, signs, weight_of)
@@ -433,13 +433,21 @@ def check_tensor_structure(max_boxes: int):
 @check("submodule crystals are stable under the operators")
 def check_kk_invariance(p_max: int, max_boxes: int):
     for spec in kk_specs(p_max):
-        for t in kk_crystal_members(spec, max_boxes):
+        graph = kk_crystal_graph(spec, max_boxes)
+        lowered = {(a, i): graph.vertices[b] for a, i, b in graph.edges}
+        # e_i undoes f_i (check_tensor_structure): i-arrows into t are from e_i(t)
+        raised = {(b, i): graph.vertices[a] for a, i, b in graph.edges}
+        for k, t in enumerate(graph.vertices):
+            at_bound = t.total_boxes >= max_boxes
             for i in (0, 1):
-                escaped = any(
-                    image is not None and not in_kk_crystal(spec, image)
-                    for image in (tensor_f(i, t), tensor_e(i, t)))
-                yield ("escaped K(%d, %d) at %s, i=%d"
-                       % (spec.lambda_type, spec.p, t, i) if escaped else None)
+                up = tensor_e(i, t)
+                down = tensor_f(i, t) if at_bound else lowered.get((k, i))
+                escaped = not ((down is None or in_kk_crystal(spec, down))
+                               and (up is None or in_kk_crystal(spec, up)))
+                yield (None if not escaped and raised.get((k, i)) == up else
+                       "%s K(%d, %d) at %s, i=%d"
+                       % ("escaped" if escaped else "arrows differ from f_i in",
+                          spec.lambda_type, spec.p, t, i))
 
 
 @check("rectangle membership vs Bruhat-bound membership")

@@ -411,6 +411,8 @@ def test_verify_all_at_defaults(capsys):
     report = json.loads(out)
     assert len(report) == 19 and all(entry["ok"] for entry in report)
     assert sum(entry["cases"] for entry in report) == 23006
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a373613463807463a8c463e0b024bef6d2a01ce8d0d6434df2d8d801fac12898")
 
 
 @pytest.mark.parametrize("argv, limit", [
@@ -488,6 +490,14 @@ MUTATIONS = {
         kk, "_largest_right_part", "n + spec.p + 1", "n + spec.p", "kk"),
     "K(0, 0) bound one part long": (
         kk, "_largest_right_part", "n if spec", "n + 1 if spec", "kk"),
+    "graph arrows from the box bound": (
+        tensor, "crystal_graph", "if v.total_boxes >= max_boxes:",
+        "if v.total_boxes > max_boxes:", "kk"),
+    "graph arrows for label 0 only": (
+        tensor, "crystal_graph", "for i in (0, 1):", "for i in (0,):", "kk"),
+    "graph arrows labelled with the other label": (
+        tensor, "crystal_graph", "edges.append((k, i, target))",
+        "edges.append((k, 1 - i, target))", "kk"),
 }
 
 

@@ -202,13 +202,11 @@ BROKEN_GRAPHS = textwrap.dedent("""
         found.remove(tensor.tensor_f(0, found[0]))
         return found
 
-    for patch in (mock.patch.object(tensor, "tensor_e", lambda i, t: None),
-                  mock.patch.object(kk, "kk_crystal_members", drop_one)):
-        with patch:
-            try:
-                kk.kk_crystal_graph(kk.KKSpec(0, 3), 4)
-            except AssertionError as exc:
-                print(exc)
+    with mock.patch.object(kk, "kk_crystal_members", drop_one):
+        try:
+            kk.kk_crystal_graph(kk.KKSpec(0, 3), 4)
+        except AssertionError as exc:
+            print(exc)
 """)
 
 
@@ -218,5 +216,4 @@ def test_invariant_checks_fire_under_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", BROKEN_GRAPHS],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["edge fails the raising check",
-                                        "lowering operators escaped the crystal"]
+    assert done.stdout.splitlines() == ["lowering operators escaped the crystal"]
