@@ -185,7 +185,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_graph(args) -> int:
     spec = _spec(args)
     graph = kk_crystal_graph(spec, args.max_boxes)
-    payload = (graph.to_dot("kk_crystal") if args.format == "dot"
+    payload = (graph.to_dot() if args.format == "dot"
                else json.dumps(graph.to_json_obj(), sort_keys=True) + "\n")
     if args.out == "-":
         sys.stdout.write(payload)

@@ -20,13 +20,11 @@ independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .partitions import ChargedPartition, _distinct_parts, enumerate_regular
 from .tensor import (CrystalGraph, TensorElement, _pair, crystal_graph,
                      is_highest_weight)
-from .weights import (DELTA, Weight, _check_count, _check_label, fundamental,
-                      simple_root)
+from .weights import (DELTA, Weight, _check_count, _check_label,
+                      _checked_tuple, fundamental, simple_root)
 from .weyl import (WeylElement, bruhat_leq, coset_element,
                    double_coset_min_index)
 
@@ -37,32 +35,28 @@ def _p_allowed(lambda_type: int, p: int) -> bool:
     return p == 0 or p % 2 != lambda_type
 
 
-@dataclass(frozen=True)
-class KKSpec:
+class KKSpec(_checked_tuple("KKSpec", "lambda_type p")):
     """Names one submodule crystal; mu is always the 0th fundamental
     weight, so only the left type and the length parameter vary."""
 
-    lambda_type: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.lambda_type) is not int:
+    def __new__(cls, lambda_type: int, p: int):
+        if type(lambda_type) is not int:
             raise TypeError("lambda_type must be an integer")
-        _check_count(self.p, "p")
-        _check_label(self.lambda_type, "lambda_type")
-        if not _p_allowed(self.lambda_type, self.p):
+        _check_count(p, "p")
+        _check_label(lambda_type, "lambda_type")
+        if not _p_allowed(lambda_type, p):
             raise ValueError("for lambda_type %d, p must be 0 or %s"
-                             % (self.lambda_type,
-                                "even" if self.lambda_type else "odd"))
+                             % (lambda_type, "even" if lambda_type else "odd"))
+        return tuple.__new__(cls, (lambda_type, p))
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
-    """Outer multiplicities a_n (and b_n when the second weight family is
-    present) indexed by the null-root degree n = 0 .. cutoff."""
+class MultiplicityTable(_checked_tuple("MultiplicityTable", "a b")):
+    """Tuples of the outer multiplicities a_n (and b_n when the second weight
+    family is present, else None) by null-root degree n = 0 .. cutoff."""
 
-    a: tuple[int, ...]
-    b: tuple[int, ...] | None
+    __slots__ = ()
 
     @property
     def cutoff(self) -> int:

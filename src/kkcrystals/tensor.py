@@ -19,8 +19,6 @@ so it shares nothing with the rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .partitions import ChargedPartition, _kernel, enumerate_regular, weight_of
 from .paths import (LSPath, _denominator, _int_profile, _lower, _raise,
                     _rebuild)
@@ -135,16 +133,16 @@ def concat_path_op(i: int, left_path: LSPath, right_path: LSPath,
 
 # --- crystal graphs -----------------------------------------------------
 
-@dataclass
-class CrystalGraph:
-    vertices: list[TensorElement]
-    edges: list[tuple[int, int, int]]  # (source, label, target)
+class CrystalGraph(_checked_tuple("CrystalGraph", "vertices edges")):
+    """Vertices, and arrows as (source, label, target) index triples."""
 
-    def to_dot(self, name: str = "crystal") -> str:
-        """The graph in DOT: each vertex labelled by its pair and its
-        weight, each edge by its label.  Many vertices share a weight, so
-        each distinct weight is rendered once."""
-        lines = ["digraph %s {" % name]
+    __slots__ = ()
+
+    def to_dot(self) -> str:
+        """The graph in DOT, named kk_crystal: each vertex labelled by its
+        pair and its weight, each edge by its label.  Many vertices share a
+        weight, so each distinct weight is rendered once."""
+        lines = ["digraph kk_crystal {"]
         labels: dict[Weight, str] = {}
         for k, v in enumerate(self.vertices):
             weight = v.weight()

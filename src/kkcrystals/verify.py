@@ -12,7 +12,6 @@ command-line `verify` subcommand and the test suite both drive these.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .iso import partition_to_path, path_to_partition
@@ -27,7 +26,7 @@ from .paths import (LSPath, _denominator, _int_profile, direction_weight,
                     e_path, f_path, is_lambda_dominant)
 from .tensor import (TensorElement, concat_path_op, is_highest_weight,
                      tensor_e, tensor_f, tensor_pairs)
-from .weights import fundamental, pair_coroot, simple_root
+from .weights import _checked_tuple, fundamental, pair_coroot, simple_root
 from .weyl import (WeylElement, act, bruhat_ideal_min, bruhat_leq,
                    coset_element, double_coset_min, double_coset_min_index,
                    left_multiply)
@@ -35,13 +34,10 @@ from .weyl import (WeylElement, act, bruhat_ideal_min, bruhat_leq,
 FAILURE_CAP = 5
 
 
-@dataclass
-class CheckResult:
+class CheckResult(_checked_tuple("CheckResult", "name cases failures")):
     """Cases and the first FAILURE_CAP failure messages of one check."""
 
-    name: str
-    cases: int
-    failures: list[str]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -435,8 +431,11 @@ def check_kk_invariance(p_max: int, max_boxes: int):
     for spec in kk_specs(p_max):
         graph = kk_crystal_graph(spec, max_boxes)
         lowered = {(a, i): graph.vertices[b] for a, i, b in graph.edges}
-        # e_i undoes f_i (check_tensor_structure): i-arrows into t are from e_i(t)
-        raised = {(b, i): graph.vertices[a] for a, i, b in graph.edges}
+        # e_i undoes f_i (check_tensor_structure): i-arrows into t are from
+        # e_i(t); an arrow met twice leaves a string, which no e_i image equals
+        raised = {}
+        for a, i, b in graph.edges:
+            raised[b, i] = "twice" if (b, i) in raised else graph.vertices[a]
         for k, t in enumerate(graph.vertices):
             at_bound = t.total_boxes >= max_boxes
             for i in (0, 1):

@@ -30,8 +30,8 @@ def _check_count(n, name: str) -> None:
 
 
 def _checked_tuple(name: str, fields: str):
-    """A namedtuple base for a value type whose `__new__` validates: its
-    `_make`, and so `_replace`, build through that `__new__` too."""
+    """The namedtuple base of every record: its `_make`, and so `_replace`,
+    build through the subclass's `__new__`, which validates where defined."""
     base = namedtuple(name, fields)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     return base

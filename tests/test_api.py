@@ -121,7 +121,9 @@ def test_tensor_reads_each_factor_through_its_record():
 
 
 def test_no_module_imports_fractions():
-    # the library is exact in ints; a Fraction anywhere is a regression
+    # the library is exact in ints; a Fraction anywhere is a regression.
+    # Every record is a checked tuple (weights._checked_tuple), so a
+    # dataclass would be a second way to declare one
     for path in sorted(Path(kkcrystals.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -131,4 +133,6 @@ def test_no_module_imports_fractions():
             else:
                 continue
             assert not any(name.split(".")[0] == "fractions"
+                           for name in names), path.name
+            assert not any(name.split(".")[0] == "dataclasses"
                            for name in names), path.name

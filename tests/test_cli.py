@@ -498,6 +498,9 @@ MUTATIONS = {
     "graph arrows labelled with the other label": (
         tensor, "crystal_graph", "edges.append((k, i, target))",
         "edges.append((k, 1 - i, target))", "kk"),
+    "graph arrows listed twice": (
+        tensor, "crystal_graph", "edges.append((k, i, target))",
+        "edges.extend([(k, i, target)] * 2)", "kk"),
 }
 
 

@@ -138,7 +138,7 @@ def test_crystal_graph_from_the_vacuum():
 def test_crystal_graph_outputs():
     graph = vacuum_crystal_graph(2)
     dot = graph.to_dot()
-    assert dot.startswith("digraph") and dot.rstrip().endswith("}")
+    assert dot.startswith("digraph kk_crystal {\n") and dot.endswith("}\n")
     assert dot.count("->") == len(graph.edges)
     obj = graph.to_json_obj()
     assert len(obj["vertices"]) == len(graph.vertices)

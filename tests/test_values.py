@@ -1,7 +1,7 @@
 """The tuple-backed value types (ChargedPartition, TensorElement, LSPath,
-Weight, WeylElement) and the memo that a charged partition keeps: one
-(phi, epsilon, f_i, e_i) record per label, its size, weight and display
-string."""
+Weight, WeylElement) and records (KKSpec, MultiplicityTable), and the memo
+that a charged partition keeps: one (phi, epsilon, f_i, e_i) record per
+label, its size, weight and display string."""
 
 import copy
 import operator
@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from kkcrystals import partitions
-from kkcrystals.kk import KKSpec, kk_crystal_graph
+from kkcrystals.kk import KKSpec, decomposition, kk_crystal_graph
 from kkcrystals.partitions import (ChargedPartition, e_op, epsilon, f_op, phi,
                                    weight_of)
 from kkcrystals.paths import LSPath
@@ -40,6 +40,14 @@ def running_weyl():
     return WeylElement(3, 0)
 
 
+def running_spec():
+    return KKSpec(0, 5)
+
+
+def running_table():
+    return decomposition(KKSpec(0, 3), 4)
+
+
 def test_repr_str_and_json_are_pinned():
     assert repr(running()) == "ChargedPartition(parts=(8, 6, 3, 1), charge=0)"
     assert str(running()) == "(8,6,3,1 | c=0)"
@@ -57,16 +65,20 @@ def test_repr_str_and_json_are_pinned():
     assert running_weight().to_json() == {"c0": "0", "c1": "2", "d": "-4"}
     assert repr(running_weyl()) == "WeylElement(length=3, first=0)"
     assert str(running_weyl()) == "s0 s1 s0"
+    assert repr(running_spec()) == "KKSpec(lambda_type=0, p=5)"
+    assert repr(decomposition(KKSpec(1, 2), 1)) == (
+        "MultiplicityTable(a=(1, 1), b=None)")
 
 
 def test_hash_is_the_hash_of_the_fields():
-    # as under a frozen dataclass, so set and dict order stay the same
+    # the hash of the plain tuple, so set and dict order follow the fields
     cp, t, path = running(), running_pair(), running_path()
     assert hash(cp) == hash(((8, 6, 3, 1), 0))
     assert hash(t) == hash((t.left, t.right))
     assert hash(path) == hash((0, 4, (3, 2, 2, 1)))
     assert hash(running_weight()) == hash((0, 2, -4))
     assert hash(running_weyl()) == hash((3, 0))
+    assert hash(running_spec()) == hash((0, 5))
     # a filled memo changes neither equality nor hash
     phi(cp, 0), weight_of(cp), cp.display()
     assert cp == running() and hash(cp) == hash(running())
@@ -91,6 +103,7 @@ def test_an_instance_is_a_plain_tuple_of_its_fields():
     # part of the type's contract)
     assert Weight(1, 0, 0) == (1, 0, 0) and len(LAMBDA0) == 3
     assert WeylElement(1, 0) == (1, 0)
+    assert KKSpec(0, 5) == (0, 5)
 
 
 BUILDS = [
@@ -108,6 +121,9 @@ BUILDS = [
     lambda: WeylElement._make((2, None)),
     lambda: running_weyl()._replace(first=2),
     lambda: running_weyl()._replace(length=True),
+    lambda: KKSpec._make((0, 2)),
+    lambda: running_spec()._replace(p=2),
+    lambda: running_spec()._replace(lambda_type=True),
 ]
 
 
@@ -130,7 +146,8 @@ def test_make_and_replace_build_the_type():
     assert type(w) is Weight and w == Weight(5, 2, -4)
 
 
-VALUES = [running, running_pair, running_path, running_weight, running_weyl]
+VALUES = [running, running_pair, running_path, running_weight, running_weyl,
+          running_spec, running_table]
 
 
 @pytest.mark.parametrize("make", VALUES)
