@@ -16,7 +16,8 @@ on the partition as one record: `_kernel` keeps (phi, epsilon, f_i(cp),
 e_i(cp)), with None for a move that kills cp, just as `size`,
 `weight_of` and `display` store theirs.  A move is stored only on the
 partition it starts from, never as the inverse move of its image, so
-the inverse laws still compare two moves built apart.
+the inverse laws still compare two moves built apart.  A `verify` run
+shares one list per charge, and so these records, across its checks.
 
 The column scan `signature`, its reduction `reduce_signature` and the
 block pattern `closed_form_signature` serve only as the oracle that the
@@ -25,9 +26,12 @@ verify suites check this pass against.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import cached_property
 
 from .weights import Weight, _check_count, _check_label, _checked_tuple
+
+_runs = []  # per open `_one_enumeration`, the partitions listed per charge
 
 
 class ChargedPartition(_checked_tuple("ChargedPartition", "parts charge")):
@@ -300,9 +304,23 @@ def _distinct_parts(allowed, max_size: int) -> list[tuple[int, ...]]:
     return [parts for bucket in by_size for parts in reversed(bucket)]
 
 
+@contextmanager
+def _one_enumeration():
+    """A scope in which `enumerate_regular` shares one list per charge."""
+    _runs.append({0: [], 1: []})
+    try:
+        yield
+    finally:
+        _runs.pop()
+
+
 def enumerate_regular(charge: int, max_boxes: int) -> list[ChargedPartition]:
-    """All regular charged partitions with at most max_boxes boxes, one per
-    `_distinct_parts` set: by size and then by decreasing parts."""
+    """All regular charged partitions of at most max_boxes boxes, by size and
+    then decreasing parts, a prefix of any longer list; shared in a run."""
     _check_count(max_boxes, "max_boxes")
-    return [ChargedPartition(parts, charge)
-            for parts in _distinct_parts(range(1, max_boxes + 1), max_boxes)]
+    stored = _runs[-1].get(charge, []) if _runs and type(charge) is int else []
+    if stored and stored[-1].size >= max_boxes:  # a list ends at its bound
+        return [cp for cp in stored if cp.size <= max_boxes]
+    sets = _distinct_parts(range(1, max_boxes + 1), max_boxes)
+    stored += [ChargedPartition(p, charge) for p in sets[len(stored):]]
+    return stored[:]

@@ -19,9 +19,10 @@ from .kk import (KKSpec, MultiplicityTable, _p_allowed,
                  associated_weyl_element, decomposition,
                  decomposition_via_crystal, dominant_set, in_kk_crystal,
                  in_kk_crystal_by_weyl, kk_crystal_graph)
-from .partitions import (ChargedPartition, closed_form_signature, e_op,
-                         enumerate_regular, epsilon, f_op, phi,
-                         reduce_signature, signature, signs, weight_of)
+from .partitions import (ChargedPartition, _one_enumeration,
+                         closed_form_signature, e_op, enumerate_regular,
+                         epsilon, f_op, phi, reduce_signature, signature,
+                         signs, weight_of)
 from .paths import (LSPath, _denominator, _int_profile, direction_weight,
                     e_path, f_path, is_lambda_dominant)
 from .tensor import (TensorElement, concat_path_op, is_highest_weight,
@@ -544,5 +545,6 @@ SUITES = {
 
 def run_suites(names, **sizes) -> list[CheckResult]:
     """The results of the named suites in order; each suite reads the
-    sizes it names and ignores the rest."""
-    return [result for name in names for result in SUITES[name](**sizes)]
+    sizes it names and ignores the rest; they share one enumeration."""
+    with _one_enumeration():
+        return [result for name in names for result in SUITES[name](**sizes)]

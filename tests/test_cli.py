@@ -415,6 +415,18 @@ def test_verify_all_at_defaults(capsys):
         "a373613463807463a8c463e0b024bef6d2a01ce8d0d6434df2d8d801fac12898")
 
 
+def test_verify_all_extends_a_shared_list(capsys):
+    # the tensor suite asks for 8 boxes after the signatures suite built 6
+    code, out, _ = run(["verify", "all", "--max-boxes", "6",
+                        "--side-boxes", "8", "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert len(report) == 19 and all(entry["ok"] for entry in report)
+    assert sum(entry["cases"] for entry in report) == 7459
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ae645acefd7cd4ddc48d20f82e4c0cc679ddd2a71c6083162d856270365e67f4")
+
+
 @pytest.mark.parametrize("argv, limit", [
     (["verify", "all"], 60),
     (["graph", "--lambda", "0", "--p", "5", "--max-boxes", "20"], 1),
@@ -435,6 +447,48 @@ def test_pair_loops_list_the_factors_once(argv, limit, capsys, monkeypatch):
     code, _, _ = run(argv, capsys)
     assert code == 0
     assert 0 < len(calls) <= limit
+
+
+def test_a_verify_run_shares_one_enumeration(capsys, monkeypatch):
+    # every check reads one list per charge, so equal partitions are one
+    # object and carry one set of records: 3 lists, (0, 12), (1, 12) and
+    # (0, 13), for the 46 enumerate_regular calls at the defaults
+    original, build = partitions.enumerate_regular, partitions._distinct_parts
+    listed, built = [], []
+
+    def recorded(*args):
+        listed.append(original(*args))
+        return listed[-1]
+
+    def counted(allowed, max_size):
+        built.append(max_size)
+        return build(allowed, max_size)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "kkcrystals"
+                and getattr(module, "enumerate_regular", None) is original):
+            monkeypatch.setattr(module, "enumerate_regular", recorded)
+    monkeypatch.setattr(partitions, "_distinct_parts", counted)
+    code, _, _ = run(["verify", "all"], capsys)
+    assert code == 0
+    assert built == [12, 12, 13] and len(listed) == 46
+    seen = {}
+    assert all(seen.setdefault(cp, cp) is cp for cps in listed for cp in cps)
+
+
+def test_nothing_outlives_a_verify_run(monkeypatch):
+    verify.run_suites(["signatures"], max_boxes=4)
+    assert partitions._runs == []
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "string_length", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_suites(["signatures"], max_boxes=4)
+    assert partitions._runs == []
+    first, again = (partitions.enumerate_regular(0, 4) for _ in range(2))
+    assert first == again and not any(a is b for a, b in zip(first, again))
 
 
 # one-line edits of the partition, path and tensor kernels and of the
@@ -580,6 +634,8 @@ def test_deterministic_output(capsys):
     g1 = run(["graph", "--lambda", "1", "--p", "2", "--max-boxes", "3"], capsys)
     g2 = run(["graph", "--lambda", "1", "--p", "2", "--max-boxes", "3"], capsys)
     assert g1 == g2
+    # the second run builds its own enumeration, none is kept between them
+    assert run(["verify", "all"], capsys) == run(["verify", "all"], capsys)
 
 
 def test_missing_subcommand_is_an_argparse_error(capsys):

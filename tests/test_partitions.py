@@ -2,10 +2,11 @@ from itertools import combinations
 
 import pytest
 
+from kkcrystals import partitions
 from kkcrystals.kk import dominant_set
 from kkcrystals.partitions import (ChargedPartition, _distinct_parts,
-                                   closed_form_signature, e_op,
-                                   enumerate_regular, epsilon, f_op,
+                                   _one_enumeration, closed_form_signature,
+                                   e_op, enumerate_regular, epsilon, f_op,
                                    gap_conjugate, phi, reduce_signature,
                                    signature, signs, weight_of)
 from kkcrystals.verify import check_operator_inverses, check_reduction_oracle
@@ -90,6 +91,36 @@ def test_enumerate_regular():
     assert [cp.parts for cp in enumerate_regular(0, 3)] == \
         [(), (1,), (2,), (3,), (2, 1)]
     assert len(enumerate_regular(0, 10)) == 43
+
+
+def test_each_enumeration_is_a_prefix_of_a_longer_one():
+    # a shared enumeration hands out the prefix of its one list per charge
+    for charge in (0, 1):
+        lists = [enumerate_regular(charge, n) for n in range(17)]
+        for n, short in enumerate(lists):
+            for longer in lists[n + 1:]:
+                assert longer[:len(short)] == short
+
+
+def test_a_shared_enumeration_hands_out_copies_of_one_list():
+    sizes = (5, 2, 9, 0, 9, 12, 3)  # shorter, longer and equal requests
+    with _one_enumeration():
+        for charge in (0, 1):
+            seen = {}
+            for n in sizes:
+                listed = enumerate_regular(charge, n)
+                assert listed == [ChargedPartition(parts, charge) for parts
+                                  in _distinct_parts(range(1, n + 1), n)]
+                assert all(seen.setdefault(cp, cp) is cp for cp in listed)
+                listed.clear()
+        # a bool or bad charge still raises, and nothing is stored for it
+        with pytest.raises(TypeError):
+            enumerate_regular(True, 3)
+        with pytest.raises(ValueError):
+            enumerate_regular(2, 3)
+        assert set(partitions._runs[-1]) == {0, 1}
+    assert partitions._runs == []
+    assert enumerate_regular(0, 3)[1] is not enumerate_regular(0, 3)[1]
 
 
 def brute_force_parts(allowed, n):
