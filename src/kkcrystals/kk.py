@@ -110,6 +110,12 @@ def in_kk_crystal_by_weyl(spec: KKSpec, t: TensorElement) -> bool:
     return bruhat_leq(associated_weyl_element(t), coset_element(0, spec.p))
 
 
+def _dominant_parts(lambda_type: int, top: int) -> range:
+    """The parts up to top that a dominant partition may have: odd for
+    lambda_type 0, even for 1; the one statement of that rule."""
+    return range(1 + lambda_type, top + 1, 2)
+
+
 def dominant_set(lambda_type: int, m: int, max_size: int) -> list[ChargedPartition]:
     """Charge-0 partitions into distinct odd parts (lambda_type 0) or
     distinct even parts (lambda_type 1), largest part at most m, at most
@@ -118,20 +124,23 @@ def dominant_set(lambda_type: int, m: int, max_size: int) -> list[ChargedPartiti
     _check_label(lambda_type)
     _check_count(m, "m")
     _check_count(max_size, "max_size")
-    allowed = range(1 + lambda_type, min(m, max_size) + 1, 2)
+    allowed = _dominant_parts(lambda_type, min(m, max_size))
     return [ChargedPartition(parts, 0)
             for parts in _distinct_parts(allowed, max_size)]
 
 
 def weight_of_dominant(lambda_type: int, b: ChargedPartition) -> Weight:
-    """Highest weight of the summand attached to a dominant partition."""
+    """Highest weight of the summand attached to a dominant partition:
+    charge 0 and only the parts `_dominant_parts` allows, else ValueError."""
     _check_label(lambda_type)
+    allowed = _dominant_parts(lambda_type, b.size)
+    if b.charge or any(part not in allowed for part in b.parts):
+        raise ValueError("%s is not dominant for lambda_type %d"
+                         % (b.display(), lambda_type))
     k, rem = divmod(b.size, 2)
     if lambda_type == 0:
         top = 2 * fundamental(0) - k * DELTA
         return top - simple_root(0) if rem else top
-    if rem:
-        raise ValueError("distinct even parts always have even size")
     return fundamental(0) + fundamental(1) - k * DELTA
 
 
@@ -146,7 +155,7 @@ def decomposition(spec: KKSpec, cutoff: int) -> MultiplicityTable:
     _check_count(cutoff, "cutoff")
     max_degree = 2 * cutoff + 1
     coeffs = [1] + [0] * max_degree
-    for j in range(1 + spec.lambda_type, min(spec.p, max_degree) + 1, 2):
+    for j in _dominant_parts(spec.lambda_type, min(spec.p, max_degree)):
         for d in range(max_degree, j - 1, -1):
             coeffs[d] += coeffs[d - j]
     b = tuple(coeffs[1::2]) if spec.lambda_type == 0 else None

@@ -16,12 +16,13 @@ dihedral group acts on it in closed form, s_1: x -> -x and s_0: x -> 2 - x.
 The lowering operator f_i is Littelmann's, driven by the minimum of
 h(t) = <path(t), a_i^vee>: reflect the directions between the last
 minimum of h and the first later time where h returns to minimum + 1,
-cutting the direction in which that return falls.  It works on a list of
-slopes and merges nothing, so it also runs on the concatenation of two
-paths (`tensor.concat_path_op`); `_rebuild` merges equal neighbours,
-decodes and validates the chain in one pass.  The raising operator e_i
-is f_i on the reversed path t -> path(1 - t) - path(1), reversed back
-(Littelmann's duality), and is the two-sided inverse of f_i.
+cutting the direction in which that return falls.  The raising operator
+e_i is f_i on the reversed path t -> path(1 - t) - path(1), reversed back
+(Littelmann's duality), and is the two-sided inverse of f_i.  One join
+and one cut serve paths and their concatenations (`tensor.concat_path_op`):
+`_int_profile` joins a run of paths, path j over [j, j + 1], into one
+chain of slopes, the operators merge nothing, and `_rebuild` cuts the
+chain at the whole times, merging equal neighbours only within a path.
 
 Everything runs on ints: turning times are scaled by D = lcm(1, ..., m + 1)
 (it holds the times of the path and of its images), and so are the
@@ -92,7 +93,7 @@ class LSPath(_checked_tuple("LSPath", "shape n steps")):
         """The endpoint path(1): the direction weights times their
         durations, scaled by D, summed and divided by D exactly."""
         D = _denominator(self.m)
-        times, total = _int_profile(self, 0, D)[1], ZERO
+        times, total = _int_profile((self,), 0, D)[1], ZERO
         for j, k in enumerate(self.direction_indices):
             total += (times[j + 1] - times[j]) * direction_weight(self.shape, k)
         if any(x % D for x in total):
@@ -121,20 +122,22 @@ def _denominator(m: int) -> int:
     return lcm(*range(1, m + 2))
 
 
-def _int_profile(path: LSPath, i: int,
+def _int_profile(paths: tuple[LSPath, ...], i: int,
                  D: int) -> tuple[list[int], list[int], list[int]]:
-    """The directions as alpha_1-slopes x, and the turning times and
-    values of h(t) = <path(t), a_i^vee> scaled by D; the slope of h on
-    direction x is x for i = 1 and 1 - x for i = 0."""
+    """The directions of a run of paths, path j over [jD, (j + 1)D], as
+    alpha_1-slopes x, and the turning times and values of
+    h(t) = <path(t), a_i^vee> scaled by D; the slope of h on direction x
+    is x for i = 1 and 1 - x for i = 0."""
     _check_label(i)
-    shape, n, steps = path
     dirs, times, values = [], [0], [0]
-    for k in range(path.m, n - 1, -1):
-        t = D // k * steps[k - n - 1] if k > n else D
-        x = k + 1 if (k + shape) % 2 else -k
-        dirs.append(x)
-        values.append(values[-1] + (x if i else 1 - x) * (t - times[-1]))
-        times.append(t)
+    for shape, n, steps in paths:
+        start = times[-1]
+        for k in range(n + len(steps), n - 1, -1):
+            t = start + (D // k * steps[k - n - 1] if k > n else D)
+            x = k + 1 if (k + shape) % 2 else -k
+            dirs.append(x)
+            values.append(values[-1] + (x if i else 1 - x) * (t - times[-1]))
+            times.append(t)
     return dirs, times, values
 
 
@@ -158,13 +161,13 @@ def _crossing(t0: int, h0: int, t1: int, h1: int, level: int) -> int:
 def path_epsilon(path: LSPath, i: int) -> int:
     """Negated minimum of the pairing profile."""
     D = _denominator(path.m)
-    return -_minimum(_int_profile(path, i, D)[2], D) // D
+    return -_minimum(_int_profile((path,), i, D)[2], D) // D
 
 
 def path_phi(path: LSPath, i: int) -> int:
     """Endpoint value minus minimum of the pairing profile."""
     D = _denominator(path.m)
-    values = _int_profile(path, i, D)[2]
+    values = _int_profile((path,), i, D)[2]
     return (values[-1] - _minimum(values, D)) // D
 
 
@@ -201,40 +204,44 @@ def _raise(i: int, dirs: list[int], times: list[int], H: list[int],
     return chain[0][::-1], [end - t for t in chain[1][::-1]]
 
 
-def _rebuild(dirs: list[int], times: list[int], D: int) -> LSPath:
-    """The validated canonical path of a chain of slopes with turning
-    times scaled by D, in one pass: a piece is merged into its next
-    neighbour when the two have the same slope, and each kept piece has
-    its index decoded, checked and turned into a step."""
+def _rebuild(dirs: list[int], times: list[int], D: int) -> list[LSPath]:
+    """The validated canonical paths of a chain of slopes with turning
+    times scaled by D, cut at the multiples of D, in one pass: a piece
+    merges into an equal next neighbour before the cut, and each kept
+    piece has its index decoded, checked and turned into a step."""
     if not dirs or len(times) != len(dirs) + 1:
         raise ValueError("need one more time than directions")
-    if times[0] != 0 or times[-1] != D:
-        raise ValueError("times must run from 0 to 1")
-    shape, last, steps = dirs[0] % 2, len(dirs) - 1, []
+    if times[0] != 0 or times[-1] % D:
+        raise ValueError("times must run from 0 to 1 on each path")
+    paths, steps, start = [], [], 0
     for j, x in enumerate(dirs):
         t = times[j + 1]
         if t <= times[j]:
             raise ValueError("times must strictly increase")
-        if j < last and dirs[j + 1] == x:
+        t -= start
+        if t > D:
+            raise ValueError("a piece runs past the end of its path")
+        if t < D and dirs[j + 1] == x:
             continue
-        if x % 2 != shape:
-            raise ValueError("a path has a single shape")
         k = x - 1 if x > 0 else -x
-        if steps and k != n - 1:
-            raise ValueError("direction chain must descend contiguously")
+        if steps and (x % 2 != shape or k != n - 1):
+            raise ValueError("chain must descend contiguously in one shape")
         step, rest = divmod(t * k, D)
         if rest:
             raise ValueError("time %d/%d is not canonical for index %d"
                              % (t, D, k))
         steps.append(step)
-        n = k
-    return LSPath(shape, n, tuple(steps[-2::-1]))
+        shape, n = x % 2, k
+        if t == D:
+            paths.append(LSPath(shape, n, tuple(steps[-2::-1])))
+            steps, start = [], start + D
+    return paths
 
 
 def _path_op(operator, path: LSPath, i: int) -> LSPath | None:
     D = _denominator(path.m)
-    chain = operator(i, *_int_profile(path, i, D), D)
-    return None if chain is None else _rebuild(*chain, D)
+    chain = operator(i, *_int_profile((path,), i, D), D)
+    return None if chain is None else _rebuild(*chain, D)[0]
 
 
 def f_path(path: LSPath, i: int) -> LSPath | None:

@@ -7,14 +7,14 @@ strictly larger than epsilon_i(right), and e_i acts on the left factor
 iff phi_i(left) >= epsilon_i(right); otherwise they act on the right
 factor, and a kill on the chosen factor kills the pair.  The rule is not
 an axiom here: concat_path_op applies the path root operator to the
-concatenation of the two LS paths and re-splits, and the test suite
-checks the two agree on every pair at desk scale.  The oracle scales
-durations to ints by D = lcm(1, ..., M + 1), M the larger initial index.
-It runs the path layer's integer root operator on the slopes that
-`_int_profile` reads off each factor, so it shares the slope reflection
-x -> 2 - 2i - x and `_int_profile` with `f_path` (checked against
-`weights.reflect` and `pair_coroot`), but it reads no partition kernel,
-so it shares nothing with the rule.
+concatenation of the two LS paths and cuts it back into a pair, and the
+test suite checks the two agree on every pair at desk scale.  The oracle
+scales durations to ints by D = lcm(1, ..., M + 1), M the larger initial
+index, and takes the rest from the path layer: the one join, integer
+operator and cut that `f_path` runs on a single path (the slope
+reflection and the join are checked against `weights.reflect` and
+`pair_coroot`).  It reads no partition kernel, so it shares nothing with
+the rule.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from .partitions import ChargedPartition, _kernel, enumerate_regular, weight_of
 from .paths import (LSPath, _denominator, _int_profile, _lower, _raise,
                     _rebuild)
-from .weights import Weight, _checked_tuple
+from .weights import Weight, _check_count, _checked_tuple
 
 
 class TensorElement(_checked_tuple("TensorElement", "left right")):
@@ -104,28 +104,21 @@ def is_highest_weight(t: TensorElement) -> bool:
 
 def concat_path_op(i: int, left_path: LSPath, right_path: LSPath,
                    op: str) -> tuple[LSPath, LSPath] | None:
-    """Apply a root operator to the concatenation of two LS paths and
-    split the result back into a pair of LS paths of the same shapes.
-    The operator is reparametrisation-invariant, so the concatenation
-    joins the two pairing profiles with the junction at scaled time D,
-    one D that holds the turning times of both factors and of their
-    images; the operator merges no pieces, so D stays a turning time."""
+    """Apply a root operator to the concatenation of two LS paths and cut
+    the result back into a pair of LS paths of the same shapes.  The
+    operator is reparametrisation-invariant, so the path layer's one join
+    and one cut serve here too, with the junction at scaled time D, one
+    D that holds the turning times of both factors and of their images;
+    the operator merges no pieces, so D stays a turning time."""
     operator = {"f": _lower, "e": _raise}.get(op)
     if operator is None:
         raise ValueError("op must be 'f' or 'e'")
     D = _denominator(max(left_path.m, right_path.m))
-    (dirs, times, H), (right_dirs, right_times, right_H) = (
-        _int_profile(path, i, D) for path in (left_path, right_path))
-    chain = operator(i, dirs + right_dirs,
-                     times + [D + t for t in right_times[1:]],
-                     H + [H[-1] + h for h in right_H[1:]], D)
+    chain = operator(i, *_int_profile((left_path, right_path), i, D), D)
     if chain is None:
         return None
-    dirs, times = chain
-    j = times.index(D)
     try:
-        return (_rebuild(dirs[:j], times[:j + 1], D),
-                _rebuild(dirs[j:], [t - D for t in times[j:]], D))
+        return tuple(_rebuild(*chain, D))
     except ValueError as exc:
         raise AssertionError(
             "root operator left the set of path concatenations: %s" % exc)
@@ -172,6 +165,7 @@ def crystal_graph(vertices: list[TensorElement],
     that stay within the box bound: f_i adds one box, so a vertex at the
     bound has none.  An arrow that leaves the vertices raises; `verify`
     checks the arrows (check_tensor_structure, check_kk_invariance)."""
+    _check_count(max_boxes, "max_boxes")
     index = {v: k for k, v in enumerate(vertices)}
     edges = []
     for k, v in enumerate(vertices):

@@ -352,7 +352,7 @@ def check_path_integrality(max_boxes: int):
             times.append(t)
         minima = [v for u, v, w in zip(values, values[1:], values[2:])
                   if v < u and v <= w]
-        if _int_profile(path, i, D) != (dirs, times, values):
+        if _int_profile((path,), i, D) != (dirs, times, values):
             yield "scaled profile differs at %s, i=%d" % (cp, i)
         elif any(v % D for v in minima):
             yield "%s, i=%d" % (cp, i)

@@ -114,6 +114,14 @@ def test_weight_of_dominant():
         weight_of_dominant(1, cp((1,)))
 
 
+@pytest.mark.parametrize("lambda_type, b", [
+    (1, cp((3, 1))), (0, cp((2,))), (0, cp((3,), 1))],
+    ids=["odd parts for type 1", "an even part for type 0", "charge 1"])
+def test_weight_of_dominant_refuses_non_dominant_input(lambda_type, b):
+    with pytest.raises(ValueError, match="is not dominant for lambda_type"):
+        weight_of_dominant(lambda_type, b)
+
+
 def test_decomposition_tables():
     table = decomposition(KKSpec(0, 0), 4)
     assert table.a == (1, 0, 0, 0, 0) and table.b == (0, 0, 0, 0, 0)

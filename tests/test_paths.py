@@ -42,7 +42,7 @@ def test_validation():
 def test_times_and_directions():
     # turning times 0 < 1/8 < 2/7 < 1/3 < 3/5 < 1, scaled by D; directions
     # w_8, ..., w_4 of shape 0 as their alpha_1-slopes -8, 8, -6, 6, -4
-    dirs, times, _ = _int_profile(RUNNING_PATH, 0, D)
+    dirs, times, _ = _int_profile((RUNNING_PATH,), 0, D)
     assert times == [0, 315, 720, 840, 1512, 2520]
     assert dirs == [-8, 8, -6, 6, -4]
     assert RUNNING_PATH.direction_indices == (8, 7, 6, 5, 4)
@@ -63,18 +63,18 @@ def test_evaluate(monkeypatch):
 
 def test_turning_points():
     # six turning times 0 < 1/8 < 2/7 < 1/3 < 3/5 < 1; the last is path(1)
-    assert len(_int_profile(RUNNING_PATH, 0, D)[1]) == 6
+    assert len(_int_profile((RUNNING_PATH,), 0, D)[1]) == 6
     assert RUNNING_PATH.weight() == LAMBDA0 - 9 * ALPHA0 - 9 * ALPHA1
 
 
 def test_pairing_profile():
-    assert _int_profile(STRAIGHT0, 0, 1) == ([0], [0, 1], [0, 1])
-    assert _int_profile(LSPath(0, 1, ()), 0, 1)[2] == [0, -1]
-    assert _int_profile(STRAIGHT1, 0, 1) == ([1], [0, 1], [0, 0])
+    assert _int_profile((STRAIGHT0,), 0, 1) == ([0], [0, 1], [0, 1])
+    assert _int_profile((LSPath(0, 1, ()),), 0, 1)[2] == [0, -1]
+    assert _int_profile((STRAIGHT1,), 0, 1) == ([1], [0, 1], [0, 0])
     # h at the turning times 0, 1/8, 2/7, 1/3, 3/5, 1, scaled by D
-    assert _int_profile(RUNNING_PATH, 0, D)[2] == \
+    assert _int_profile((RUNNING_PATH,), 0, D)[2] == \
         [0, 2835, 0, 840, -2520, 2520]
-    assert _int_profile(RUNNING_PATH, 1, D)[2] == [0, -2520, 720, 0, 4032, 0]
+    assert _int_profile((RUNNING_PATH,), 1, D)[2] == [0, -2520, 720, 0, 4032, 0]
 
 
 def test_f_path_base_cases():
@@ -171,16 +171,19 @@ def test_rebuild_rejects_junk():
         _rebuild([-2, 2], [0, 2, 6], 6)     # 1/3 is not canonical for 2
     with pytest.raises(ValueError, match="strictly increase"):
         _rebuild([-2, 2], [0, 6, 6], 6)     # a repeated turning time
-    assert _rebuild([-2, 2], [0, 3, 6], 6) == LSPath(0, 1, (1,))
+    assert _rebuild([-2, 2], [0, 3, 6], 6) == [LSPath(0, 1, (1,))]
 
 
 # each row is a chain that only its own check refuses: without that
-# check, _rebuild returns LSPath(0, 1, (1,)) for it
+# check, _rebuild returns [LSPath(0, 1, (1,))] for the first, second and
+# fourth, fails on an index past the chain for the third, and returns no
+# path for the fifth
 REBUILD_JUNK = [
     ([-2, 2], [0, 3, 6, 6], "one more time than directions"),
     ([-2, 2], [1, 3, 6], "from 0 to 1"),
-    ([-2, 2], [0, 3, 12], "from 0 to 1"),
+    ([-2, 2], [0, 3, 4], "from 0 to 1"),
     ([4, 2], [0, 2, 6], "descend contiguously"),   # w_3 at 1/3, then w_1
+    ([-2, 2], [0, 3, 12], "runs past the end"),    # w_1 across the cut at 1
 ]
 
 

@@ -1,5 +1,5 @@
 """Randomised checks on 2-regular partitions of 100-400 boxes, past the
-sizes the exhaustive verify suites reach."""
+sizes the exhaustive verify suites reach, and on runs of LS paths."""
 
 from math import isqrt
 
@@ -9,6 +9,7 @@ from kkcrystals.iso import partition_to_path
 from kkcrystals.kk import KKSpec, in_kk_crystal, in_kk_crystal_by_weyl
 from kkcrystals.partitions import (ChargedPartition, enumerate_regular,
                                    reduce_signature, signature)
+from kkcrystals.paths import LSPath, _denominator, _int_profile, _rebuild
 from kkcrystals.tensor import TensorElement
 from kkcrystals.verify import (inverse_disagreement, iso_disagreement,
                                kernel_disagreement, structure_disagreement,
@@ -88,3 +89,24 @@ def test_membership_routes_agree(left, right, shift):
         p += 1
     spec = KKSpec(left.charge, p)
     assert in_kk_crystal(spec, t) == in_kk_crystal_by_weyl(spec, t)
+
+
+@st.composite
+def ls_paths(draw):
+    """A canonical path of either shape: weakly decreasing steps in 1..n,
+    so that n = 0 leaves only the straight path."""
+    n = draw(st.integers(0, 40))
+    steps = draw(st.lists(st.integers(1, n), max_size=20)) if n else []
+    return LSPath(draw(LABELS), n, sorted(steps, reverse=True))
+
+
+# straight paths of one shape meet at a cut with equal slopes
+RUNS = st.lists(st.sampled_from((LSPath(0, 0), LSPath(1, 0))) | ls_paths(),
+                min_size=1, max_size=3)
+
+
+@given(RUNS, LABELS)
+def test_the_cut_undoes_the_join(run, i):
+    D = _denominator(max(path.m for path in run))
+    dirs, times, _ = _int_profile(tuple(run), i, D)
+    assert _rebuild(dirs, times, D) == run

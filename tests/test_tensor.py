@@ -78,10 +78,10 @@ def test_rebuild_reads_the_index_off_the_piece():
     # no search over the directions before it, however far out it lies
     # (a single piece of slope -5000, w_5000 of shape 0, and duration 1,
     # scaled by D = 1)
-    assert _rebuild([-5000], [0, 1], 1) == LSPath(0, 5000, ())
+    assert _rebuild([-5000], [0, 1], 1) == [LSPath(0, 5000, ())]
     # equal neighbours merge; a gap in the chain or a mixed shape does not
     # (slopes -2, 2, 4 are w_2, w_1, w_3 of shape 0; 3 is w_2 of shape 1)
-    assert _rebuild([-2, -2, 2], [0, 1, 3, 6], 6) == LSPath(0, 1, (1,))
+    assert _rebuild([-2, -2, 2], [0, 1, 3, 6], 6) == [LSPath(0, 1, (1,))]
     for dirs in ([4, 2], [3, 2], []):
         with pytest.raises(ValueError):
             _rebuild(dirs, [0, 2, 6][:len(dirs) + 1], 6)
@@ -133,6 +133,16 @@ def test_crystal_graph_from_the_vacuum():
     with pytest.raises(AssertionError,
                        match="lowering operators escaped the crystal"):
         crystal_graph([VACUUM], 1)
+
+
+@pytest.mark.parametrize("max_boxes, error",
+                         [(True, TypeError), (4.0, TypeError), (-1, ValueError)])
+def test_crystal_graph_refuses_a_bad_box_bound(max_boxes, error):
+    # the 21 members of K(0, 3) at 4 boxes have 17 arrows at the int bound
+    members = kk_crystal_members(KKSpec(0, 3), 4)
+    assert len(crystal_graph(members, 4).edges) == 17
+    with pytest.raises(error, match="max_boxes must be"):
+        crystal_graph(members, max_boxes)
 
 
 def test_crystal_graph_outputs():
