@@ -18,24 +18,24 @@ h(t) = <path(t), a_i^vee>: reflect the directions between the last
 minimum of h and the first later time where h returns to minimum + 1,
 cutting the direction in which that return falls.  The raising operator
 e_i is f_i on the reversed path t -> path(1 - t) - path(1), reversed back
-(Littelmann's duality), and is the two-sided inverse of f_i.  One join
-and one cut serve paths and their concatenations (`tensor.concat_path_op`):
+(Littelmann's duality), and is the two-sided inverse of f_i.  One entry,
+`_run_op`, serves paths and their concatenations (`tensor.concat_path_op`):
 `_int_profile` joins a run of paths, path j over [j, j + 1], into one
 chain of slopes, the operators merge nothing, and `_rebuild` cuts the
 chain at the whole times, merging equal neighbours only within a path.
 
-Everything runs on ints: turning times are scaled by D = lcm(1, ..., m + 1)
-(it holds the times of the path and of its images), and so are the
-values of h.
+Everything runs on small ints: a turning time is an exact pair (a, q) with
+q at most m + 1, and on each piece h(t) = c + s t with c an int, so h at a
+turning time is a floor and a remainder mod q, and (Littelmann, Invent.
+Math. 116, 1994) its least value has remainder 0.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 
-from .weights import (ZERO, Weight, _check_count, _check_label,
-                      _checked_tuple, fundamental, pair_coroot)
+from .weights import (Weight, _check_count, _check_label, _checked_tuple,
+                      fundamental, pair_coroot)
 
 
 # typed, so that a bool index misses the cached entry of its int and is refused
@@ -43,9 +43,8 @@ from .weights import (ZERO, Weight, _check_count, _check_label,
 def direction_weight(shape: int, k: int) -> Weight:
     """Image of the fundamental weight of the shape under the coset
     representative w_k of that shape, in closed form (`weyl.act` is the
-    oracle); its pairing with a_1^vee is the slope that `_int_profile`
-    stores, and d = -ceil(k/2)^2 for
-    shape 0 and -floor(k/2)(floor(k/2) + 1) for shape 1."""
+    oracle); its pairing with a_1^vee is the slope x of `_int_profile`,
+    and d = -ceil(k/2)^2 (shape 0) or -floor(k/2)(floor(k/2) + 1) (shape 1)."""
     _check_label(shape)
     _check_count(k, "index")
     d = -((k + 1 - shape) // 2) * ((k + 1 + shape) // 2)
@@ -90,15 +89,15 @@ class LSPath(_checked_tuple("LSPath", "shape n steps")):
         return tuple(range(self.m, self.n - 1, -1))
 
     def weight(self) -> Weight:
-        """The endpoint path(1): the direction weights times their
-        durations, scaled by D, summed and divided by D exactly."""
-        D = _denominator(self.m)
-        times, total = _int_profile((self,), 0, D)[1], ZERO
-        for j, k in enumerate(self.direction_indices):
-            total += (times[j + 1] - times[j]) * direction_weight(self.shape, k)
-        if any(x % D for x in total):
-            raise AssertionError("endpoint %s / %d is not integral" % (total, D))
-        return Weight(*(x // D for x in total))
+        """The endpoint path(1), summed by parts: w_n Lambda plus i_k/k times
+        each jump w_k Lambda - w_{k-1} Lambda, k times a root, exactly."""
+        shape, total = self.shape, direction_weight(self.shape, self.n)
+        for k, step in zip(range(self.n + 1, self.m + 1), self.steps):
+            jump = step * (direction_weight(shape, k) - direction_weight(shape, k - 1))
+            if any(x % k for x in jump):
+                raise AssertionError("endpoint %s / %d is not integral" % (jump, k))
+            total += Weight(*(x // k for x in jump))
+        return total
 
     def to_json(self) -> dict:
         return {"shape": "L%d" % self.shape, "n": self.n, "steps": list(self.steps)}
@@ -116,144 +115,150 @@ class LSPath(_checked_tuple("LSPath", "shape n steps")):
         return "LSPath(L%d, n=%d, steps=%s)" % (self.shape, self.n, list(self.steps))
 
 
-def _denominator(m: int) -> int:
-    """lcm(1, ..., m + 1): a common denominator for paths of initial index
-    at most m and for their root-operator images."""
-    return lcm(*range(1, m + 2))
-
-
-def _int_profile(paths: tuple[LSPath, ...], i: int,
-                 D: int) -> tuple[list[int], list[int], list[int]]:
-    """The directions of a run of paths, path j over [jD, (j + 1)D], as
-    alpha_1-slopes x, and the turning times and values of
-    h(t) = <path(t), a_i^vee> scaled by D; the slope of h on direction x
-    is x for i = 1 and 1 - x for i = 0."""
+def _int_profile(paths: tuple[LSPath, ...], i: int) -> tuple[list, list, list]:
+    """The directions of a run of paths, path j over [j, j + 1], as
+    alpha_1-slopes x; each turning time as an exact pair (a, q), meaning
+    a/q, with q the index of the direction that ends there (1 at a whole
+    time); and h(t) = <path(t), a_i^vee> there as its floor and its
+    remainder mod q.  On a piece of slope s (x for i = 1, 1 - x for
+    i = 0) h(t) = c + s t with c an int, so a turning time moves c by
+    (s - s')a/q exactly, else the model broke."""
     _check_label(i)
-    dirs, times, values = [], [0], [0]
-    for shape, n, steps in paths:
-        start = times[-1]
+    dirs, times, H = [], [(0, 1)], [(0, 0)]
+    a, q, c, s = 0, 1, 0, 0
+    for start, (shape, n, steps) in enumerate(paths):
         for k in range(n + len(steps), n - 1, -1):
-            t = start + (D // k * steps[k - n - 1] if k > n else D)
             x = k + 1 if (k + shape) % 2 else -k
+            last, s = s, x if i else 1 - x
+            jump, rest = divmod((last - s) * a, q)
+            if rest:
+                raise AssertionError("intercept leaves the ints at %d/%d" % (a, q))
+            c += jump
+            a, q = (start * k + steps[k - n - 1], k) if k > n else (start + 1, 1)
+            floor, rest = divmod(s * a, q)
             dirs.append(x)
-            values.append(values[-1] + (x if i else 1 - x) * (t - times[-1]))
-            times.append(t)
-    return dirs, times, values
+            times.append((a, q))
+            H.append((c + floor, rest))
+    return dirs, times, H
 
 
-def _minimum(values: list[int], D: int) -> int:
-    """Least scaled value; LS-path minima are integers, else the model broke."""
-    q = min(values)
-    if q % D:
-        raise AssertionError("pairing value %d/%d is not an integer"
-                             % (q, D))
-    return q
-
-
-def _crossing(t0: int, h0: int, t1: int, h1: int, level: int) -> int:
-    """Scaled time at which (t0, h0)-(t1, h1) reaches level; a turning time."""
-    dt, rest = divmod((level - h0) * (t1 - t0), h1 - h0)
+def _minimum(H: list) -> int:
+    """Least value of h; LS-path minima are integers, else the model broke
+    (the least (floor, remainder) has remainder 0 iff the least value does)."""
+    Q, rest = min(H)
     if rest:
-        raise AssertionError("crossing time is not a multiple of the unit")
-    return t0 + dt
+        raise AssertionError("pairing minimum above %d is not an integer" % Q)
+    return Q
 
 
 def path_epsilon(path: LSPath, i: int) -> int:
     """Negated minimum of the pairing profile."""
-    D = _denominator(path.m)
-    return -_minimum(_int_profile((path,), i, D)[2], D) // D
+    return -_minimum(_int_profile((path,), i)[2])
 
 
 def path_phi(path: LSPath, i: int) -> int:
     """Endpoint value minus minimum of the pairing profile."""
-    D = _denominator(path.m)
-    values = _int_profile((path,), i, D)[2]
-    return (values[-1] - _minimum(values, D)) // D
+    H = _int_profile((path,), i)[2]
+    return H[-1][0] - _minimum(H)
 
 
-def _lower(i: int, dirs: list[int], times: list[int], H: list[int],
-           D: int) -> tuple[list[int], list[int]] | None:
-    """Littelmann's f_i on a chain of slopes with turning times and
-    pairing values H scaled by D: reflect by s_i (x -> 2 - 2i - x) the
-    pieces between the last minimum of H and its first return to
-    minimum + 1, cutting the piece in which that return falls, and merge
-    nothing.  The new (dirs, times), or None when the endpoint sits less
-    than one above the minimum.  Only differences of H are read."""
-    Q = _minimum(H, D)
-    if H[-1] - Q < D:
+def _lower(i: int, dirs: list, times: list, H: list) -> tuple[list, list] | None:
+    """Littelmann's f_i on a chain of slopes with exact turning times and
+    values H of h: reflect by s_i (x -> 2 - 2i - x) the pieces between the
+    last minimum Q of h and its first return to Q + 1, cutting the piece
+    h = c + s t in which that return falls at (Q + 1 - c)/s, canonical for
+    the index s of its reflection, and merge nothing.  The new (dirs,
+    times), or None when h ends below Q + 1; reads only differences of H."""
+    Q = _minimum(H)
+    if H[-1][0] <= Q:
         return None
-    p = len(H) - 1 - H[::-1].index(Q)
-    r = next(j for j in range(p + 1, len(H)) if H[j] >= Q + D)
+    p = len(H) - 1 - H[::-1].index((Q, 0))
+    r = p + 1
+    while H[r][0] <= Q:
+        r += 1
     new_dirs = dirs[:p] + [2 - 2 * i - x for x in dirs[p:r]]
     new_times = times[:r]
-    if H[r] > Q + D:
-        new_times.append(_crossing(times[r - 1], H[r - 1], times[r], H[r],
-                                   Q + D))
-        new_dirs.append(dirs[r - 1])
+    if H[r] != (Q + 1, 0):
+        x, (a, q), (floor, rest) = dirs[r - 1], times[r], H[r]
+        s = x if i else 1 - x
+        new_times.append((Q + 1 - floor - (rest - s * a) // q, s))
+        new_dirs.append(x)
     return new_dirs + dirs[r:], new_times + times[r:]
 
 
-def _raise(i: int, dirs: list[int], times: list[int], H: list[int],
-           D: int) -> tuple[list[int], list[int]] | None:
+def _raise(i: int, dirs: list, times: list, H: list) -> tuple[list, list] | None:
     """e_i: `_lower` on the reversed chain t -> path(end - t) - path(end),
-    reversed back; None when H never goes below its start."""
-    end = times[-1]
-    chain = _lower(i, dirs[::-1], [end - t for t in times[::-1]], H[::-1], D)
+    reversed back, each direction reflected by s_i on the way in and out
+    so that h keeps the signs of its slopes; None when h never goes below
+    its start."""
+    end = times[-1][0]
+    chain = _lower(i, [2 - 2 * i - x for x in dirs[::-1]],
+                   [(end * q - a, q) for a, q in times[::-1]], H[::-1])
     if chain is None:
         return None
-    return chain[0][::-1], [end - t for t in chain[1][::-1]]
+    return ([2 - 2 * i - x for x in chain[0][::-1]],
+            [(end * q - a, q) for a, q in chain[1][::-1]])
 
 
-def _rebuild(dirs: list[int], times: list[int], D: int) -> list[LSPath]:
-    """The validated canonical paths of a chain of slopes with turning
-    times scaled by D, cut at the multiples of D, in one pass: a piece
-    merges into an equal next neighbour before the cut, and each kept
-    piece has its index decoded, checked and turned into a step."""
+def _rebuild(dirs: list, times: list) -> list[LSPath]:
+    """The validated canonical paths of a chain of slopes with exact
+    turning times, cut at the whole times, in one pass: a piece merges
+    into an equal next neighbour before the cut, and each kept piece has
+    its index decoded, checked and turned into a step.  Times are
+    compared by cross-multiplying."""
     if not dirs or len(times) != len(dirs) + 1:
         raise ValueError("need one more time than directions")
-    if times[0] != 0 or times[-1] % D:
+    if times[0][0] or times[-1][0] % times[-1][1]:
         raise ValueError("times must run from 0 to 1 on each path")
     paths, steps, start = [], [], 0
     for j, x in enumerate(dirs):
-        t = times[j + 1]
-        if t <= times[j]:
+        (b, p), (a, q) = times[j], times[j + 1]
+        if a * p <= b * q:
             raise ValueError("times must strictly increase")
-        t -= start
-        if t > D:
+        a -= start * q
+        if a > q:
             raise ValueError("a piece runs past the end of its path")
-        if t < D and dirs[j + 1] == x:
+        if a < q and dirs[j + 1] == x:
             continue
         k = x - 1 if x > 0 else -x
         if steps and (x % 2 != shape or k != n - 1):
             raise ValueError("chain must descend contiguously in one shape")
-        step, rest = divmod(t * k, D)
+        step, rest = divmod(a * k, q)
         if rest:
-            raise ValueError("time %d/%d is not canonical for index %d"
-                             % (t, D, k))
+            raise ValueError("time %d/%d is not canonical for index %d" % (a, q, k))
         steps.append(step)
         shape, n = x % 2, k
-        if t == D:
+        if a == q:
             paths.append(LSPath(shape, n, tuple(steps[-2::-1])))
-            steps, start = [], start + D
+            steps, start = [], start + 1
     return paths
 
 
-def _path_op(operator, path: LSPath, i: int) -> LSPath | None:
-    D = _denominator(path.m)
-    chain = operator(i, *_int_profile((path,), i, D), D)
-    return None if chain is None else _rebuild(*chain, D)[0]
+def _run_op(raising: bool, run: tuple, i: int) -> list[LSPath] | None:
+    """f_i, or e_i when raising, on a run of paths, path j over [j, j + 1],
+    cut back into paths; None on a kill.  A chain that the cut refuses
+    means the model broke."""
+    chain = (_raise if raising else _lower)(i, *_int_profile(run, i))
+    if chain is None:
+        return None
+    try:
+        return _rebuild(*chain)
+    except ValueError as exc:
+        raise AssertionError("root operator left the LS paths: %s" % exc)
 
 
 def f_path(path: LSPath, i: int) -> LSPath | None:
     """Path lowering operator; None when the endpoint sits less than one
     above the minimum of the pairing profile."""
-    return _path_op(_lower, path, i)
+    images = _run_op(False, (path,), i)
+    return None if images is None else images[0]
 
 
 def e_path(path: LSPath, i: int) -> LSPath | None:
     """Path raising operator; None when the pairing profile never goes
     below zero."""
-    return _path_op(_raise, path, i)
+    images = _run_op(True, (path,), i)
+    return None if images is None else images[0]
 
 
 def is_lambda_dominant(path: LSPath, lambda_type: int) -> bool:

@@ -9,9 +9,8 @@ factor, and a kill on the chosen factor kills the pair.  The rule is not
 an axiom here: concat_path_op applies the path root operator to the
 concatenation of the two LS paths and cuts it back into a pair, and the
 test suite checks the two agree on every pair at desk scale.  The oracle
-scales durations to ints by D = lcm(1, ..., M + 1), M the larger initial
-index, and takes the rest from the path layer: the one join, integer
-operator and cut that `f_path` runs on a single path (the slope
+takes all of its work from the path layer: the one join, operator and
+cut on small exact times that `f_path` runs on a single path (the slope
 reflection and the join are checked against `weights.reflect` and
 `pair_coroot`).  It reads no partition kernel, so it shares nothing with
 the rule.
@@ -20,8 +19,7 @@ the rule.
 from __future__ import annotations
 
 from .partitions import ChargedPartition, _kernel, enumerate_regular, weight_of
-from .paths import (LSPath, _denominator, _int_profile, _lower, _raise,
-                    _rebuild)
+from .paths import LSPath, _run_op
 from .weights import Weight, _check_count, _checked_tuple
 
 
@@ -105,23 +103,13 @@ def is_highest_weight(t: TensorElement) -> bool:
 def concat_path_op(i: int, left_path: LSPath, right_path: LSPath,
                    op: str) -> tuple[LSPath, LSPath] | None:
     """Apply a root operator to the concatenation of two LS paths and cut
-    the result back into a pair of LS paths of the same shapes.  The
-    operator is reparametrisation-invariant, so the path layer's one join
-    and one cut serve here too, with the junction at scaled time D, one
-    D that holds the turning times of both factors and of their images;
-    the operator merges no pieces, so D stays a turning time."""
-    operator = {"f": _lower, "e": _raise}.get(op)
-    if operator is None:
+    the result back into a pair of LS paths of the same shapes.  It is
+    reparametrisation-invariant, so the path layer runs it on the two as
+    one run, the junction at time 1, which stays a turning time."""
+    if op not in ("f", "e"):
         raise ValueError("op must be 'f' or 'e'")
-    D = _denominator(max(left_path.m, right_path.m))
-    chain = operator(i, *_int_profile((left_path, right_path), i, D), D)
-    if chain is None:
-        return None
-    try:
-        return tuple(_rebuild(*chain, D))
-    except ValueError as exc:
-        raise AssertionError(
-            "root operator left the set of path concatenations: %s" % exc)
+    images = _run_op(op == "e", (left_path, right_path), i)
+    return None if images is None else tuple(images)
 
 
 # --- crystal graphs -----------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .iso import partition_to_path, path_to_partition
 from .kk import (KKSpec, MultiplicityTable, _p_allowed,
@@ -23,8 +24,8 @@ from .partitions import (ChargedPartition, _one_enumeration,
                          closed_form_signature, e_op, enumerate_regular,
                          epsilon, f_op, phi, reduce_signature, signature,
                          signs, weight_of)
-from .paths import (LSPath, _denominator, _int_profile, direction_weight,
-                    e_path, f_path, is_lambda_dominant)
+from .paths import (LSPath, _int_profile, direction_weight, e_path, f_path,
+                    is_lambda_dominant)
 from .tensor import (TensorElement, concat_path_op, is_highest_weight,
                      tensor_e, tensor_f, tensor_pairs)
 from .weights import _checked_tuple, fundamental, pair_coroot, simple_root
@@ -335,29 +336,35 @@ def check_dominance(max_boxes: int):
             yield "%s, fundamental %d" % (cp, j) if bad else None
 
 
+def integrality_disagreement(path: LSPath, i: int) -> str | None:
+    """Where the exact profile of path parts from the profile scaled by
+    D = lcm(1, ..., m + 1), rebuilt off the steps (step / k is the time at
+    which direction k ends) and the direction weights, or where a local
+    minimum of h is not an integer; None when neither."""
+    D = lcm(*range(1, path.m + 2))
+    dirs, times, values = [], [0], [0]
+    for j in range(len(path.steps), -1, -1):
+        k = path.n + j
+        t = path.steps[j - 1] * (D // k) if j else D
+        weight = direction_weight(path.shape, k)
+        dirs.append(pair_coroot(weight, 1))
+        values.append(values[-1] + pair_coroot(weight, i) * (t - times[-1]))
+        times.append(t)
+    exact_dirs, exact_times, H = _int_profile((path,), i)
+    scaled = [(a * D // q, (floor * q + rest) * D // q)
+              for (a, q), (floor, rest) in zip(exact_times, H)]
+    if (exact_dirs, scaled) != (dirs, list(zip(times, values))):
+        return "scaled profile differs at %s, i=%d" % (path, i)
+    if any(v % D for u, v, w in zip(values, values[1:], values[2:])
+           if v < u and v <= w):
+        return "%s, i=%d" % (path, i)
+    return None
+
+
 @check("pairing profiles have integer local minima")
 def check_path_integrality(max_boxes: int):
     for cp, i in labelled_partitions(max_boxes):
-        path = partition_to_path(cp)
-        D = _denominator(path.m)
-        # the profile scaled by D, rebuilt off the steps (step / k is the
-        # time at which direction k ends) and the direction weights
-        dirs, times, values = [], [0], [0]
-        for j in range(len(path.steps), -1, -1):
-            k = path.n + j
-            t = path.steps[j - 1] * (D // k) if j else D
-            weight = direction_weight(path.shape, k)
-            dirs.append(pair_coroot(weight, 1))
-            values.append(values[-1] + pair_coroot(weight, i) * (t - times[-1]))
-            times.append(t)
-        minima = [v for u, v, w in zip(values, values[1:], values[2:])
-                  if v < u and v <= w]
-        if _int_profile((path,), i, D) != (dirs, times, values):
-            yield "scaled profile differs at %s, i=%d" % (cp, i)
-        elif any(v % D for v in minima):
-            yield "%s, i=%d" % (cp, i)
-        else:
-            yield None
+        yield integrality_disagreement(partition_to_path(cp), i)
 
 
 def tensor_rule_disagreement(t: TensorElement, left_path: LSPath,

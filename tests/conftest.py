@@ -3,7 +3,7 @@
 Identical work can run 20-60% slower on a busy shared host, so no
 example has a deadline.  A fixed example count keeps the property tests
 to a few seconds of the suite.  The examples are 2-regular partitions of
-100-400 boxes, where shrinking a failure takes minutes, so there is no
+100-2,000 boxes, where shrinking a failure takes minutes, so there is no
 shrink phase (and no explain phase, which follows it): a failing test
 reports the first failing example it drew, and its assertion message
 names the case.

@@ -486,10 +486,10 @@ MUTATIONS = {
         partitions, "reduce_signature", 'stack[-1][0] == "-"',
         'stack[-1][0] == "+"', "signatures"),
     "crossing time one unit late": (
-        paths, "_crossing", "return t0 + dt", "return t0 + dt + 1", "tensor"),
+        paths, "_lower", "(Q + 1 - floor", "(Q + 2 - floor", "tensor"),
     "leftmost minimum lowered": (
-        paths, "_lower", "p = len(H) - 1 - H[::-1].index(Q)",
-        "p = H.index(Q)", "iso"),
+        paths, "_lower", "p = len(H) - 1 - H[::-1].index((Q, 0))",
+        "p = H.index((Q, 0))", "iso"),
     "window starts one piece late": (
         paths, "_lower", "dirs[p:r]", "dirs[p + 1:r]", "iso"),
     "window reflected by the wrong letter": (
@@ -505,13 +505,14 @@ MUTATIONS = {
     "neighbour merging disabled": (
         paths, "_rebuild", "dirs[j + 1] == x", "False", "iso"),
     "pieces merged across a cut": (
-        paths, "_rebuild", "t < D and dirs[j + 1] == x",
+        paths, "_rebuild", "a < q and dirs[j + 1] == x",
         "j < len(dirs) - 1 and dirs[j + 1] == x", "tensor"),
     "f_i acts on the left factor when phi equals epsilon": (
         tensor, "tensor_f", "moves[0] > right_moves[1]",
         "moves[0] >= right_moves[1]", "tensor"),
     "path epsilon one too high": (
-        paths, "path_epsilon", "// D", "// D + 1", "iso"),
+        paths, "path_epsilon", "return -_minimum", "return 1 - _minimum",
+        "iso"),
     "rectangle bound one part short": (
         kk, "_largest_right_part", "n + spec.p + 1", "n + spec.p", "kk"),
     "K(0, 0) bound one part long": (

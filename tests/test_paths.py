@@ -6,10 +6,11 @@ from kkcrystals.kk import dominant_set, weight_of_dominant
 from kkcrystals.partitions import (ChargedPartition, closed_form_signature,
                                    e_op, enumerate_regular, epsilon, f_op,
                                    phi, signature)
-from kkcrystals.paths import (LSPath, _int_profile, _rebuild,
+from kkcrystals.paths import (LSPath, _int_profile, _lower, _raise, _rebuild,
                               direction_weight, e_path, f_path,
                               is_lambda_dominant, path_epsilon, path_phi)
-from kkcrystals.verify import string_length
+from kkcrystals.tensor import concat_path_op
+from kkcrystals.verify import integrality_disagreement, string_length
 from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, ZERO, fundamental,
                                 pair_coroot, reflect, simple_root)
 from kkcrystals.weyl import (IDENTITY, WeylElement, coset_element,
@@ -20,7 +21,6 @@ STRAIGHT0 = LSPath(0, 0, ())
 STRAIGHT1 = LSPath(1, 0, ())
 RUNNING = ChargedPartition((8, 6, 3, 1), 0)
 RUNNING_PATH = LSPath(0, 4, (3, 2, 2, 1))
-D = 2520  # lcm(1, ..., 9), the running path's scale
 
 
 def test_validation():
@@ -40,10 +40,11 @@ def test_validation():
 
 
 def test_times_and_directions():
-    # turning times 0 < 1/8 < 2/7 < 1/3 < 3/5 < 1, scaled by D; directions
-    # w_8, ..., w_4 of shape 0 as their alpha_1-slopes -8, 8, -6, 6, -4
-    dirs, times, _ = _int_profile((RUNNING_PATH,), 0, D)
-    assert times == [0, 315, 720, 840, 1512, 2520]
+    # turning times 0 < 1/8 < 2/7 < 1/3 < 3/5 < 1 as pairs (a, q), q the
+    # index of the direction that ends there; directions w_8, ..., w_4 of
+    # shape 0 as their alpha_1-slopes -8, 8, -6, 6, -4
+    dirs, times, _ = _int_profile((RUNNING_PATH,), 0)
+    assert times == [(0, 1), (1, 8), (2, 7), (2, 6), (3, 5), (1, 1)]
     assert dirs == [-8, 8, -6, 6, -4]
     assert RUNNING_PATH.direction_indices == (8, 7, 6, 5, 4)
     assert RUNNING_PATH.m == 8
@@ -63,18 +64,27 @@ def test_evaluate(monkeypatch):
 
 def test_turning_points():
     # six turning times 0 < 1/8 < 2/7 < 1/3 < 3/5 < 1; the last is path(1)
-    assert len(_int_profile((RUNNING_PATH,), 0, D)[1]) == 6
+    assert len(_int_profile((RUNNING_PATH,), 0)[1]) == 6
     assert RUNNING_PATH.weight() == LAMBDA0 - 9 * ALPHA0 - 9 * ALPHA1
 
 
 def test_pairing_profile():
-    assert _int_profile((STRAIGHT0,), 0, 1) == ([0], [0, 1], [0, 1])
-    assert _int_profile((LSPath(0, 1, ()),), 0, 1)[2] == [0, -1]
-    assert _int_profile((STRAIGHT1,), 0, 1) == ([1], [0, 1], [0, 0])
-    # h at the turning times 0, 1/8, 2/7, 1/3, 3/5, 1, scaled by D
-    assert _int_profile((RUNNING_PATH,), 0, D)[2] == \
-        [0, 2835, 0, 840, -2520, 2520]
-    assert _int_profile((RUNNING_PATH,), 1, D)[2] == [0, -2520, 720, 0, 4032, 0]
+    assert _int_profile((STRAIGHT0,), 0) == ([0], [(0, 1), (1, 1)],
+                                             [(0, 0), (1, 0)])
+    assert _int_profile((LSPath(0, 1, ()),), 0)[2] == [(0, 0), (-1, 0)]
+    assert _int_profile((STRAIGHT1,), 0) == ([1], [(0, 1), (1, 1)],
+                                             [(0, 0), (0, 0)])
+    # h at the turning times 0, 1/8, 2/7, 2/6, 3/5, 1 as its floor and its
+    # remainder mod the time's q: 0, 9/8, 0, 1/3, -1, 1 for i = 0 and
+    # 0, -1, 2/7, 0, 8/5, 0 for i = 1
+    assert _int_profile((RUNNING_PATH,), 0)[2] == \
+        [(0, 0), (1, 1), (0, 0), (0, 2), (-1, 0), (1, 0)]
+    assert _int_profile((RUNNING_PATH,), 1)[2] == \
+        [(0, 0), (-1, 0), (0, 2), (0, 0), (1, 3), (0, 0)]
+    # the oracle scales the same profile by D = lcm(1, ..., 9) = 2520:
+    # 0, 2835, 0, 840, -2520, 2520 for i = 0
+    assert integrality_disagreement(RUNNING_PATH, 0) is None
+    assert integrality_disagreement(RUNNING_PATH, 1) is None
 
 
 def test_f_path_base_cases():
@@ -163,15 +173,15 @@ def test_dominance():
 
 
 def test_rebuild_rejects_junk():
-    # the chain checks f_path and e_path rely on, times scaled by D = 6;
+    # the chain checks f_path and e_path rely on, times as pairs (a, q);
     # slopes 4, -2, 2 are w_3, w_2, w_1 of shape 0
     with pytest.raises(ValueError):
-        _rebuild([4, 2], [0, 3, 6], 6)      # 1/2 is not canonical for 3
+        _rebuild([4, 2], [(0, 1), (1, 2), (1, 1)])   # 1/2: not for 3
     with pytest.raises(ValueError):
-        _rebuild([-2, 2], [0, 2, 6], 6)     # 1/3 is not canonical for 2
+        _rebuild([-2, 2], [(0, 1), (1, 3), (1, 1)])  # 1/3: not for 2
     with pytest.raises(ValueError, match="strictly increase"):
-        _rebuild([-2, 2], [0, 6, 6], 6)     # a repeated turning time
-    assert _rebuild([-2, 2], [0, 3, 6], 6) == [LSPath(0, 1, (1,))]
+        _rebuild([-2, 2], [(0, 1), (2, 2), (1, 1)])  # a repeated time
+    assert _rebuild([-2, 2], [(0, 1), (1, 2), (1, 1)]) == [LSPath(0, 1, (1,))]
 
 
 # each row is a chain that only its own check refuses: without that
@@ -179,18 +189,57 @@ def test_rebuild_rejects_junk():
 # fourth, fails on an index past the chain for the third, and returns no
 # path for the fifth
 REBUILD_JUNK = [
-    ([-2, 2], [0, 3, 6, 6], "one more time than directions"),
-    ([-2, 2], [1, 3, 6], "from 0 to 1"),
-    ([-2, 2], [0, 3, 4], "from 0 to 1"),
-    ([4, 2], [0, 2, 6], "descend contiguously"),   # w_3 at 1/3, then w_1
-    ([-2, 2], [0, 3, 12], "runs past the end"),    # w_1 across the cut at 1
+    ([-2, 2], [(0, 1), (1, 2), (1, 1), (1, 1)],
+     "one more time than directions"),
+    ([-2, 2], [(1, 6), (1, 2), (1, 1)], "from 0 to 1"),
+    ([-2, 2], [(0, 1), (1, 2), (2, 3)], "from 0 to 1"),
+    ([4, 2], [(0, 1), (1, 3), (1, 1)], "descend contiguously"),  # w_3, w_1
+    ([-2, 2], [(0, 1), (1, 2), (2, 1)], "runs past the end"),  # across 1
 ]
 
 
 @pytest.mark.parametrize("dirs, times, message", REBUILD_JUNK)
 def test_rebuild_refuses_a_malformed_chain(dirs, times, message):
     with pytest.raises(ValueError, match=message):
-        _rebuild(dirs, times, 6)
+        _rebuild(dirs, times)
+
+
+def test_a_refused_chain_is_a_broken_model(monkeypatch):
+    # an f_i whose chain the cut refuses (the directions reversed) breaks
+    # the model the same way on one path and on a concatenation
+    monkeypatch.setattr(paths, "_lower",
+                        lambda i, dirs, times, *rest: (dirs[::-1], times))
+    with pytest.raises(AssertionError, match="root operator left"):
+        f_path(RUNNING_PATH, 0)
+    with pytest.raises(AssertionError, match="root operator left"):
+        e_path(RUNNING_PATH, 0)
+    with pytest.raises(AssertionError, match="root operator left"):
+        concat_path_op(0, RUNNING_PATH, STRAIGHT0, "f")
+
+
+# paths with m = 2,000: straight, one step, and a full staircase
+LONG_PATHS = [LSPath(0, 2000), LSPath(1, 1999, (1999,)),
+              LSPath(0, 1000, tuple(range(1000, 0, -1)))]
+
+
+@pytest.mark.parametrize("path", LONG_PATHS, ids=["straight", "one", "stairs"])
+def test_chain_ints_do_not_grow_with_a_common_denominator(path):
+    # every int in the profile of the path and of its f_i, e_i images, and
+    # in the chains the operators return, has about as many bits as m;
+    # lcm(1, ..., 2001) would carry about 2,900
+    bound = 2 * path.m.bit_length()
+    for i in (0, 1):
+        images = [image for image in (path, f_path(path, i), e_path(path, i))
+                  if image is not None]
+        assert len(images) > 1
+        for image in images:
+            profile = _int_profile((image,), i)
+            parts = [*profile]
+            for chain in (_lower(i, *profile), _raise(i, *profile)):
+                parts += chain or []
+            assert max(abs(x).bit_length() for part in parts for entry in part
+                       for x in (entry if type(entry) is tuple else (entry,))
+                       ) <= bound
 
 
 def test_json_round_trip():

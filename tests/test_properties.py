@@ -1,4 +1,4 @@
-"""Randomised checks on 2-regular partitions of 100-400 boxes, past the
+"""Randomised checks on 2-regular partitions of 100-2,000 boxes, past the
 sizes the exhaustive verify suites reach, and on runs of LS paths."""
 
 from math import isqrt
@@ -9,10 +9,11 @@ from kkcrystals.iso import partition_to_path
 from kkcrystals.kk import KKSpec, in_kk_crystal, in_kk_crystal_by_weyl
 from kkcrystals.partitions import (ChargedPartition, enumerate_regular,
                                    reduce_signature, signature)
-from kkcrystals.paths import LSPath, _denominator, _int_profile, _rebuild
+from kkcrystals.paths import LSPath, _int_profile, _rebuild
 from kkcrystals.tensor import TensorElement
-from kkcrystals.verify import (inverse_disagreement, iso_disagreement,
-                               kernel_disagreement, structure_disagreement,
+from kkcrystals.verify import (integrality_disagreement, inverse_disagreement,
+                               iso_disagreement, kernel_disagreement,
+                               structure_disagreement,
                                tensor_rule_disagreement)
 
 LABELS = st.sampled_from((0, 1))
@@ -20,7 +21,7 @@ SMALL_RIGHTS = enumerate_regular(0, 6)
 
 
 @st.composite
-def regular_partitions(draw, min_boxes: int = 100, max_boxes: int = 400):
+def regular_partitions(draw, min_boxes: int = 100, max_boxes: int = 2000):
     """Distinct parts summing to a size in the range, largest first; each
     part is at least the smallest p whose staircase 1 + ... + p still
     covers what is left, so the draw never gets stuck."""
@@ -39,7 +40,7 @@ def regular_partitions(draw, min_boxes: int = 100, max_boxes: int = 400):
 
 @given(regular_partitions(), LABELS)
 def test_kernel_matches_the_column_scan(cp, i):
-    assert 100 <= cp.size <= 400
+    assert 100 <= cp.size <= 2000
     reduced = reduce_signature(signature(cp, i))
     assert kernel_disagreement(cp, i, reduced) is None
 
@@ -51,7 +52,7 @@ def test_operators_are_partial_inverses_with_the_weight_step(cp, i):
 
 @given(regular_partitions(), LABELS)
 def test_bijection_commutes_with_the_operators(cp, i):
-    # path turning times here have denominators of several hundred bits
+    # path turning times here have denominators up to the largest part
     assert iso_disagreement(cp, i) is None
 
 
@@ -107,6 +108,10 @@ RUNS = st.lists(st.sampled_from((LSPath(0, 0), LSPath(1, 0))) | ls_paths(),
 
 @given(RUNS, LABELS)
 def test_the_cut_undoes_the_join(run, i):
-    D = _denominator(max(path.m for path in run))
-    dirs, times, _ = _int_profile(tuple(run), i, D)
-    assert _rebuild(dirs, times, D) == run
+    dirs, times, _ = _int_profile(tuple(run), i)
+    assert _rebuild(dirs, times) == run
+
+
+@given(ls_paths() | regular_partitions().map(partition_to_path), LABELS)
+def test_exact_profile_matches_the_scaled_oracle(path, i):
+    assert integrality_disagreement(path, i) is None

@@ -76,15 +76,15 @@ def test_concat_examples():
 
 def test_rebuild_reads_the_index_off_the_piece():
     # no search over the directions before it, however far out it lies
-    # (a single piece of slope -5000, w_5000 of shape 0, and duration 1,
-    # scaled by D = 1)
-    assert _rebuild([-5000], [0, 1], 1) == [LSPath(0, 5000, ())]
+    # (a single piece of slope -5000, w_5000 of shape 0, and duration 1)
+    assert _rebuild([-5000], [(0, 1), (1, 1)]) == [LSPath(0, 5000, ())]
     # equal neighbours merge; a gap in the chain or a mixed shape does not
     # (slopes -2, 2, 4 are w_2, w_1, w_3 of shape 0; 3 is w_2 of shape 1)
-    assert _rebuild([-2, -2, 2], [0, 1, 3, 6], 6) == [LSPath(0, 1, (1,))]
+    assert _rebuild([-2, -2, 2], [(0, 1), (1, 6), (1, 2), (1, 1)]) == \
+        [LSPath(0, 1, (1,))]
     for dirs in ([4, 2], [3, 2], []):
         with pytest.raises(ValueError):
-            _rebuild(dirs, [0, 2, 6][:len(dirs) + 1], 6)
+            _rebuild(dirs, [(0, 1), (1, 3), (1, 1)][:len(dirs) + 1])
 
 
 def test_highest_weight_examples():
