@@ -65,6 +65,9 @@ class ChargedPartition(_checked_tuple("ChargedPartition", "parts charge")):
     def __delattr__(self, name):
         raise AttributeError("ChargedPartition is immutable")
 
+    def __reduce__(self):  # copies and pickles leave the memo behind
+        return type(self), (self.parts, self.charge)
+
     @cached_property  # writes __dict__ directly, past __setattr__
     def size(self) -> int:
         return sum(self.parts)

@@ -13,13 +13,13 @@ the level is one.  The map is a bijection onto the integers: the shape is
 x mod 2, and k is x - 1 when x > 0 and -x otherwise.  The infinite
 dihedral group acts on it in closed form, s_1: x -> -x and s_0: x -> 2 - x.
 
-The lowering operator f_i is Littelmann's, driven by the minimum of
-h(t) = <path(t), a_i^vee>: reflect the directions between the last
-minimum of h and the first later time where h returns to minimum + 1,
-cutting the direction in which that return falls.  The raising operator
-e_i is f_i on the reversed path t -> path(1 - t) - path(1), reversed back
-(Littelmann's duality), and is the two-sided inverse of f_i.  One entry,
-`_run_op`, serves paths and their concatenations (`tensor.concat_path_op`):
+The lowering operator f_i is Littelmann's, driven by the least value Q
+of h(t) = <path(t), a_i^vee>: reflect the directions between the last
+minimum of h and the first later time where h returns to Q + 1, cutting
+the direction in which that return falls.  The raising operator e_i,
+its two-sided inverse, is f_i conjugated by Littelmann's duality
+t -> path(end - t) - path(end) (`_mirror`).  `_run_op` alone decides a
+kill and serves paths and their concatenations (`tensor.concat_path_op`):
 `_int_profile` joins a run of paths, path j over [j, j + 1], into one
 chain of slopes, the operators merge nothing, and `_rebuild` cuts the
 chain at the whole times, merging equal neighbours only within a path.
@@ -83,10 +83,6 @@ class LSPath(_checked_tuple("LSPath", "shape n steps")):
     def m(self) -> int:
         """Initial direction index."""
         return self.n + len(self.steps)
-
-    @property
-    def direction_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.m, self.n - 1, -1))
 
     def weight(self) -> Weight:
         """The endpoint path(1), summed by parts: w_n Lambda plus i_k/k times
@@ -162,16 +158,14 @@ def path_phi(path: LSPath, i: int) -> int:
     return H[-1][0] - _minimum(H)
 
 
-def _lower(i: int, dirs: list, times: list, H: list) -> tuple[list, list] | None:
-    """Littelmann's f_i on a chain of slopes with exact turning times and
-    values H of h: reflect by s_i (x -> 2 - 2i - x) the pieces between the
-    last minimum Q of h and its first return to Q + 1, cutting the piece
-    h = c + s t in which that return falls at (Q + 1 - c)/s, canonical for
-    the index s of its reflection, and merge nothing.  The new (dirs,
-    times), or None when h ends below Q + 1; reads only differences of H."""
-    Q = _minimum(H)
-    if H[-1][0] <= Q:
-        return None
+def _lower(i: int, dirs: list, times: list, H: list, Q: int) -> tuple[list, list]:
+    """Littelmann's f_i on a chain of slopes with exact turning times,
+    values H of h and least value Q of h, where it acts: reflect by s_i
+    (x -> 2 - 2i - x) the pieces between the last minimum of h and its
+    first return to Q + 1, cutting the piece h = c + s t in which that
+    return falls at (Q + 1 - c)/s, canonical for the index s of its
+    reflection, and merge nothing.  The new (dirs, times); reads only
+    differences of H."""
     p = len(H) - 1 - H[::-1].index((Q, 0))
     r = p + 1
     while H[r][0] <= Q:
@@ -186,18 +180,13 @@ def _lower(i: int, dirs: list, times: list, H: list) -> tuple[list, list] | None
     return new_dirs + dirs[r:], new_times + times[r:]
 
 
-def _raise(i: int, dirs: list, times: list, H: list) -> tuple[list, list] | None:
-    """e_i: `_lower` on the reversed chain t -> path(end - t) - path(end),
-    reversed back, each direction reflected by s_i on the way in and out
-    so that h keeps the signs of its slopes; None when h never goes below
-    its start."""
-    end = times[-1][0]
-    chain = _lower(i, [2 - 2 * i - x for x in dirs[::-1]],
-                   [(end * q - a, q) for a, q in times[::-1]], H[::-1])
-    if chain is None:
-        return None
-    return ([2 - 2 * i - x for x in chain[0][::-1]],
-            [(end * q - a, q) for a, q in chain[1][::-1]])
+def _mirror(i: int, dirs: list, times: list, end: int) -> tuple[list, list]:
+    """Littelmann's duality t -> path(end - t) - path(end) on a chain over
+    [0, end], an involution: the chain reversed, each time t sent to
+    end - t and each slope reflected by s_i.  Its h is h(end - t) - h(end),
+    so H read backwards gives its values up to one shift."""
+    return ([2 - 2 * i - x for x in dirs[::-1]],
+            [(end * q - a, q) for a, q in times[::-1]])
 
 
 def _rebuild(dirs: list, times: list) -> list[LSPath]:
@@ -235,12 +224,20 @@ def _rebuild(dirs: list, times: list) -> list[LSPath]:
 
 
 def _run_op(raising: bool, run: tuple, i: int) -> list[LSPath] | None:
-    """f_i, or e_i when raising, on a run of paths, path j over [j, j + 1],
-    cut back into paths; None on a kill.  A chain that the cut refuses
-    means the model broke."""
-    chain = (_raise if raising else _lower)(i, *_int_profile(run, i))
-    if chain is None:
+    """f_i, or e_i (f_i mirrored) when raising, on a run of paths, path j
+    over [j, j + 1], cut back into paths.  With Q the least value of h,
+    None exactly when phi = h(end) - Q, or epsilon = h(0) - Q when
+    raising, is 0.  A chain that the cut refuses means the model broke."""
+    dirs, times, H = _int_profile(run, i)
+    Q = _minimum(H)
+    if (H[0] if raising else H[-1])[0] <= Q:
         return None
+    if raising:
+        end = len(run)
+        chain = _mirror(i, *_lower(i, *_mirror(i, dirs, times, end), H[::-1], Q),
+                        end)
+    else:
+        chain = _lower(i, dirs, times, H, Q)
     try:
         return _rebuild(*chain)
     except ValueError as exc:
@@ -248,15 +245,13 @@ def _run_op(raising: bool, run: tuple, i: int) -> list[LSPath] | None:
 
 
 def f_path(path: LSPath, i: int) -> LSPath | None:
-    """Path lowering operator; None when the endpoint sits less than one
-    above the minimum of the pairing profile."""
+    """Path lowering operator; None on a kill (see `_run_op`)."""
     images = _run_op(False, (path,), i)
     return None if images is None else images[0]
 
 
 def e_path(path: LSPath, i: int) -> LSPath | None:
-    """Path raising operator; None when the pairing profile never goes
-    below zero."""
+    """Path raising operator; None on a kill (see `_run_op`)."""
     images = _run_op(True, (path,), i)
     return None if images is None else images[0]
 

@@ -1,4 +1,5 @@
-"""Hypothesis settings for the property tests.
+"""Hypothesis settings for the property tests, and a fixture that patches
+a function in every module that imported it by name.
 
 Identical work can run 20-60% slower on a busy shared host, so no
 example has a deadline.  A fixed example count keeps the property tests
@@ -9,9 +10,26 @@ reports the first failing example it drew, and its assertion message
 names the case.
 """
 
+import sys
+
+import pytest
 from hypothesis import Phase, settings
 
 settings.register_profile(
     "kkcrystals", deadline=None, max_examples=40,
     phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 settings.load_profile("kkcrystals")
+
+
+@pytest.fixture
+def patch_everywhere(monkeypatch):
+    """patch(module, name, value) sets `name` to `value` in every
+    `kkcrystals` module that binds the object `module.name` holds, so that
+    a module that imported it by name gets the patch too."""
+    def patch(module, name, value):
+        original = getattr(module, name)
+        for user_name, user in list(sys.modules.items()):
+            if (user_name.split(".")[0] == "kkcrystals"
+                    and getattr(user, name, None) is original):
+                monkeypatch.setattr(user, name, value)
+    return patch

@@ -403,7 +403,8 @@ def test_size_flag_fuzz_exits_0_or_2(argv):
     (["verify", "all"], 60),
     (["graph", "--lambda", "0", "--p", "5", "--max-boxes", "20"], 1),
 ], ids=["verify-all", "graph"])
-def test_pair_loops_list_the_factors_once(argv, limit, capsys, monkeypatch):
+def test_pair_loops_list_the_factors_once(argv, limit, capsys,
+                                          patch_everywhere):
     # one enumerate_regular call per factor list, not one per left factor
     original = partitions.enumerate_regular
     calls = []
@@ -412,16 +413,14 @@ def test_pair_loops_list_the_factors_once(argv, limit, capsys, monkeypatch):
         calls.append(args)
         return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "kkcrystals"
-                and getattr(module, "enumerate_regular", None) is original):
-            monkeypatch.setattr(module, "enumerate_regular", counted)
+    patch_everywhere(partitions, "enumerate_regular", counted)
     code, _, _ = run(argv, capsys)
     assert code == 0
     assert 0 < len(calls) <= limit
 
 
-def test_a_verify_run_shares_one_enumeration(capsys, monkeypatch):
+def test_a_verify_run_shares_one_enumeration(capsys, monkeypatch,
+                                             patch_everywhere):
     # every check reads one list per charge, so equal partitions are one
     # object and carry one set of records: 3 lists, (0, 12), (1, 12) and
     # (0, 13), for the 46 enumerate_regular calls at the defaults
@@ -436,10 +435,7 @@ def test_a_verify_run_shares_one_enumeration(capsys, monkeypatch):
         built.append(max_size)
         return build(allowed, max_size)
 
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "kkcrystals"
-                and getattr(module, "enumerate_regular", None) is original):
-            monkeypatch.setattr(module, "enumerate_regular", recorded)
+    patch_everywhere(partitions, "enumerate_regular", recorded)
     monkeypatch.setattr(partitions, "_distinct_parts", counted)
     code, _, _ = run(["verify", "all"], capsys)
     assert code == 0
@@ -501,7 +497,7 @@ MUTATIONS = {
     "positive slope decoded one index high, on concatenations": (
         paths, "_rebuild", "x - 1 if x > 0", "x if x > 0", "tensor"),
     "raising directions not reversed back": (
-        paths, "_raise", "chain[0][::-1]", "chain[0]", "iso"),
+        paths, "_mirror", "dirs[::-1]", "dirs", "iso"),
     "neighbour merging disabled": (
         paths, "_rebuild", "dirs[j + 1] == x", "False", "iso"),
     "pieces merged across a cut": (
@@ -510,6 +506,8 @@ MUTATIONS = {
     "f_i acts on the left factor when phi equals epsilon": (
         tensor, "tensor_f", "moves[0] > right_moves[1]",
         "moves[0] >= right_moves[1]", "tensor"),
+    "kill only below the least value": (
+        paths, "_run_op", "[0] <= Q", "[0] < Q", "iso"),
     "path epsilon one too high": (
         paths, "path_epsilon", "return -_minimum", "return 1 - _minimum",
         "iso"),
@@ -532,18 +530,15 @@ MUTATIONS = {
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-def test_verify_reports_a_broken_path_layer(mutation, capsys, monkeypatch):
+def test_verify_reports_a_broken_path_layer(mutation, capsys,
+                                            patch_everywhere):
     module, name, old, new, suite = MUTATIONS[mutation]
-    original = getattr(module, name)
-    source = textwrap.dedent(inspect.getsource(original))
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1
     namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
     # every module that imported the function by name gets the edit too
-    for user_name, user in list(sys.modules.items()):
-        if (user_name.split(".")[0] == "kkcrystals"
-                and getattr(user, name, None) is original):
-            monkeypatch.setattr(user, name, namespace[name])
+    patch_everywhere(module, name, namespace[name])
     code, out, _ = run(["verify", suite], capsys)
     assert code == 1
     assert any(line.startswith("FAIL ") for line in out.splitlines())

@@ -6,9 +6,9 @@ from kkcrystals.kk import dominant_set, weight_of_dominant
 from kkcrystals.partitions import (ChargedPartition, closed_form_signature,
                                    e_op, enumerate_regular, epsilon, f_op,
                                    phi, signature)
-from kkcrystals.paths import (LSPath, _int_profile, _lower, _raise, _rebuild,
-                              direction_weight, e_path, f_path,
-                              is_lambda_dominant, path_epsilon, path_phi)
+from kkcrystals.paths import (LSPath, _int_profile, _rebuild, direction_weight,
+                              e_path, f_path, is_lambda_dominant, path_epsilon,
+                              path_phi)
 from kkcrystals.tensor import concat_path_op
 from kkcrystals.verify import integrality_disagreement, string_length
 from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, ZERO, fundamental,
@@ -46,9 +46,8 @@ def test_times_and_directions():
     dirs, times, _ = _int_profile((RUNNING_PATH,), 0)
     assert times == [(0, 1), (1, 8), (2, 7), (2, 6), (3, 5), (1, 1)]
     assert dirs == [-8, 8, -6, 6, -4]
-    assert RUNNING_PATH.direction_indices == (8, 7, 6, 5, 4)
-    assert RUNNING_PATH.m == 8
-    assert STRAIGHT0.direction_indices == (0,)
+    assert (RUNNING_PATH.m, RUNNING_PATH.n) == (8, 4)
+    assert (STRAIGHT0.m, STRAIGHT0.n) == (0, 0)
 
 
 def test_evaluate(monkeypatch):
@@ -223,23 +222,30 @@ LONG_PATHS = [LSPath(0, 2000), LSPath(1, 1999, (1999,)),
 
 
 @pytest.mark.parametrize("path", LONG_PATHS, ids=["straight", "one", "stairs"])
-def test_chain_ints_do_not_grow_with_a_common_denominator(path):
+def test_chain_ints_do_not_grow_with_a_common_denominator(path, monkeypatch):
     # every int in the profile of the path and of its f_i, e_i images, and
-    # in the chains the operators return, has about as many bits as m;
-    # lcm(1, ..., 2001) would carry about 2,900
+    # in the chains the operators hand to the cut, has about as many bits
+    # as m; lcm(1, ..., 2001) would carry about 2,900
     bound = 2 * path.m.bit_length()
+    chains, rebuild = [], paths._rebuild
+
+    def recorded(*chain):
+        chains.append(chain)
+        return rebuild(*chain)
+
+    monkeypatch.setattr(paths, "_rebuild", recorded)
+    parts = []
     for i in (0, 1):
         images = [image for image in (path, f_path(path, i), e_path(path, i))
                   if image is not None]
         assert len(images) > 1
         for image in images:
-            profile = _int_profile((image,), i)
-            parts = [*profile]
-            for chain in (_lower(i, *profile), _raise(i, *profile)):
-                parts += chain or []
-            assert max(abs(x).bit_length() for part in parts for entry in part
-                       for x in (entry if type(entry) is tuple else (entry,))
-                       ) <= bound
+            parts += _int_profile((image,), i)
+            f_path(image, i), e_path(image, i)
+    parts += [part for chain in chains for part in chain]
+    assert max(abs(x).bit_length() for part in parts for entry in part
+               for x in (entry if type(entry) is tuple else (entry,))
+               ) <= bound
 
 
 def test_json_round_trip():

@@ -9,7 +9,8 @@ from kkcrystals.iso import partition_to_path
 from kkcrystals.kk import KKSpec, in_kk_crystal, in_kk_crystal_by_weyl
 from kkcrystals.partitions import (ChargedPartition, enumerate_regular,
                                    reduce_signature, signature)
-from kkcrystals.paths import LSPath, _int_profile, _rebuild
+from kkcrystals.paths import (LSPath, _int_profile, _rebuild, e_path, f_path,
+                              path_epsilon, path_phi)
 from kkcrystals.tensor import TensorElement
 from kkcrystals.verify import (integrality_disagreement, inverse_disagreement,
                                iso_disagreement, kernel_disagreement,
@@ -115,3 +116,9 @@ def test_the_cut_undoes_the_join(run, i):
 @given(ls_paths() | regular_partitions().map(partition_to_path), LABELS)
 def test_exact_profile_matches_the_scaled_oracle(path, i):
     assert integrality_disagreement(path, i) is None
+
+
+@given(ls_paths() | regular_partitions().map(partition_to_path), LABELS)
+def test_an_operator_kills_exactly_where_its_string_ends(path, i):
+    assert (f_path(path, i) is None) == (path_phi(path, i) == 0), path
+    assert (e_path(path, i) is None) == (path_epsilon(path, i) == 0), path

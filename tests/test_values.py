@@ -206,6 +206,22 @@ def test_copies_work_after_the_memo_is_filled():
         assert read_memo(back) == kept
 
 
+def test_copies_and_pickles_leave_the_stored_records_behind():
+    # each stored move keeps its image, whose records keep the next move,
+    # so carrying them would serialize, and recurse down, the whole walk
+    start = cp = ChargedPartition((), 0)
+    for _ in range(3000):
+        moves = [f_op(cp, i) for i in (0, 1)]
+        cp = moves[0] or moves[1]
+    fresh = ChargedPartition((), 0)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(start, protocol) == pickle.dumps(fresh, protocol)
+    for back in (pickle.loads(pickle.dumps(start)), copy.copy(start),
+                 copy.deepcopy(start)):
+        assert type(back) is ChargedPartition and back == start
+        assert back.__dict__ == {}
+
+
 def test_a_partition_stores_one_record_per_label():
     cp = running()
     read = [(phi(cp, i), epsilon(cp, i), f_op(cp, i), e_op(cp, i))
