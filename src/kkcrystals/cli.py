@@ -4,13 +4,14 @@ Subcommands: convert (partition <-> path JSON), decompose (multiplicity
 tables), graph (submodule crystal in DOT), verify (exhaustive oracle
 suites), enumerate (regular charged partitions).  Output is deterministic
 for fixed flags.  Exit codes: 0 success, 1 failed verification, 2 invalid
-input, 3 unwritable output path.
+input, 3 unwritable output: an output path, or a stdout its reader closed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .iso import partition_to_path, path_to_partition
@@ -238,7 +239,15 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "enumerate": _cmd_enumerate,
     }[args.command]
-    return handler(args)
+    try:
+        code = handler(args)
+        sys.stdout.flush()  # so that a closed reader shows here
+    except BrokenPipeError:
+        # the rest of the output goes to os.devnull, or the flush at
+        # interpreter shutdown raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _fail("stdout was closed by its reader", 3)
+    return code
 
 
 if __name__ == "__main__":

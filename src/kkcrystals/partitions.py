@@ -65,6 +65,9 @@ class ChargedPartition(_checked_tuple("ChargedPartition", "parts charge")):
     def __delattr__(self, name):
         raise AttributeError("ChargedPartition is immutable")
 
+    def __dir__(self):  # `_kernel` keys its records by the ints 0 and 1
+        return [name for name in object.__dir__(self) if type(name) is str]
+
     def __reduce__(self):  # copies and pickles leave the memo behind
         return type(self), (self.parts, self.charge)
 
@@ -284,7 +287,7 @@ def closed_form_signature(cp: ChargedPartition, i: int) -> str:
     m, n = cp.bounding_rect
     seq = (n,) + gap_conjugate(cp) + (0,)
     if len(seq) != m - n + 2:
-        raise AssertionError("gap data of %s has the wrong length" % cp)
+        raise AssertionError("gap data of %s has the wrong length" % (cp,))
     first_plus = (n % 2) == ((i + cp.charge) % 2)
     out = []
     for k in range(len(seq) - 1):

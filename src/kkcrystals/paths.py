@@ -13,16 +13,16 @@ the level is one.  The map is a bijection onto the integers: the shape is
 x mod 2, and k is x - 1 when x > 0 and -x otherwise.  The infinite
 dihedral group acts on it in closed form, s_1: x -> -x and s_0: x -> 2 - x.
 
-The lowering operator f_i is Littelmann's, driven by the least value Q
-of h(t) = <path(t), a_i^vee>: reflect the directions between the last
-minimum of h and the first later time where h returns to Q + 1, cutting
-the direction in which that return falls.  The raising operator e_i,
-its two-sided inverse, is f_i conjugated by Littelmann's duality
-t -> path(end - t) - path(end) (`_mirror`).  `_run_op` alone decides a
-kill and serves paths and their concatenations (`tensor.concat_path_op`):
-`_int_profile` joins a run of paths, path j over [j, j + 1], into one
-chain of slopes, the operators merge nothing, and `_rebuild` cuts the
-chain at the whole times, merging equal neighbours only within a path.
+The lowering operator f_i is Littelmann's, driven by the least value Q of
+h(t) = <path(t), a_i^vee>.  Within a path the slopes of h alternate in sign
+and its local minima are ints, so h returns to Q + 1 on the one piece that
+rises from its last minimum, which f_i reflects, cut there.  The raising
+operator e_i, its two-sided inverse, is f_i conjugated by Littelmann's
+duality t -> path(end - t) - path(end) (`_mirror`).  `_run_op` alone decides
+a kill and serves paths and their concatenations (`tensor.concat_path_op`):
+`_int_profile` joins a run of paths, path j over [j, j + 1], into one chain
+of slopes, the operators merge nothing, and `_rebuild` cuts the chain at the
+whole times, merging equal neighbours only within a path.
 
 Everything runs on small ints: a turning time is an exact pair (a, q) with
 q at most m + 1, and on each piece h(t) = c + s t with c an int, so h at a
@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .weights import (Weight, _check_count, _check_label, _checked_tuple,
-                      fundamental, pair_coroot)
+                      fundamental, pair_coroot, simple_root)
 
 
 # typed, so that a bool index misses the cached entry of its int and is refused
@@ -85,15 +85,12 @@ class LSPath(_checked_tuple("LSPath", "shape n steps")):
         return self.n + len(self.steps)
 
     def weight(self) -> Weight:
-        """The endpoint path(1), summed by parts: w_n Lambda plus i_k/k times
-        each jump w_k Lambda - w_{k-1} Lambda, k times a root, exactly."""
-        shape, total = self.shape, direction_weight(self.shape, self.n)
-        for k, step in zip(range(self.n + 1, self.m + 1), self.steps):
-            jump = step * (direction_weight(shape, k) - direction_weight(shape, k - 1))
-            if any(x % k for x in jump):
-                raise AssertionError("endpoint %s / %d is not integral" % (jump, k))
-            total += Weight(*(x // k for x in jump))
-        return total
+        """The endpoint path(1): w_n Lambda minus i_k alpha_j per step, as
+        w_k Lambda - w_{k-1} Lambda = -k alpha_j, j = (k + shape + 1) mod 2."""
+        j = (self.n + self.shape) % 2  # for i_{n+1}, then alternating
+        return (direction_weight(self.shape, self.n)
+                - sum(self.steps[::2]) * simple_root(j)
+                - sum(self.steps[1::2]) * simple_root(1 - j))
 
     def to_json(self) -> dict:
         return {"shape": "L%d" % self.shape, "n": self.n, "steps": list(self.steps)}
@@ -161,23 +158,20 @@ def path_phi(path: LSPath, i: int) -> int:
 def _lower(i: int, dirs: list, times: list, H: list, Q: int) -> tuple[list, list]:
     """Littelmann's f_i on a chain of slopes with exact turning times,
     values H of h and least value Q of h, where it acts: reflect by s_i
-    (x -> 2 - 2i - x) the pieces between the last minimum of h and its
-    first return to Q + 1, cutting the piece h = c + s t in which that
-    return falls at (Q + 1 - c)/s, canonical for the index s of its
-    reflection, and merge nothing.  The new (dirs, times); reads only
-    differences of H."""
+    (x -> 2 - 2i - x) the piece p from the last minimum of h, which ends
+    at Q + 1 or above, cut where h = c + s t reaches Q + 1, at (Q + 1 -
+    c)/s, canonical for the index s of its reflection; a later return
+    puts the cut past p's end, which `_rebuild` refuses.  The new (dirs,
+    times); reads only differences of H."""
     p = len(H) - 1 - H[::-1].index((Q, 0))
-    r = p + 1
-    while H[r][0] <= Q:
-        r += 1
-    new_dirs = dirs[:p] + [2 - 2 * i - x for x in dirs[p:r]]
-    new_times = times[:r]
-    if H[r] != (Q + 1, 0):
-        x, (a, q), (floor, rest) = dirs[r - 1], times[r], H[r]
-        s = x if i else 1 - x
-        new_times.append((Q + 1 - floor - (rest - s * a) // q, s))
-        new_dirs.append(x)
-    return new_dirs + dirs[r:], new_times + times[r:]
+    x, (a, q), (floor, rest) = dirs[p], times[p + 1], H[p + 1]
+    y = 2 - 2 * i - x
+    if (floor, rest) == (Q + 1, 0):
+        return dirs[:p] + [y] + dirs[p + 1:], times
+    s = x if i else 1 - x
+    cut = (Q + 1 - floor - (rest - s * a) // q, s)
+    return (dirs[:p] + [y, x] + dirs[p + 1:],
+            times[:p + 1] + [cut] + times[p + 1:])
 
 
 def _mirror(i: int, dirs: list, times: list, end: int) -> tuple[list, list]:

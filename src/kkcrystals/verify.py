@@ -19,7 +19,7 @@ from .iso import partition_to_path, path_to_partition
 from .kk import (KKSpec, MultiplicityTable, _p_allowed,
                  associated_weyl_element, decomposition,
                  decomposition_via_crystal, dominant_set, in_kk_crystal,
-                 in_kk_crystal_by_weyl, kk_crystal_graph)
+                 in_kk_crystal_by_weyl, kk_crystal_graph, weight_of_dominant)
 from .partitions import (ChargedPartition, _one_enumeration,
                          closed_form_signature, e_op, enumerate_regular,
                          epsilon, f_op, phi, reduce_signature, signature,
@@ -299,11 +299,11 @@ def check_iso_commutation(max_boxes: int):
             off = [k for k in (path.m, path.n) if direction_weight(charge, k)
                    != act(coset_element(charge, k), lam)]
             if path_to_partition(path) != cp:
-                yield "round trip failed at %s" % cp
+                yield "round trip failed at %s" % (cp,)
             elif path.weight() != weight_of(cp):
-                yield "weights differ at %s" % cp
+                yield "weights differ at %s" % (cp,)
             elif (path.m, path.n) != cp.bounding_rect:
-                yield "directions miss the bounding rectangle at %s" % cp
+                yield "directions miss the bounding rectangle at %s" % (cp,)
             elif off:
                 yield "direction weight %d is off at %s" % (off[0], cp)
             else:
@@ -320,7 +320,7 @@ def check_path_bijectivity(m_max: int):
                                                            length):
                     path = LSPath(shape, n, steps)
                     bad = partition_to_path(path_to_partition(path)) != path
-                    yield "round trip failed at %s" % path if bad else None
+                    yield "round trip failed at %s" % (path,) if bad else None
 
 
 @check("path dominance matches the raising-operator test")
@@ -402,15 +402,18 @@ def check_tensor_convention(side_boxes: int):
 
 
 def structure_disagreement(t: TensorElement) -> str | None:
-    """Where t breaks the highest-weight law, f_i or e_i steps the weight
-    by other than the simple root or is not undone by the other, or
-    raising increases the associated element; None when all hold."""
+    """Where t breaks the highest-weight law or, highest, has a weight
+    other than its summand's (`weight_of_dominant`), f_i or e_i steps the
+    weight by other than the simple root or is not undone by the other,
+    or raising increases the associated element; None when all hold."""
     wanted = 1 if t.left.charge == 0 else 0
     classified = (not t.left.parts
                   and all(p % 2 == wanted for p in t.right.parts))
     if is_highest_weight(t) != classified:
-        return "highest-weight law fails at %s" % t
+        return "highest-weight law fails at %s" % (t,)
     weight, element = t.weight(), associated_weyl_element(t)
+    if classified and weight != weight_of_dominant(t.left.charge, t.right):
+        return "highest weight differs from its summand's at %s" % (t,)
     for i in (0, 1):
         down, up = tensor_f(i, t), tensor_e(i, t)
         if down is not None and down.weight() != weight - simple_root(i):

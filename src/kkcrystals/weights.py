@@ -101,7 +101,6 @@ class Weight(_checked_tuple("Weight", "c0 c1 dd")):
         return self.display()
 
 
-ZERO = Weight(0, 0, 0)
 LAMBDA0 = Weight(1, 0, 0)
 LAMBDA1 = Weight(0, 1, 0)
 ALPHA0 = Weight(2, -2, 1)

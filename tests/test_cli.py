@@ -400,12 +400,12 @@ def test_size_flag_fuzz_exits_0_or_2(argv):
 
 
 @pytest.mark.parametrize("argv, limit", [
-    (["verify", "all"], 60),
     (["graph", "--lambda", "0", "--p", "5", "--max-boxes", "20"], 1),
-], ids=["verify-all", "graph"])
+], ids=["graph"])
 def test_pair_loops_list_the_factors_once(argv, limit, capsys,
                                           patch_everywhere):
-    # one enumerate_regular call per factor list, not one per left factor
+    # one enumerate_regular call per factor list, not one per left factor;
+    # verify all is pinned by test_a_verify_run_shares_one_enumeration
     original = partitions.enumerate_regular
     calls = []
 
@@ -487,7 +487,14 @@ MUTATIONS = {
         paths, "_lower", "p = len(H) - 1 - H[::-1].index((Q, 0))",
         "p = H.index((Q, 0))", "iso"),
     "window starts one piece late": (
-        paths, "_lower", "dirs[p:r]", "dirs[p + 1:r]", "iso"),
+        paths, "_lower", "len(H) - 1 - H", "len(H) - H", "iso"),
+    "whole-piece reflection keeps the old piece": (
+        paths, "_lower", "[y] + dirs[p + 1:]", "[y] + dirs[p:]", "iso"),
+    "halves of a cut piece swapped": (
+        paths, "_lower", "[y, x]", "[x, y]", "tensor"),
+    "endpoint label parity flipped": (
+        paths, "LSPath", "j = (self.n + self.shape) % 2",
+        "j = (self.n + self.shape + 1) % 2", "iso"),
     "window reflected by the wrong letter": (
         paths, "_lower", "2 - 2 * i - x", "2 * i - x", "iso"),
     "window reflected by the wrong letter, on concatenations": (
@@ -511,6 +518,9 @@ MUTATIONS = {
     "path epsilon one too high": (
         paths, "path_epsilon", "return -_minimum", "return 1 - _minimum",
         "iso"),
+    "odd-size highest weight keeps alpha_0": (
+        kk, "weight_of_dominant", "top - simple_root(0) if rem else top",
+        "top", "tensor"),
     "rectangle bound one part short": (
         kk, "_largest_right_part", "n + spec.p + 1", "n + spec.p", "kk"),
     "K(0, 0) bound one part long": (
@@ -542,6 +552,23 @@ def test_verify_reports_a_broken_path_layer(mutation, capsys,
     code, out, _ = run(["verify", suite], capsys)
     assert code == 1
     assert any(line.startswith("FAIL ") for line in out.splitlines())
+
+
+def test_a_closed_stdout_exits_3_without_a_traceback():
+    # more output than a pipe holds, and a reader that stops after a line
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with subprocess.Popen(
+            [sys.executable, "-m", "kkcrystals.cli", "enumerate", "--charge",
+             "1", "--max-boxes", "40"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        code = child.wait(timeout=60)
+    assert first == "(∅ | c=1)\n".encode()
+    assert code == 3
+    assert err == "error: stdout was closed by its reader\n"
 
 
 # an f_0 that always applies at row 0, so its string never ends

@@ -1,9 +1,12 @@
 import pytest
 
+from kkcrystals import verify
 from kkcrystals.iso import partition_to_path, path_to_partition
-from kkcrystals.partitions import ChargedPartition
+from kkcrystals.partitions import ChargedPartition, weight_of
 from kkcrystals.paths import LSPath
-from kkcrystals.verify import check_dominance, check_path_bijectivity
+from kkcrystals.verify import (check_dominance, check_iso_commutation,
+                               check_path_bijectivity)
+from kkcrystals.weights import DELTA
 
 
 def cp(parts, charge=0):
@@ -28,11 +31,6 @@ def test_inverse_examples():
     assert path_to_partition(LSPath(1, 1, (1,))) == cp((2,), 1)
 
 
-def test_rejects_non_regular():
-    with pytest.raises(ValueError):
-        partition_to_path(cp((2, 2)))
-
-
 def test_dominance_equivalence_at_desk_scale():
     result = check_dominance(max_boxes=18)
     assert result.ok, result.failures
@@ -43,3 +41,33 @@ def test_every_canonical_path_has_a_unique_preimage():
     result = check_path_bijectivity(m_max=18)
     assert result.ok, result.failures
 
+
+
+# one broken step per failure message of check_iso_commutation, and the
+# first partition it names
+ISO_BREAKS = {
+    "round trip": (verify, "path_to_partition", lambda path: cp(()),
+                   "round trip failed at (1 | c=0)"),
+    "weights": (verify, "weight_of", lambda c: weight_of(c) + DELTA,
+                "weights differ at (∅ | c=0)"),
+    "bounding rectangle": (
+        ChargedPartition, "bounding_rect", property(lambda c: (-1, -1)),
+        "directions miss the bounding rectangle at (∅ | c=0)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISO_BREAKS))
+def test_iso_commutation_names_the_partition_it_fails_at(name, monkeypatch):
+    owner, attribute, broken, message = ISO_BREAKS[name]
+    cases = check_iso_commutation(6).cases
+    monkeypatch.setattr(owner, attribute, broken)
+    result = check_iso_commutation(6)
+    assert (result.cases, result.failures[0]) == (cases, message)
+
+
+def test_path_bijectivity_names_the_path_it_fails_at(monkeypatch):
+    cases = check_path_bijectivity(4).cases
+    monkeypatch.setattr(verify, "partition_to_path", lambda c: LSPath(0, 0))
+    result = check_path_bijectivity(4)
+    assert (result.cases, result.failures[0]) == (
+        cases, "round trip failed at LSPath(L0, n=1, steps=[])")

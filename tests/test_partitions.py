@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,8 @@ from kkcrystals.partitions import (ChargedPartition, _distinct_parts,
                                    e_op, enumerate_regular, epsilon, f_op,
                                    gap_conjugate, phi, reduce_signature,
                                    signature, signs, weight_of)
-from kkcrystals.verify import check_operator_inverses, check_reduction_oracle
+from kkcrystals.verify import (check_operator_inverses, check_reduction_oracle,
+                               check_signature_closed_form)
 from kkcrystals.weights import ALPHA0, ALPHA1, LAMBDA0, LAMBDA1
 
 RUNNING = ChargedPartition((8, 6, 3, 1), 0)
@@ -171,3 +173,14 @@ def test_display_and_json():
     data = RUNNING.to_json()
     assert data == {"parts": [8, 6, 3, 1], "charge": 0}
     assert ChargedPartition.from_json(data) == RUNNING
+
+
+def test_closed_form_model_check_names_the_partition(monkeypatch):
+    # gap data of the wrong length: (1) still passes, (2) raises, and the
+    # check counts the two cases of (1) and the raising one
+    message = "gap data of (2 | c=0) has the wrong length"
+    monkeypatch.setattr(partitions, "gap_conjugate", lambda c: ())
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        closed_form_signature(ChargedPartition((2,), 0), 0)
+    result = check_signature_closed_form(4)
+    assert (result.cases, result.failures) == (3, ["AssertionError: " + message])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from kkcrystals import paths
@@ -11,7 +13,7 @@ from kkcrystals.paths import (LSPath, _int_profile, _rebuild, direction_weight,
                               path_phi)
 from kkcrystals.tensor import concat_path_op
 from kkcrystals.verify import integrality_disagreement, string_length
-from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, ZERO, fundamental,
+from kkcrystals.weights import (ALPHA0, ALPHA1, LAMBDA0, fundamental,
                                 pair_coroot, reflect, simple_root)
 from kkcrystals.weyl import (IDENTITY, WeylElement, coset_element,
                              double_coset_min_index, left_multiply,
@@ -50,15 +52,34 @@ def test_times_and_directions():
     assert (STRAIGHT0.m, STRAIGHT0.n) == (0, 0)
 
 
-def test_evaluate(monkeypatch):
+def endpoint_by_parts(path):
+    """path(1) summed piece by piece, each direction weight times the time
+    it runs, in fractions: the sum that LSPath.weight() has in closed form."""
+    _, times, _ = _int_profile((path,), 0)
+    total = [0, 0, 0]
+    for k, (b, p), (a, q) in zip(range(path.m, path.n - 1, -1), times,
+                                 times[1:]):
+        run = Fraction(a, q) - Fraction(b, p)
+        total = [x + run * y
+                 for x, y in zip(total, direction_weight(path.shape, k))]
+    return total
+
+
+def test_evaluate():
     # weight() is the endpoint path(1)
     assert STRAIGHT0.weight() == LAMBDA0
     assert LSPath(0, 1, ()).weight() == LAMBDA0 - ALPHA0
-    # keep only the first direction, of duration 1/8: path(1) = Λ0 / 8
-    monkeypatch.setattr(paths, "direction_weight",
-                        lambda shape, k: LAMBDA0 if k == 8 else ZERO)
-    with pytest.raises(AssertionError, match="not integral"):
-        RUNNING_PATH.weight()
+    for path in [RUNNING_PATH, LSPath(1, 3, (2,)), LSPath(1, 2, (2, 1, 1))]:
+        assert list(path.weight()) == endpoint_by_parts(path), path
+
+
+def test_each_jump_is_minus_k_times_one_simple_root():
+    # the closed form LSPath.weight() sums: w_k Lambda - w_{k-1} Lambda is
+    # -k alpha_j with j = (k + shape + 1) mod 2
+    for shape in (0, 1):
+        for k in range(1, 2001):
+            assert (direction_weight(shape, k) - direction_weight(shape, k - 1)
+                    == -k * simple_root((k + shape + 1) % 2)), (shape, k)
 
 
 def test_turning_points():
@@ -214,6 +235,24 @@ def test_a_refused_chain_is_a_broken_model(monkeypatch):
         e_path(RUNNING_PATH, 0)
     with pytest.raises(AssertionError, match="root operator left"):
         concat_path_op(0, RUNNING_PATH, STRAIGHT0, "f")
+
+
+def test_a_return_to_the_minimum_plus_one_past_the_rising_piece_is_refused(
+        monkeypatch):
+    # a broken profile for i = 1 with slopes -2, 2, 2 and times 0, 1/2,
+    # 3/4, 1, where h runs 0, -1, -1/2, 0: from its last minimum h stays
+    # below Q + 1 = 0 until the next piece, so f_1 cuts the rising piece
+    # at 1, past its end 3/4, and the cut refuses the chain
+    dirs, times, H = [-2, 2, 2], [(0, 1), (1, 2), (3, 4), (1, 1)], \
+        [(0, 0), (-1, 0), (-1, 2), (0, 0)]
+    chain = paths._lower(1, dirs, times, H, -1)
+    assert chain == ([-2, -2, 2, 2], [(0, 1), (1, 2), (2, 2), (3, 4), (1, 1)])
+    with pytest.raises(ValueError, match="strictly increase"):
+        _rebuild(*chain)
+    monkeypatch.setattr(paths, "_int_profile",
+                        lambda run, i: (dirs, times, H))
+    with pytest.raises(AssertionError, match="root operator left"):
+        f_path(STRAIGHT0, 1)
 
 
 # paths with m = 2,000: straight, one step, and a full staircase

@@ -122,3 +122,15 @@ def test_exact_profile_matches_the_scaled_oracle(path, i):
 def test_an_operator_kills_exactly_where_its_string_ends(path, i):
     assert (f_path(path, i) is None) == (path_phi(path, i) == 0), path
     assert (e_path(path, i) is None) == (path_epsilon(path, i) == 0), path
+
+
+@given(RUNS | regular_partitions().map(lambda cp: [partition_to_path(cp)]),
+       LABELS)
+def test_h_reaches_the_minimum_plus_one_on_the_rising_piece(run, i):
+    # the fact f_i's one-piece reflection rests on: where f_i acts, h is
+    # at least Q + 1 at the end of the piece that leaves its last minimum
+    H = _int_profile(tuple(run), i)[2]
+    Q = min(H)[0]
+    if H[-1][0] > Q:
+        p = len(H) - 1 - H[::-1].index((Q, 0))
+        assert H[p + 1] >= (Q + 1, 0), run

@@ -1,6 +1,6 @@
 import pytest
 
-from kkcrystals import tensor
+from kkcrystals import tensor, verify
 from kkcrystals.kk import (KKSpec, associated_weyl_element, kk_crystal_graph,
                            kk_crystal_members)
 from kkcrystals.partitions import ChargedPartition, enumerate_regular
@@ -8,6 +8,7 @@ from kkcrystals.paths import LSPath, _rebuild
 from kkcrystals.tensor import (TensorElement, concat_path_op, crystal_graph,
                                is_highest_weight, tensor_e, tensor_f,
                                tensor_pairs)
+from kkcrystals.verify import check_tensor_structure
 from kkcrystals.weyl import IDENTITY, coset_element
 
 
@@ -162,3 +163,12 @@ def test_crystal_graph_skips_vertices_at_the_bound(monkeypatch):
                         lambda i, t: calls.append(t) or tensor_f(i, t))
     graph = kk_crystal_graph(KKSpec(0, 5), 12)
     assert len(calls) == 2 * sum(v.total_boxes < 12 for v in graph.vertices)
+
+
+def test_tensor_structure_names_the_pair_it_fails_at(monkeypatch):
+    cases = check_tensor_structure(4).cases
+    monkeypatch.setattr(verify, "is_highest_weight",
+                        lambda t: not is_highest_weight(t))
+    result = check_tensor_structure(4)
+    assert (result.cases, result.failures[0]) == (
+        cases, "highest-weight law fails at (∅ | c=0) ⊗ (∅ | c=0)")

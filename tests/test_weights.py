@@ -76,7 +76,7 @@ def test_json_round_trip():
 
 @pytest.mark.parametrize("inexact",
                          [0.1, 1.0, True, False, "1/2", Decimal("0.1"),
-                          Fraction(1, 2), Fraction(2)])
+                          Fraction(1, 2), Fraction(2), LAMBDA0])
 def test_floats_and_bools_are_refused(inexact):
     with pytest.raises(TypeError):
         Weight(inexact, 0, 0)
@@ -85,9 +85,3 @@ def test_floats_and_bools_are_refused(inexact):
     with pytest.raises(TypeError):
         inexact * LAMBDA0
 
-
-def test_bad_indices_rejected():
-    with pytest.raises(ValueError):
-        fundamental(2)
-    with pytest.raises(ValueError):
-        pair_coroot(LAMBDA0, 3)
