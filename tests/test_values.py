@@ -7,6 +7,7 @@ import copy
 import inspect
 import operator
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -176,6 +177,18 @@ def test_weight_arithmetic_refuses_a_plain_tuple(op):
         op(LAMBDA0, (1, 2, 3))
     with pytest.raises(TypeError):
         op((1, 2, 3), LAMBDA0)
+
+
+@pytest.mark.parametrize("build", [lambda: True * LAMBDA0,
+                                   lambda: LAMBDA0 * True,
+                                   lambda: LAMBDA0 * 0.5,
+                                   lambda: LAMBDA0 * LAMBDA0,
+                                   lambda: Weight(Fraction(2), 0, 0)],
+                         ids=["bool-left", "bool-right", "float", "weight",
+                              "fraction"])
+def test_weights_stay_int_only(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def read_memo(cp):
