@@ -274,10 +274,10 @@ def check_string_lengths(max_boxes: int):
             yield None
 
 
-def iso_disagreement(cp: ChargedPartition, i: int) -> str | None:
+def iso_disagreement(cp: ChargedPartition, path: LSPath, i: int) -> str | None:
     """Where the bijection fails to carry f_i and e_i at cp to the path
-    operators, or those fail to undo each other; None when they pass."""
-    path = partition_to_path(cp)
+    operators at path, cp's path as the caller built it, or those fail to
+    undo each other; None when they pass.  It converts only the images."""
     for op, cp_op, path_op, back, undo in (("f", f_op, f_path, "e", e_path),
                                            ("e", e_op, e_path, "f", f_path)):
         image_cp, image_path = cp_op(cp, i), path_op(path, i)
@@ -307,7 +307,8 @@ def check_iso_commutation(max_boxes: int):
             elif off:
                 yield "direction weight %d is off at %s" % (off[0], cp)
             else:
-                yield iso_disagreement(cp, 0) or iso_disagreement(cp, 1)
+                yield (iso_disagreement(cp, path, 0)
+                       or iso_disagreement(cp, path, 1))
 
 
 @check("every canonical path comes from exactly one partition")
@@ -363,42 +364,39 @@ def integrality_disagreement(path: LSPath, i: int) -> str | None:
 
 @check("pairing profiles have integer local minima")
 def check_path_integrality(max_boxes: int):
-    for cp, i in labelled_partitions(max_boxes):
-        yield integrality_disagreement(partition_to_path(cp), i)
+    for charge in (0, 1):
+        for cp in enumerate_regular(charge, max_boxes):
+            path = partition_to_path(cp)
+            yield from (integrality_disagreement(path, i) for i in (0, 1))
 
 
-def tensor_rule_disagreement(t: TensorElement, left_path: LSPath,
-                             right_path: LSPath, i: int,
+def tensor_rule_disagreement(t: TensorElement, path_of, i: int,
                              op: str) -> str | None:
     """Where the tensor rule parts from the root operator op ('f' or 'e')
-    on the concatenation of the factors' paths; None when they agree."""
+    on the concatenation of the factors' paths, reading every factor's and
+    image's path from path_of (the caller's lookup); None when they agree."""
     via_rule = (tensor_f if op == "f" else tensor_e)(i, t)
-    via_paths = concat_path_op(i, left_path, right_path, op)
+    via_paths = concat_path_op(i, path_of(t.left), path_of(t.right), op)
     if (via_rule is None) != (via_paths is None):
         return "%s kill mismatch at %s, i=%d" % (op, t, i)
-    if via_rule is None:
-        return None
-    # the rule moves one factor; only a factor that moved is converted
-    left, right = via_rule.left, via_rule.right
-    if via_paths != (left_path if left == t.left else partition_to_path(left),
-                     right_path if right == t.right
-                     else partition_to_path(right)):
+    if via_rule is not None and via_paths != (path_of(via_rule.left),
+                                              path_of(via_rule.right)):
         return "%s images differ at %s, i=%d" % (op, t, i)
     return None
 
 
 @check("tensor rule vs concatenated-path operators")
 def check_tensor_convention(side_boxes: int):
-    rights = [(b2, partition_to_path(b2))
-              for b2 in enumerate_regular(0, side_boxes)]
+    # one conversion per partition met, for this call only
+    path_of = functools.lru_cache(maxsize=None)(partition_to_path)
+    rights = enumerate_regular(0, side_boxes)
     for charge in (0, 1):
         for b1 in enumerate_regular(charge, side_boxes):
-            p1 = partition_to_path(b1)
-            for b2, p2 in rights:
+            for b2 in rights:
                 t = TensorElement(b1, b2)
                 for i in (0, 1):
                     for op in ("f", "e"):
-                        yield tensor_rule_disagreement(t, p1, p2, i, op)
+                        yield tensor_rule_disagreement(t, path_of, i, op)
 
 
 def structure_disagreement(t: TensorElement) -> str | None:

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import inspect
@@ -13,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from kkcrystals import kk, partitions, paths, tensor, verify
+from kkcrystals import iso, kk, partitions, paths, tensor, verify
 from kkcrystals.cli import main
 from kkcrystals.verify import CheckResult
 
@@ -444,6 +445,30 @@ def test_a_verify_run_shares_one_enumeration(capsys, monkeypatch,
     assert all(seen.setdefault(cp, cp) is cp for cps in listed for cp in cps)
 
 
+def test_a_verify_check_converts_each_partition_once(capsys,
+                                                      patch_everywhere):
+    # each check builds a partition's path once and hands it to its
+    # helpers, which convert only operator images; of the 8,928
+    # conversions of 8,194 partitions, 734 repeat an earlier check's
+    original, calls = iso.partition_to_path, collections.Counter()
+
+    def counted(cp):
+        frame = sys._getframe(1)
+        while not frame.f_code.co_name.startswith("check_"):
+            frame = frame.f_back
+        calls[frame.f_code.co_name] += 1
+        return original(cp)
+
+    patch_everywhere(iso, "partition_to_path", counted)
+    code, _, _ = run(["verify", "all"], capsys)
+    assert code == 0
+    assert calls == {"check_iso_commutation": 488,
+                     "check_path_bijectivity": 8192, "check_dominance": 70,
+                     "check_path_integrality": 140,
+                     "check_tensor_convention": 38}
+    assert calls.total() == 8928
+
+
 def test_nothing_outlives_a_verify_run(monkeypatch):
     verify.run_suites(["signatures"], max_boxes=4)
     assert partitions._runs == []
@@ -459,9 +484,9 @@ def test_nothing_outlives_a_verify_run(monkeypatch):
     assert first == again and not any(a is b for a, b in zip(first, again))
 
 
-# one-line edits of the partition, path and tensor kernels and of the
-# membership rule: (module, function, text, replacement, the verify suite
-# that must catch it)
+# one-line edits of the partition, path and tensor kernels, of the
+# membership rule and of the tensor-rule oracle: (module, function, text,
+# replacement, the verify suite that must catch it)
 MUTATIONS = {
     "rightmost '+' row shifted": (
         partitions, "_reduced", "plus_row = k + 1", "plus_row = k + 2",
@@ -536,6 +561,13 @@ MUTATIONS = {
     "graph arrows listed twice": (
         tensor, "crystal_graph", "edges.append((k, i, target))",
         "edges.extend([(k, i, target)] * 2)", "kk"),
+    "tensor images compared with the unmoved factors": (
+        verify, "tensor_rule_disagreement", "path_of(via_rule.left)",
+        "path_of(t.left)", "tensor"),
+    "concatenation joins the factors swapped": (
+        verify, "tensor_rule_disagreement",
+        "path_of(t.left), path_of(t.right)",
+        "path_of(t.right), path_of(t.left)", "tensor"),
 }
 
 

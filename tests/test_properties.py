@@ -54,7 +54,7 @@ def test_operators_are_partial_inverses_with_the_weight_step(cp, i):
 @given(regular_partitions(), LABELS)
 def test_bijection_commutes_with_the_operators(cp, i):
     # path turning times here have denominators up to the largest part
-    assert iso_disagreement(cp, i) is None
+    assert iso_disagreement(cp, partition_to_path(cp), i) is None
 
 
 # right factors at desk scale, or at charge 0 past it, so that long
@@ -66,9 +66,7 @@ RIGHTS = st.sampled_from(SMALL_RIGHTS) | regular_partitions().map(
 @given(regular_partitions(), RIGHTS, LABELS, st.sampled_from(("f", "e")))
 def test_tensor_rule_matches_concatenated_paths(left, right, i, op):
     t = TensorElement(left, right)
-    message = tensor_rule_disagreement(t, partition_to_path(left),
-                                       partition_to_path(right), i, op)
-    assert message is None
+    assert tensor_rule_disagreement(t, partition_to_path, i, op) is None
 
 
 def pair_of(left, right):
