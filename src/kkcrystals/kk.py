@@ -21,8 +21,8 @@ independent oracle.
 from __future__ import annotations
 
 from .partitions import ChargedPartition, _distinct_parts, enumerate_regular
-from .tensor import (CrystalGraph, TensorElement, _pair, crystal_graph,
-                     is_highest_weight)
+from .tensor import (CrystalGraph, TensorElement, _pair, _pair_walk,
+                     crystal_graph, is_highest_weight)
 from .weights import (DELTA, Weight, _check_count, _check_label,
                       _checked_tuple, fundamental, simple_root)
 from .weyl import (WeylElement, bruhat_leq, coset_element,
@@ -184,16 +184,12 @@ def decomposition_via_crystal(spec: KKSpec, cutoff: int) -> MultiplicityTable:
 
 
 def kk_crystal_members(spec: KKSpec, max_boxes: int) -> list[TensorElement]:
-    """Every member with at most max_boxes boxes, by total size then as
-    tuples: listed within each left factor's rectangle bound, in size buckets."""
-    lefts = enumerate_regular(spec.lambda_type, max_boxes)
-    rights = lefts if spec.lambda_type == 0 else enumerate_regular(0, max_boxes)
+    """The `_pair_walk` pairs in the rectangle bound, by total size then as tuples."""
+    walk = _pair_walk(spec.lambda_type, max_boxes)  # checks max_boxes first
     buckets = [[] for _ in range(max_boxes + 1)]
-    for left in lefts:
+    for left, rights in walk:
         size, bound = left.size, _largest_right_part(spec, len(left.parts))
         for right in rights:
-            if size + right.size > max_boxes:
-                break
             if not right.parts or right.parts[0] <= bound:
                 buckets[size + right.size].append(_pair(left, right))
     return [t for bucket in buckets for t in sorted(bucket)]

@@ -114,8 +114,7 @@ def _int_profile(paths: tuple[LSPath, ...], i: int) -> tuple[list, list, list]:
     a/q, with q the index of the direction that ends there (1 at a whole
     time); and h(t) = <path(t), a_i^vee> there as its floor and its
     remainder mod q.  On a piece of slope s (x for i = 1, 1 - x for
-    i = 0) h(t) = c + s t with c an int, so a turning time moves c by
-    (s - s')a/q exactly, else the model broke."""
+    i = 0) h(t) = c + s t with c an int, moved by (s - s')a/q at a turn."""
     _check_label(i)
     dirs, times, H = [], [(0, 1)], [(0, 0)]
     a, q, c, s = 0, 1, 0, 0
@@ -124,6 +123,8 @@ def _int_profile(paths: tuple[LSPath, ...], i: int) -> tuple[list, list, list]:
             x = k + 1 if (k + shape) % 2 else -k
             last, s = s, x if i else 1 - x
             jump, rest = divmod((last - s) * a, q)
+            # never fires: q is 1 at a whole time, else k + 1, and the
+            # slopes of directions k + 1 and k differ by ±2(k + 1)
             if rest:
                 raise AssertionError("intercept leaves the ints at %d/%d" % (a, q))
             c += jump

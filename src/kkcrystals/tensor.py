@@ -58,21 +58,21 @@ def _pair(left: ChargedPartition, right: ChargedPartition) -> TensorElement:
     return tuple.__new__(TensorElement, (left, right))
 
 
-def tensor_pairs(charge: int, max_boxes: int):
-    """Every pair with at most max_boxes boxes in total, left factor of
-    the given charge: left factors in enumeration order, and under each
-    the right factors that fit, in enumeration order.  The right factors
-    are listed once, and for charge 0 they are the left factors too (the
-    first left factor has checked that charge is an int); the list is
-    sorted by size, so each left factor stops at the first that no longer
-    fits.  The factors are the enumeration's, so pairs are built unchecked."""
+def _pair_walk(charge: int, max_boxes: int):
+    """Each left factor of the charge with the charge-0 right factors that
+    fit beside it: the prefix of their size-ordered list through its last
+    factor of the size left over (every size up to max_boxes occurs).
+    For charge 0 they are the left factors, so each list is enumerated once."""
     lefts = enumerate_regular(charge, max_boxes)
     rights = lefts if charge == 0 else enumerate_regular(0, max_boxes)
-    for left in lefts:
-        room = max_boxes - left.size
+    ends = {right.size: k for k, right in enumerate(rights, 1)}
+    return ((left, rights[:ends[max_boxes - left.size]]) for left in lefts)
+
+
+def tensor_pairs(charge: int, max_boxes: int):
+    """Every pair of at most max_boxes boxes in `_pair_walk` order, built unchecked."""
+    for left, rights in _pair_walk(charge, max_boxes):
         for right in rights:
-            if right.size > room:
-                break
             yield _pair(left, right)
 
 

@@ -550,6 +550,12 @@ MUTATIONS = {
         kk, "_largest_right_part", "n + spec.p + 1", "n + spec.p", "kk"),
     "K(0, 0) bound one part long": (
         kk, "_largest_right_part", "n if spec", "n + 1 if spec", "kk"),
+    "pair walk drops the last right factor that fits": (
+        tensor, "_pair_walk", "ends[max_boxes - left.size]]",
+        "ends[max_boxes - left.size] - 1]", "kk"),
+    "charge-1 pair walk reads charge-1 right factors": (
+        tensor, "_pair_walk", "lefts if charge == 0", "lefts if True",
+        "tensor"),
     "graph arrows from the box bound": (
         tensor, "crystal_graph", "if v.total_boxes >= max_boxes:",
         "if v.total_boxes > max_boxes:", "kk"),

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from kkcrystals import kk
 from kkcrystals.kk import (KKSpec, decomposition, decomposition_via_crystal,
                            dominant_set, in_kk_crystal, kk_crystal_graph,
                            kk_crystal_members, weight_of_dominant)
@@ -170,6 +171,14 @@ def test_members_are_the_pairs_that_pass_the_membership_test(spec):
     assert members == sorted((t for t in pairs if in_kk_crystal(spec, t)),
                              key=lambda t: (t.total_boxes, t))
     assert all(type(t) is TensorElement for t in members)
+
+
+def test_an_odd_top_for_lambda_type_1_is_a_broken_model(monkeypatch):
+    # with every pair a top, (∅ | c=1) ⊗ (1 | c=0) is one of odd size
+    monkeypatch.setattr(kk, "is_highest_weight", lambda t: True)
+    with pytest.raises(AssertionError,
+                       match="^odd sizes occur only for lambda_type 0$"):
+        decomposition_via_crystal(KKSpec(1, 2), 1)
 
 
 def test_members_and_graph_counts():

@@ -255,6 +255,14 @@ def test_a_return_to_the_minimum_plus_one_past_the_rising_piece_is_refused(
         f_path(STRAIGHT0, 1)
 
 
+def test_a_minimum_between_integers_is_a_broken_model():
+    # LSPath's checks keep every minimum of h an integer, so only a
+    # profile built past them, here with h least at -1 + 1/q, reaches it
+    with pytest.raises(AssertionError,
+                       match="^pairing minimum above -1 is not an integer$"):
+        paths._minimum([(0, 0), (-1, 1)])
+
+
 # paths with m = 2,000: straight, one step, and a full staircase
 LONG_PATHS = [LSPath(0, 2000), LSPath(1, 1999, (1999,)),
               LSPath(0, 1000, tuple(range(1000, 0, -1)))]

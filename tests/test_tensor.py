@@ -1,6 +1,6 @@
 import pytest
 
-from kkcrystals import tensor, verify
+from kkcrystals import partitions, tensor, verify
 from kkcrystals.kk import (KKSpec, associated_weyl_element, kk_crystal_graph,
                            kk_crystal_members)
 from kkcrystals.partitions import ChargedPartition, enumerate_regular
@@ -119,6 +119,28 @@ def test_tensor_pairs_keep_the_nested_order():
                       for b1 in enumerate_regular(charge, n)
                       for b2 in enumerate_regular(0, n - b1.size)]
             assert list(tensor_pairs(charge, n)) == nested
+
+
+def test_a_pair_walk_lists_each_factor_list_once(patch_everywhere):
+    # outside a verify run each enumerate_regular call builds new factors,
+    # so a charge-0 right factor that is a left factor shows the sharing
+    original, calls = partitions.enumerate_regular, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    patch_everywhere(partitions, "enumerate_regular", counted)
+    pairs = list(tensor_pairs(0, 12))
+    assert calls == [(0, 12)]
+    lefts = {id(t.left) for t in pairs}
+    assert all(id(t.right) in lefts for t in pairs)
+    calls.clear()
+    assert len(list(tensor_pairs(1, 12))) == len(pairs)
+    assert calls == [(1, 12), (0, 12)]
+    calls.clear()
+    assert kk_crystal_members(KKSpec(1, 2), 12)
+    assert calls == [(1, 12), (0, 12)]
 
 
 def vacuum_crystal_graph(n):

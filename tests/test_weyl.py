@@ -2,6 +2,7 @@ from kkcrystals.weyl import (IDENTITY, WeylElement, bruhat_ideal_min,
                              bruhat_leq, coset_element, double_coset_min,
                              double_coset_min_index, left_multiply,
                              right_multiply, wedge)
+from kkcrystals import weyl
 from kkcrystals.verify import all_elements
 
 import pytest
@@ -71,6 +72,16 @@ def test_double_coset_min_examples():
     assert double_coset_min(0, IDENTITY) == IDENTITY
     assert double_coset_min(0, coset_element(0, 2)) == S0
     assert double_coset_min(1, S0) == IDENTITY
+
+
+def test_two_double_coset_minima_are_a_broken_model(monkeypatch):
+    # a right_multiply that keeps the length and flips the first letter
+    # gives s0 s1 a second minimum of length 2, s1 s0
+    monkeypatch.setattr(weyl, "right_multiply",
+                        lambda w, i: WeylElement(w.length, 1 - w.first))
+    with pytest.raises(AssertionError,
+                       match="^double coset minimum must be unique$"):
+        double_coset_min(0, WeylElement(2, 0))
 
 
 def test_double_coset_min_index_examples():
