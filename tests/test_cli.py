@@ -567,6 +567,9 @@ MUTATIONS = {
     "graph arrows listed twice": (
         tensor, "crystal_graph", "edges.append((k, i, target))",
         "edges.extend([(k, i, target)] * 2)", "kk"),
+    "graph arrow drawn from the vertex before its source": (
+        tensor, "crystal_graph", "edges.append((k, i, target))",
+        "edges.append((k - 1, i, target))", "kk"),
     "tensor images compared with the unmoved factors": (
         verify, "tensor_rule_disagreement", "path_of(via_rule.left)",
         "path_of(t.left)", "tensor"),

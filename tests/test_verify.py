@@ -7,10 +7,10 @@ from kkcrystals import verify
 from kkcrystals.kk import MultiplicityTable
 from kkcrystals.partitions import epsilon, phi
 from kkcrystals.paths import direction_weight
-from kkcrystals.verify import (check_iso_commutation, check_kk_monotone,
-                               check_operator_inverses, check_path_integrality,
-                               check_reduction_oracle, check_string_lengths,
-                               check_tensor_structure)
+from kkcrystals.verify import (check_iso_commutation, check_kk_invariance,
+                               check_kk_monotone, check_operator_inverses,
+                               check_path_integrality, check_reduction_oracle,
+                               check_string_lengths, check_tensor_structure)
 from kkcrystals.weights import DELTA
 
 
@@ -79,6 +79,12 @@ VERIFY_BREAKS = {
     "tensor f e": (
         check_tensor_structure, (4,), {"tensor_f": never},
         "f e != id at (∅ | c=0) ⊗ (2 | c=0), i=1"),
+    "operator image escapes the submodule crystal": (
+        check_kk_invariance, (1, 4), {"in_kk_crystal": lambda spec, t: False},
+        "escaped K(0, 0) at (∅ | c=0) ⊗ (∅ | c=0), i=0"),
+    "submodule arrows not undone by e_i": (
+        check_kk_invariance, (1, 4), {"tensor_e": never},
+        "arrows differ from f_i in K(0, 0) at (1 | c=0) ⊗ (∅ | c=0), i=0"),
     "a-entries drop": (
         check_kk_monotone, (4, 3),
         {"decomposition": lambda spec, cutoff:
