@@ -439,20 +439,18 @@ def check_tensor_structure(max_boxes: int):
 def check_kk_invariance(p_max: int, max_boxes: int):
     for spec in kk_specs(p_max):
         graph = kk_crystal_graph(spec, max_boxes)
-        lowered = {(a, i): graph.vertices[b] for a, i, b in graph.edges}
-        # e_i undoes f_i (check_tensor_structure): i-arrows into t are from
-        # e_i(t); an arrow met twice leaves a string, which no e_i image equals
-        raised = {}
+        # K(lambda, p) is a union of components of B(lambda) (x) B(Lambda_0):
+        # e_i, f_i keep it; i-arrows into t are [e_i(t)], or [] if e_i kills t
+        arrows_in = {}
         for a, i, b in graph.edges:
-            raised[b, i] = "twice" if (b, i) in raised else graph.vertices[a]
+            arrows_in.setdefault((b, i), []).append(graph.vertices[a])
         for k, t in enumerate(graph.vertices):
-            at_bound = t.total_boxes >= max_boxes
             for i in (0, 1):
-                up = tensor_e(i, t)
-                down = tensor_f(i, t) if at_bound else lowered.get((k, i))
+                up, down = tensor_e(i, t), tensor_f(i, t)
                 escaped = not ((down is None or in_kk_crystal(spec, down))
                                and (up is None or in_kk_crystal(spec, up)))
-                yield (None if not escaped and raised.get((k, i)) == up else
+                yield (None if not escaped and arrows_in.get((k, i), [])
+                       == ([] if up is None else [up]) else
                        "%s K(%d, %d) at %s, i=%d"
                        % ("escaped" if escaped else "arrows differ from f_i in",
                           spec.lambda_type, spec.p, t, i))

@@ -187,6 +187,18 @@ def test_decompose_json_with_oracle(capsys):
     assert "b" not in data
 
 
+def test_decompose_exits_1_when_the_oracle_disagrees(capsys,
+                                                    patch_everywhere):
+    patch_everywhere(kk, "decomposition_via_crystal",
+                     lambda spec, cutoff: kk.MultiplicityTable((0,), None))
+    argv = ["decompose", "--lambda", "0", "--p", "1", "--cutoff", "3",
+            "--oracle"]
+    code, out, _ = run(argv, capsys)
+    assert code == 1 and out.endswith("# oracle agreement: NO\n")
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 1 and json.loads(out)["oracle_agreement"] is False
+
+
 def test_decompose_rejects_bad_parity(capsys):
     code, _, err = run(["decompose", "--lambda", "1", "--p", "1",
                         "--cutoff", "2"], capsys)
@@ -292,6 +304,25 @@ def test_verify_json_report(capsys):
     report = json.loads(out)
     assert all(entry["ok"] for entry in report)
     assert all(entry["cases"] > 0 for entry in report)
+
+
+def test_verify_json_report_of_a_failing_check(capsys, monkeypatch):
+    argv = ["verify", "signatures", "--max-boxes", "4", "--json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    cases = {entry["name"]: entry["cases"] for entry in json.loads(out)}
+    monkeypatch.setattr(verify, "f_op", lambda cp, i: None)
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    report = {entry["name"]: entry for entry in json.loads(out)}
+    assert {name: entry["cases"] for name, entry in report.items()} == cases
+    reduction = report["stack cancellation vs reducible-substring deletion"]
+    assert not reduction["ok"]
+    assert reduction["failures"][0] == (
+        "f moved a box off the scan's column at (∅ | c=0), i=0")
+    assert report["closed-form signatures vs column scan"]["ok"]
+    assert all(len(entry["failures"]) <= verify.FAILURE_CAP
+               for entry in report.values())
 
 
 @pytest.mark.parametrize("suite, flag", [

@@ -6,12 +6,13 @@ from math import isqrt
 from hypothesis import given, strategies as st
 
 from kkcrystals.iso import partition_to_path
-from kkcrystals.kk import KKSpec, in_kk_crystal, in_kk_crystal_by_weyl
+from kkcrystals.kk import (KKSpec, _p_allowed, in_kk_crystal,
+                           in_kk_crystal_by_weyl)
 from kkcrystals.partitions import (ChargedPartition, enumerate_regular,
                                    reduce_signature, signature)
 from kkcrystals.paths import (LSPath, _int_profile, _rebuild, e_path, f_path,
                               path_epsilon, path_phi)
-from kkcrystals.tensor import TensorElement
+from kkcrystals.tensor import TensorElement, tensor_e
 from kkcrystals.verify import (integrality_disagreement, inverse_disagreement,
                                iso_disagreement, kernel_disagreement,
                                structure_disagreement,
@@ -89,6 +90,37 @@ def test_membership_routes_agree(left, right, shift):
         p += 1
     spec = KKSpec(left.charge, p)
     assert in_kk_crystal(spec, t) == in_kk_crystal_by_weyl(spec, t)
+
+
+@st.composite
+def pairs_across_a_rectangle_edge(draw):
+    """A left factor of 20-300 boxes with n parts, and two charge-0 right
+    factors, alike but for their largest parts m = n + shift and m + 1.
+    The rectangle bound is n for K(0, 0) and n + p + 1 above it, so shifts
+    0 and 1 put the pairs on both sides of K(0, 0)'s edge or the next, and
+    the longer shifts reach the edge of every p <= 39."""
+    left = draw(regular_partitions(20, 300))
+    m = len(left.parts) + draw(st.sampled_from((0, 1)) | st.integers(-3, 40))
+    rest = sorted(draw(st.sets(st.integers(1, m - 1))) if m > 1 else (),
+                  reverse=True)
+    rights = [(k, *rest) if k > 0 else () for k in (m, m + 1)]
+    return [TensorElement(left, ChargedPartition(r, 0)) for r in rights]
+
+
+@given(pairs_across_a_rectangle_edge(), LABELS)
+def test_membership_is_constant_on_components(pairs, i):
+    # K(lambda, p) is a union of components, so every pair met on the way
+    # up from t, by e_i or else e_{1-i}, agrees with t on it for each p
+    charge = pairs[0].left.charge
+    specs = [KKSpec(charge, p) for p in range(40) if _p_allowed(charge, p)]
+    for t in pairs:
+        members = [in_kk_crystal(spec, t) for spec in specs]
+        top = up = t
+        while up is not None:
+            top = up
+            assert [in_kk_crystal(spec, top) for spec in specs] == members, top
+            up = tensor_e(i, top) or tensor_e(1 - i, top)
+        assert top.left.parts == (), (t, top)
 
 
 @st.composite
