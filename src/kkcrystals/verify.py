@@ -439,7 +439,7 @@ def check_tensor_structure(max_boxes: int):
 def check_kk_invariance(p_max: int, max_boxes: int):
     for spec in kk_specs(p_max):
         graph = kk_crystal_graph(spec, max_boxes)
-        # K(lambda, p) is a union of components of B(lambda) (x) B(Lambda_0):
+        # K(lambda, p) is a union of components of B(lambda) ⊗ B(Lambda_0):
         # e_i, f_i keep it; i-arrows into t are [e_i(t)], or [] if e_i kills t
         arrows_in = {}
         for a, i, b in graph.edges:

@@ -96,9 +96,9 @@ def test_membership_routes_agree(left, right, shift):
 def pairs_across_a_rectangle_edge(draw):
     """A left factor of 20-300 boxes with n parts, and two charge-0 right
     factors, alike but for their largest parts m = n + shift and m + 1.
-    The rectangle bound is n for K(0, 0) and n + p + 1 above it, so shifts
-    0 and 1 put the pairs on both sides of K(0, 0)'s edge or the next, and
-    the longer shifts reach the edge of every p <= 39."""
+    The rectangle bound is n for K(0, 0) and n + p + 1 otherwise, so
+    shifts 0 and 1 put the pairs across the p = 0 edge of either family,
+    and the longer shifts reach the edge of every p <= 39."""
     left = draw(regular_partitions(20, 300))
     m = len(left.parts) + draw(st.sampled_from((0, 1)) | st.integers(-3, 40))
     rest = sorted(draw(st.sets(st.integers(1, m - 1))) if m > 1 else (),
