@@ -1,5 +1,5 @@
-"""Hypothesis settings for the property tests, and a fixture that patches
-a function in every module that imported it by name.
+"""Hypothesis settings for the property tests, and fixtures that patch or
+record a function in every module that imported it by name.
 
 Identical work can run 20-60% slower on a busy shared host, so no
 example has a deadline.  A fixed example count keeps the property tests
@@ -10,7 +10,9 @@ reports the first failing example it drew, and its assertion message
 names the case.
 """
 
+import os
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, settings
@@ -33,3 +35,30 @@ def patch_everywhere(monkeypatch):
                     and getattr(user, name, None) is original):
                 monkeypatch.setattr(user, name, value)
     return patch
+
+
+@pytest.fixture
+def record_calls(monkeypatch, patch_everywhere):
+    """record(module, name) wraps `module.name` wherever patch_everywhere
+    patches, or in `module` alone with everywhere=False, and returns the
+    list of its calls' argument tuples, or with returns=True their results."""
+    def record(module, name, everywhere=True, returns=False):
+        calls, original = [], getattr(module, name)
+
+        def recorded(*args):
+            result = original(*args)
+            calls.append(result if returns else args)
+            return result
+
+        (patch_everywhere if everywhere else monkeypatch.setattr)(
+            module, name, recorded)
+        return calls
+    return record
+
+
+@pytest.fixture
+def child_env():
+    """The environment for a child Python that imports kkcrystals from
+    this checkout's `src` and writes UTF-8."""
+    return dict(os.environ, PYTHONIOENCODING="utf-8",
+                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

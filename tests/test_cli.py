@@ -4,7 +4,6 @@ import hashlib
 import inspect
 import io
 import json
-import os
 import subprocess
 import sys
 import textwrap
@@ -61,81 +60,67 @@ def test_convert_reads_stdin(capsys, monkeypatch):
     assert json.loads(out) == {"shape": "L0", "n": 1, "steps": []}
 
 
-def test_convert_rejects_undecodable_stdin(capsys, monkeypatch):
-    undecodable = io.BytesIO(b'{"parts": [1]}\xff')
+NESTED = "[" * 3000 + "]" * 3000  # past the recursion limit of json.loads
+PARTITION, PATH = "bad charged partition: ", "bad LS path: "
+KEYS = PARTITION + "need the keys parts, charge; got "
+NOT_INTS = PARTITION + "parts and charge must be integers"
+NOT_PATH_INTS = PATH + "shape, n and steps must be integers"
+NOT_PARTS, TOO_LONG = ("parts must be comma-separated integers",
+                       "n + len(steps) = 100001 exceeds the limit 100000")
+# convert's arguments and the start of the stderr text that refuses them;
+# stdin holds bytes that are not UTF-8, which only the row without data reads
+CONVERT_REFUSALS = {
+    "undecodable-stdin": ([], "undecodable input: "),
+    "non-regular": (['{"parts": [2, 2], "charge": 0}'], PARTITION +
+                    "parts must be strictly decreasing (2-regular), got 2"),
+    "malformed-json": (['{"parts": [2, 2'], "malformed JSON: Expecting"),
+    "nested-parts": (['{"parts": %s}' % NESTED], "malformed JSON: "),
+    "nested-shape": (['{"shape": %s}' % NESTED], "malformed JSON: "),
+    "float-part": (['{"parts": [3.7, 1], "charge": 0}'], NOT_INTS),
+    "bool-charge": (['{"parts": [3, 1], "charge": true}'], NOT_INTS),
+    "string-part": (['{"parts": ["3", 1], "charge": 0}'], NOT_INTS),
+    "float-step": (['{"shape": "L0", "n": 4, "steps": [2.5]}'], NOT_PATH_INTS),
+    "bool-n": (['{"shape": "L0", "n": true, "steps": []}'], NOT_PATH_INTS),
+    "parts-and-shape": (
+        ['{"parts": [2], "charge": 0, "shape": "L0", "n": 1, "steps": []}'],
+        KEYS + "['charge', 'n', 'parts', 'shape', 'steps']"),
+    "underscore-part": (["1_0"], NOT_PARTS),
+    "plus-part": (["+3"], NOT_PARTS),
+    "fullwidth-part": (["\uff13"], NOT_PARTS),
+    "lone-comma": ([","], NOT_PARTS),
+    "empty-middle-part": (["3,,1"], NOT_PARTS),
+    "empty-last-part": (["3,1,"], NOT_PARTS),
+    "bare-part-past-digit-limit": (["1" + "0" * 5000], NOT_PARTS),
+    "unknown-partition-key": (['{"parts": [2], "charge": 0, "bogus": 1}'],
+                              KEYS + "['bogus', 'charge', 'parts']"),
+    "unknown-path-key": (
+        ['{"shape": "L0", "n": 1, "steps": [], "extra": [1]}'], PATH +
+        "need the keys shape, n, steps; got ['extra', 'n', 'shape', 'steps']"),
+    "missing-key": (['{"parts": [2]}'], KEYS + "['parts']"),
+    "charge-flag-with-json": (["--charge", "1", '{"parts": [2], "charge": 0}'],
+                              "--charge applies to bare parts only"),
+    "part-over": (["100001"], "largest part 100001 exceeds the limit 100000"),
+    "part-far-over": (["3000000"], "largest part 3000000 exceeds the limit"),
+    "path-n-over": (['{"shape": "L0", "n": 100001, "steps": []}'], TOO_LONG),
+    "path-n-plus-steps-over": (
+        ['{"shape": "L1", "n": 99999, "steps": [1, 1]}'], TOO_LONG),
+    "json-int-past-digit-limit": (['{"parts": [1%s], "charge": 0}' % (
+        "0" * 5000)], "malformed JSON: Exceeds the limit"),
+    "empty": ([""], "empty input"),
+    "blank": (["   "], "empty input"),
+    "unknown-shape": (['{"shape": "L2", "n": 0, "steps": []}'],
+                      PATH + "shape must be 'L0' or 'L1'"),
+}
+
+
+@pytest.mark.parametrize("name", CONVERT_REFUSALS)
+def test_convert_names_what_it_refuses(name, capsys, monkeypatch):
+    args, message = CONVERT_REFUSALS[name]
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
-        undecodable, encoding="utf-8", errors="strict"))
-    code, out, err = run(["convert"], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
-
-
-def test_convert_rejects_non_regular(capsys):
-    code, _, err = run(["convert", '{"parts": [2, 2], "charge": 0}'], capsys)
-    assert code == 2
-    assert "regular" in err
-
-
-def test_convert_rejects_malformed_json(capsys):
-    code, _, err = run(["convert", '{"parts": [2, 2'], capsys)
-    assert code == 2
-    assert "JSON" in err
-
-
-@pytest.mark.parametrize("key", ["parts", "shape"])
-def test_convert_rejects_json_nested_past_the_decoder(key, capsys):
-    # deeper than the recursion limit lets json.loads follow
-    data = '{"%s": %s%s}' % (key, "[" * 3000, "]" * 3000)
-    code, out, err = run(["convert", data], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error: malformed JSON") and "Traceback" not in err
-
-
-@pytest.mark.parametrize("data", [
-    '{"parts": [3.7, 1], "charge": 0}',
-    '{"parts": [3, 1], "charge": true}',
-    '{"parts": ["3", 1], "charge": 0}',
-    '{"shape": "L0", "n": 4, "steps": [2.5]}',
-    '{"shape": "L0", "n": true, "steps": []}',
-    '{"parts": [2], "charge": 0, "shape": "L0", "n": 1, "steps": []}',
-    "1_0", "+3", "\uff13", ",", "3,,1", "3,1,", "1%s" % ("0" * 5000),
-    '{"parts": [2], "charge": 0, "bogus": 1}',
-    '{"shape": "L0", "n": 1, "steps": [], "extra": [1]}',
-    '{"parts": [2]}', ["--charge", "1", '{"parts": [2], "charge": 0}'],
-], ids=["float-part", "bool-charge", "string-part", "float-step", "bool-n",
-        "parts-and-shape", "underscore-part", "plus-part", "fullwidth-part",
-        "lone-comma", "empty-middle-part", "empty-last-part",
-        "bare-part-past-digit-limit", "unknown-partition-key",
-        "unknown-path-key", "missing-key", "charge-flag-with-json"])
-def test_convert_rejects_non_integers(data, capsys):
-    argv = ["convert"] + (data if isinstance(data, list) else [data])
-    code, out, err = run(argv, capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error:")
-
-
-@pytest.mark.parametrize("data", [
-    "100001",
-    "3000000",
-    '{"shape": "L0", "n": 100001, "steps": []}',
-    '{"shape": "L1", "n": 99999, "steps": [1, 1]}',
-    '{"parts": [1%s], "charge": 0}' % ("0" * 5000),
-], ids=["part-over", "part-far-over", "path-n-over", "path-n-plus-steps-over",
-        "json-int-past-digit-limit"])
-def test_convert_rejects_oversized_input(data, capsys):
-    code, out, err = run(["convert", data], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "limit" in err
-
-
-@pytest.mark.parametrize("data, message", [
-    ("", "empty input"), ("   ", "empty input"),
-    ('{"shape": "L2", "n": 0, "steps": []}', "bad LS path"),
-], ids=["empty", "blank", "unknown-shape"])
-def test_convert_names_what_it_refuses(data, message, capsys):
-    code, out, err = run(["convert", data], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error: " + message)
+        io.BytesIO(b'{"parts": [1]}\xff'), encoding="utf-8", errors="strict"))
+    code, out, err = run(["convert"] + args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message) and "Traceback" not in err
 
 
 def test_convert_accepts_input_at_the_size_limit(capsys):
@@ -199,31 +184,31 @@ def test_decompose_exits_1_when_the_oracle_disagrees(capsys,
     assert code == 1 and json.loads(out)["oracle_agreement"] is False
 
 
-def test_decompose_rejects_bad_parity(capsys):
-    code, _, err = run(["decompose", "--lambda", "1", "--p", "1",
-                        "--cutoff", "2"], capsys)
-    assert code == 2
-    assert "even" in err
+# decompose's flags, the start of the stderr text that refuses them, and
+# the nearest flags it accepts, with the line count and last line they print
+DECOMPOSE_REFUSALS = {
+    "bad-parity": ("--lambda 1 --p 1 --cutoff 2",
+                   "for lambda_type 1, p must be 0 or even",
+                   "--lambda 1 --p 2 --cutoff 2", 4, "2\t0"),
+    "oracle-cutoff-over-the-limit": (
+        "--lambda 0 --p 1 --cutoff 26 --oracle",
+        "cutoff 26 exceeds the limit 25",
+        "--lambda 0 --p 1 --cutoff 25 --oracle", 28, "# oracle agreement: yes"),
+    "cutoff-over-the-limit": (
+        "--lambda 0 --p 1 --cutoff 1001", "cutoff 1001 exceeds the limit 1000",
+        "--lambda 0 --p 1 --cutoff 1000", 1002, "1000\t0\t0"),
+}
 
 
-def test_decompose_oracle_has_a_lower_cutoff_limit(capsys):
-    code, out, err = run(["decompose", "--lambda", "0", "--p", "1",
-                          "--cutoff", "26", "--oracle"], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "limit 25" in err
-    code, out, _ = run(["decompose", "--lambda", "0", "--p", "1",
-                        "--cutoff", "25", "--oracle"], capsys)
-    assert code == 0 and out.endswith("# oracle agreement: yes\n")
-
-
-def test_decompose_rejects_cutoff_above_the_limit(capsys):
-    code, out, err = run(["decompose", "--lambda", "0", "--p", "1",
-                          "--cutoff", "1001"], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "limit" in err
-    code, out, _ = run(["decompose", "--lambda", "0", "--p", "1",
-                        "--cutoff", "1000"], capsys)
-    assert code == 0 and len(out.splitlines()) == 1002
+@pytest.mark.parametrize("name", DECOMPOSE_REFUSALS)
+def test_decompose_names_what_it_refuses(name, capsys):
+    refused, message, accepted, lines, last = DECOMPOSE_REFUSALS[name]
+    code, out, err = run(["decompose"] + refused.split(), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message) and "Traceback" not in err
+    code, out, _ = run(["decompose"] + accepted.split(), capsys)
+    assert code == 0 and len(out.splitlines()) == lines
+    assert out.endswith("\n" + last + "\n")
 
 
 def test_graph_stdout(capsys):
@@ -431,47 +416,16 @@ def test_size_flag_fuzz_exits_0_or_2(argv):
     assert_exits_0_or_2(argv)
 
 
-@pytest.mark.parametrize("argv, limit", [
-    (["graph", "--lambda", "0", "--p", "5", "--max-boxes", "20"], 1),
-], ids=["graph"])
-def test_pair_loops_list_the_factors_once(argv, limit, capsys,
-                                          patch_everywhere):
-    # one enumerate_regular call per factor list, not one per left factor;
-    # verify all is pinned by test_a_verify_run_shares_one_enumeration
-    original = partitions.enumerate_regular
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    patch_everywhere(partitions, "enumerate_regular", counted)
-    code, _, _ = run(argv, capsys)
-    assert code == 0
-    assert 0 < len(calls) <= limit
-
-
-def test_a_verify_run_shares_one_enumeration(capsys, monkeypatch,
-                                             patch_everywhere):
+def test_a_verify_run_shares_one_enumeration(capsys, record_calls):
     # every check reads one list per charge, so equal partitions are one
     # object and carry one set of records: 3 lists, (0, 12), (1, 12) and
-    # (0, 13), for the 46 enumerate_regular calls at the defaults
-    original, build = partitions.enumerate_regular, partitions._distinct_parts
-    listed, built = [], []
-
-    def recorded(*args):
-        listed.append(original(*args))
-        return listed[-1]
-
-    def counted(allowed, max_size):
-        built.append(max_size)
-        return build(allowed, max_size)
-
-    patch_everywhere(partitions, "enumerate_regular", recorded)
-    monkeypatch.setattr(partitions, "_distinct_parts", counted)
+    # (0, 13), for the 46 enumerate_regular calls at the defaults; the
+    # lists are built in partitions alone, kk.dominant_set builds its own
+    listed = record_calls(partitions, "enumerate_regular", returns=True)
+    built = record_calls(partitions, "_distinct_parts", everywhere=False)
     code, _, _ = run(["verify", "all"], capsys)
     assert code == 0
-    assert built == [12, 12, 13] and len(listed) == 46
+    assert [size for _, size in built] == [12, 12, 13] and len(listed) == 46
     seen = {}
     assert all(seen.setdefault(cp, cp) is cp for cps in listed for cp in cps)
 
@@ -626,14 +580,12 @@ def test_verify_reports_a_broken_path_layer(mutation, capsys,
     assert any(line.startswith("FAIL ") for line in out.splitlines())
 
 
-def test_a_closed_stdout_exits_3_without_a_traceback():
+def test_a_closed_stdout_exits_3_without_a_traceback(child_env):
     # more output than a pipe holds, and a reader that stops after a line
-    env = dict(os.environ, PYTHONIOENCODING="utf-8",
-               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     with subprocess.Popen(
             [sys.executable, "-m", "kkcrystals.cli", "enumerate", "--charge",
-             "1", "--max-boxes", "40"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+             "1", "--max-boxes", "40"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=child_env) as child:
         first = child.stdout.readline()
         child.stdout.close()
         err = child.stderr.read().decode()
@@ -655,11 +607,10 @@ ENDLESS_STRING = textwrap.dedent("""
 """)
 
 
-def test_verify_ends_on_an_endless_operator_string():
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+def test_verify_ends_on_an_endless_operator_string(child_env):
     done = subprocess.run([sys.executable, "-c", ENDLESS_STRING],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, encoding="utf-8", env=child_env,
+                          timeout=60)
     assert done.returncode == 1, done.stderr
     assert any(line.startswith("FAIL ") for line in done.stdout.splitlines())
     assert "Traceback" not in done.stderr

@@ -1,9 +1,7 @@
-import os
 import subprocess
 import sys
 import textwrap
 from functools import partial
-from pathlib import Path
 
 import pytest
 
@@ -227,10 +225,9 @@ BROKEN_GRAPHS = textwrap.dedent("""
 """)
 
 
-def test_invariant_checks_fire_under_python_O():
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+def test_invariant_checks_fire_under_python_O(child_env):
     done = subprocess.run([sys.executable, "-O", "-c", BROKEN_GRAPHS],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, encoding="utf-8", env=child_env,
+                          timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["lowering operators escaped the crystal"]

@@ -269,18 +269,12 @@ LONG_PATHS = [LSPath(0, 2000), LSPath(1, 1999, (1999,)),
 
 
 @pytest.mark.parametrize("path", LONG_PATHS, ids=["straight", "one", "stairs"])
-def test_chain_ints_do_not_grow_with_a_common_denominator(path, monkeypatch):
+def test_chain_ints_do_not_grow_with_a_common_denominator(path, record_calls):
     # every int in the profile of the path and of its f_i, e_i images, and
     # in the chains the operators hand to the cut, has about as many bits
     # as m; lcm(1, ..., 2001) would carry about 2,900
     bound = 2 * path.m.bit_length()
-    chains, rebuild = [], paths._rebuild
-
-    def recorded(*chain):
-        chains.append(chain)
-        return rebuild(*chain)
-
-    monkeypatch.setattr(paths, "_rebuild", recorded)
+    chains = record_calls(paths, "_rebuild")
     parts = []
     for i in (0, 1):
         images = [image for image in (path, f_path(path, i), e_path(path, i))

@@ -1,6 +1,6 @@
 import pytest
 
-from kkcrystals import partitions, tensor, verify
+from kkcrystals import partitions, tensor
 from kkcrystals.kk import (KKSpec, associated_weyl_element, kk_crystal_graph,
                            kk_crystal_members)
 from kkcrystals.partitions import ChargedPartition, enumerate_regular
@@ -8,7 +8,6 @@ from kkcrystals.paths import LSPath, _rebuild
 from kkcrystals.tensor import (TensorElement, concat_path_op, crystal_graph,
                                is_highest_weight, tensor_e, tensor_f,
                                tensor_pairs)
-from kkcrystals.verify import check_tensor_structure
 from kkcrystals.weyl import IDENTITY, coset_element
 
 
@@ -121,16 +120,10 @@ def test_tensor_pairs_keep_the_nested_order():
             assert list(tensor_pairs(charge, n)) == nested
 
 
-def test_a_pair_walk_lists_each_factor_list_once(patch_everywhere):
+def test_a_pair_walk_lists_each_factor_list_once(record_calls):
     # outside a verify run each enumerate_regular call builds new factors,
     # so a charge-0 right factor that is a left factor shows the sharing
-    original, calls = partitions.enumerate_regular, []
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    patch_everywhere(partitions, "enumerate_regular", counted)
+    calls = record_calls(partitions, "enumerate_regular")
     pairs = list(tensor_pairs(0, 12))
     assert calls == [(0, 12)]
     lefts = {id(t.left) for t in pairs}
@@ -141,6 +134,9 @@ def test_a_pair_walk_lists_each_factor_list_once(patch_everywhere):
     calls.clear()
     assert kk_crystal_members(KKSpec(1, 2), 12)
     assert calls == [(1, 12), (0, 12)]
+    calls.clear()
+    assert kk_crystal_graph(KKSpec(0, 5), 20).edges
+    assert calls == [(0, 20)]
 
 
 def vacuum_crystal_graph(n):
@@ -178,19 +174,8 @@ def test_crystal_graph_outputs():
     assert all(set(e) == {"from", "i", "to"} for e in obj["edges"])
 
 
-def test_crystal_graph_skips_vertices_at_the_bound(monkeypatch):
+def test_crystal_graph_skips_vertices_at_the_bound(record_calls):
     # f_i adds a box, so a member at the bound is not asked for an arrow
-    calls = []
-    monkeypatch.setattr(tensor, "tensor_f",
-                        lambda i, t: calls.append(t) or tensor_f(i, t))
+    calls = record_calls(tensor, "tensor_f")
     graph = kk_crystal_graph(KKSpec(0, 5), 12)
     assert len(calls) == 2 * sum(v.total_boxes < 12 for v in graph.vertices)
-
-
-def test_tensor_structure_names_the_pair_it_fails_at(monkeypatch):
-    cases = check_tensor_structure(4).cases
-    monkeypatch.setattr(verify, "is_highest_weight",
-                        lambda t: not is_highest_weight(t))
-    result = check_tensor_structure(4)
-    assert (result.cases, result.failures[0]) == (
-        cases, "highest-weight law fails at (∅ | c=0) ⊗ (∅ | c=0)")

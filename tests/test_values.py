@@ -279,26 +279,16 @@ def test_labels_are_checked_before_the_memo(op, on_pairs, label):
             op(cp, label)
 
 
-def count_calls(monkeypatch, *names):
-    """A list that gains the partition argument of each call of the named
-    two-argument partition kernels."""
-    calls = []
-    for name in names:
-        original = getattr(partitions, name)
-
-        def counted(cp, arg, original=original):
-            calls.append(cp)
-            return original(cp, arg)
-
-        monkeypatch.setattr(partitions, name, counted)
-    return calls
-
-
-def test_each_factor_is_scanned_at_most_once_per_label(monkeypatch):
-    scans = count_calls(monkeypatch, "_reduced")
+def test_each_factor_is_scanned_at_most_once_per_label(record_calls):
+    # each scan builds at most its two moves, and none is built apart
+    scans = record_calls(partitions, "_reduced")
+    adds = record_calls(partitions, "_add_box")
+    removes = record_calls(partitions, "_remove_box")
     graph = kk_crystal_graph(KKSpec(0, 5), 12)
     factors = {id(f) for t in graph.vertices for f in t}
+    moves = len(adds) + len(removes)
     assert graph.edges and 0 < len(scans) <= 2 * len(factors)
+    assert 0 < moves <= 4 * len(factors) and moves <= 2 * len(scans)
 
 
 @pytest.mark.parametrize("op, inverse", [(f_op, e_op), (e_op, f_op)],
@@ -311,13 +301,3 @@ def test_each_move_is_built_once(op, inverse, i):
     # the move back is built anew, not read off a memo that holds cp
     back = inverse(image, i)
     assert back == cp and back is not cp
-
-
-def test_each_factor_makes_at_most_four_box_moves(monkeypatch):
-    scans = count_calls(monkeypatch, "_reduced")
-    moves = count_calls(monkeypatch, "_add_box", "_remove_box")
-    graph = kk_crystal_graph(KKSpec(0, 5), 12)
-    factors = {id(f) for t in graph.vertices for f in t}
-    assert graph.edges and 0 < len(moves) <= 4 * len(factors)
-    # each scan builds at most its two moves, and none is built apart
-    assert len(moves) <= 2 * len(scans)

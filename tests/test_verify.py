@@ -1,16 +1,18 @@
-"""Each failure message of the verify checks that no other test reaches,
-reached by breaking names in verify's namespace."""
+"""Each failure message of the verify checks, reached by breaking names in
+verify's namespace, or on another owner where verify reads an attribute."""
 
 import pytest
 
 from kkcrystals import verify
 from kkcrystals.kk import MultiplicityTable
-from kkcrystals.partitions import epsilon, phi
-from kkcrystals.paths import direction_weight
+from kkcrystals.partitions import ChargedPartition, epsilon, phi, weight_of
+from kkcrystals.paths import LSPath, direction_weight
+from kkcrystals.tensor import is_highest_weight
 from kkcrystals.verify import (check_iso_commutation, check_kk_invariance,
                                check_kk_monotone, check_operator_inverses,
-                               check_path_integrality, check_reduction_oracle,
-                               check_string_lengths, check_tensor_structure)
+                               check_path_bijectivity, check_path_integrality,
+                               check_reduction_oracle, check_string_lengths,
+                               check_tensor_structure)
 from kkcrystals.weights import DELTA
 
 
@@ -27,8 +29,8 @@ def minus_then_plus(entries):
 
 
 # one failure message per row: the check and its sizes, the names it
-# breaks in verify (two where one alone meets an earlier branch first)
-# and the first failure it must report
+# breaks in verify, or as (owner, name) elsewhere (two where one alone
+# meets an earlier branch first), and the first failure it must report
 VERIFY_BREAKS = {
     "f off the scan's column": (
         check_reduction_oracle, (4,), {"f_op": never},
@@ -54,6 +56,22 @@ VERIFY_BREAKS = {
     "phi string": (
         check_string_lengths, (4,), {"phi": lambda cp, i: phi(cp, i) + 1},
         "phi mismatch at (∅ | c=0), i=0"),
+    "iso round trip": (
+        check_iso_commutation, (4,),
+        {"path_to_partition": lambda path: ChargedPartition((), 0)},
+        "round trip failed at (1 | c=0)"),
+    "iso weights": (
+        check_iso_commutation, (4,),
+        {"weight_of": lambda cp: weight_of(cp) + DELTA},
+        "weights differ at (∅ | c=0)"),
+    "directions miss the bounding rectangle": (
+        check_iso_commutation, (4,),
+        {(ChargedPartition, "bounding_rect"): property(lambda cp: (-1, -1))},
+        "directions miss the bounding rectangle at (∅ | c=0)"),
+    "path round trip": (
+        check_path_bijectivity, (4,),
+        {"partition_to_path": lambda cp: LSPath(0, 0)},
+        "round trip failed at LSPath(L0, n=1, steps=[])"),
     "path kill": (
         check_iso_commutation, (4,), {"f_path": never},
         "f kill mismatch at (∅ | c=0), i=0"),
@@ -63,6 +81,10 @@ VERIFY_BREAKS = {
     "scaled profile": (
         check_path_integrality, (4,), {"direction_weight": other_shape},
         "scaled profile differs at LSPath(L0, n=0, steps=[]), i=0"),
+    "highest-weight law": (
+        check_tensor_structure, (4,),
+        {"is_highest_weight": lambda t: not is_highest_weight(t)},
+        "highest-weight law fails at (∅ | c=0) ⊗ (∅ | c=0)"),
     "tensor f weight step": (
         check_tensor_structure, (4,), {"simple_root": lambda i: DELTA},
         "f weight step wrong at (∅ | c=0) ⊗ (∅ | c=0), i=0"),
@@ -102,7 +124,8 @@ VERIFY_BREAKS = {
 def test_a_broken_check_reports_its_first_failure(name, monkeypatch):
     run, sizes, broken, message = VERIFY_BREAKS[name]
     cases = run(*sizes).cases
-    for attribute, value in broken.items():
-        monkeypatch.setattr(verify, attribute, value)
+    for key, value in broken.items():
+        owner, attribute = key if type(key) is tuple else (verify, key)
+        monkeypatch.setattr(owner, attribute, value)
     result = run(*sizes)
     assert (result.cases, result.failures[0]) == (cases, message)
