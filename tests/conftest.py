@@ -1,5 +1,12 @@
-"""Hypothesis settings for the property tests, and fixtures that patch or
-record a function in every module that imported it by name.
+"""Hypothesis settings for the property tests, and three fixtures:
+
+- `patch_everywhere(module, name, value)` replaces a library function in
+  every module that imported it by name: use it to break or swap one;
+- `record_calls(module, name)` wraps one the same way and returns the
+  list of its calls: use it to count or inspect the work a call does;
+- `child_env` is the environment of a child Python that imports this
+  checkout: use it where only a fresh process shows the behaviour (under
+  `python -O`, a closed stdout, a run that might not end).
 
 Identical work can run 20-60% slower on a busy shared host, so no
 example has a deadline.  A fixed example count keeps the property tests

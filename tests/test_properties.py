@@ -26,14 +26,22 @@ SMALL_RIGHTS = enumerate_regular(0, 6)
 def regular_partitions(draw, min_boxes: int = 100, max_boxes: int = 2000):
     """Distinct parts summing to a size in the range, largest first; each
     part is at least the smallest p whose staircase 1 + ... + p still
-    covers what is left, so the draw never gets stuck."""
+    covers what is left, so the draw never gets stuck.  Hypothesis counts
+    a replayed draw that misses a bound or a length set by earlier draws
+    as an invalid example, so every draw has fixed bounds and a fixed
+    count: one key in 0..max_boxes for each part a partition of max_boxes
+    can have, scaled into its part's range."""
     remaining = draw(st.integers(min_boxes, max_boxes))
+    most_parts = (isqrt(8 * max_boxes + 1) - 1) // 2
+    keys = iter(draw(st.lists(st.integers(0, max_boxes),
+                              min_size=most_parts, max_size=most_parts)))
     parts, bound = [], remaining
     while remaining:
         low = (isqrt(8 * remaining + 1) - 1) // 2
         if low * (low + 1) // 2 < remaining:
             low += 1
-        part = draw(st.integers(low, min(remaining, bound)))
+        high = min(remaining, bound)
+        part = low + next(keys) * (high - low + 1) // (max_boxes + 1)
         parts.append(part)
         remaining -= part
         bound = part - 1
@@ -125,19 +133,28 @@ def test_membership_is_constant_on_components(pairs, i):
 
 @st.composite
 def ls_paths(draw):
-    """A canonical path of either shape: weakly decreasing steps in 1..n,
-    so that n = 0 leaves only the straight path."""
-    n = draw(st.integers(0, 40))
-    steps = draw(st.lists(st.integers(1, n), max_size=20)) if n else []
-    return LSPath(draw(LABELS), n, sorted(steps, reverse=True))
+    """A canonical path of either shape: up to 20 weakly decreasing steps
+    in 1..n, so that n = 0 leaves only the straight path.  As in
+    regular_partitions, every draw has fixed bounds and a fixed count:
+    each step is a key in 0..39 scaled into 1..n."""
+    n, count = draw(st.integers(0, 40)), draw(st.integers(0, 20))
+    keys = draw(st.lists(st.integers(0, 39), min_size=20, max_size=20))
+    steps = sorted((1 + key * n // 40 for key in keys[:count]), reverse=True)
+    return LSPath(draw(LABELS), n, steps if n else [])
 
 
-# straight paths of one shape meet at a cut with equal slopes
-RUNS = st.lists(st.sampled_from((LSPath(0, 0), LSPath(1, 0))) | ls_paths(),
-                min_size=1, max_size=3)
+@st.composite
+def runs(draw):
+    """One to three paths, each straight with even odds, since straight
+    paths of one shape meet at a cut with equal slopes; a fixed count of
+    draws, as in ls_paths."""
+    count = draw(st.integers(1, 3))
+    run = [(draw(st.booleans()), draw(ls_paths())) for _ in range(3)]
+    return [LSPath(path.shape, 0) if straight else path
+            for straight, path in run[:count]]
 
 
-@given(RUNS, LABELS)
+@given(runs(), LABELS)
 def test_the_cut_undoes_the_join(run, i):
     dirs, times, _ = _int_profile(tuple(run), i)
     assert _rebuild(dirs, times) == run
@@ -154,7 +171,7 @@ def test_an_operator_kills_exactly_where_its_string_ends(path, i):
     assert (e_path(path, i) is None) == (path_epsilon(path, i) == 0), path
 
 
-@given(RUNS | regular_partitions().map(lambda cp: [partition_to_path(cp)]),
+@given(runs() | regular_partitions().map(lambda cp: [partition_to_path(cp)]),
        LABELS)
 def test_h_reaches_the_minimum_plus_one_on_the_rising_piece(run, i):
     # the fact f_i's one-piece reflection rests on: where f_i acts, h is
