@@ -106,7 +106,7 @@ VERIFY_BREAKS = {
         check_iso_commutation, (4,),
         {"weight_of": lambda cp: weight_of(cp) + DELTA},
         "weights differ at (∅ | c=0)"),
-    "directions miss the bounding rectangle": (
+    "bounding rectangle": (
         check_iso_commutation, (4,),
         {(ChargedPartition, "bounding_rect"): property(lambda cp: (-1, -1))},
         "directions miss the bounding rectangle at (∅ | c=0)"),
