@@ -416,6 +416,19 @@ def test_size_flag_fuzz_exits_0_or_2(argv):
     assert_exits_0_or_2(argv)
 
 
+@pytest.mark.parametrize("argv, factor_lists", [
+    (["graph", "--lambda", "0", "--p", "5", "--max-boxes", "20"], [(0, 20)]),
+], ids=["graph"])
+def test_pair_loops_list_the_factors_once(argv, factor_lists, capsys,
+                                          record_calls):
+    # one enumerate_regular call per factor list, not one per left factor;
+    # verify all is pinned by test_a_verify_run_shares_one_enumeration
+    calls = record_calls(partitions, "enumerate_regular")
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    assert calls == factor_lists
+
+
 def test_a_verify_run_shares_one_enumeration(capsys, record_calls):
     # every check reads one list per charge, so equal partitions are one
     # object and carry one set of records: 3 lists, (0, 12), (1, 12) and

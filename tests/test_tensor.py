@@ -134,9 +134,6 @@ def test_a_pair_walk_lists_each_factor_list_once(record_calls):
     calls.clear()
     assert kk_crystal_members(KKSpec(1, 2), 12)
     assert calls == [(1, 12), (0, 12)]
-    calls.clear()
-    assert kk_crystal_graph(KKSpec(0, 5), 20).edges
-    assert calls == [(0, 20)]
 
 
 def vacuum_crystal_graph(n):
